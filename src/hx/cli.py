@@ -25,7 +25,7 @@ import hashlib
 import json
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .coxeter import (CoxeterSystem, Element, GatingError, InfiniteGroupError,
                       InternalCheckError, build_system)
@@ -118,28 +118,71 @@ def _build_parser() -> _Parser:
     p.add_argument("--csv", action="store_true", help="emit the flat CSV table")
     p.add_argument("--max-cmin", type=int, default=None,
                    help="cap evaluated C_min members per class (rank-5 time budget)")
-    p.add_argument("--trace-route", choices=["direct", "cyclic"], default="direct",
-                   help="trace evaluation route (cyclic is much faster on long "
-                        "elements; both are cross-checked in the test suite)")
+    p.add_argument("--trace-route", choices=["direct", "cyclic"], default=None,
+                   help="trace evaluation route (default direct; both give the "
+                        "same report and are cross-checked in the test suite)")
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+# defaults of the options whose parser default is None, applied after
+# --config so that a config value can stand in for any flag left unset
+_DEFAULTS = {"jobs": 1, "seed": 0, "trace_route": "direct"}
+
+
+def _option_actions(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """Every option of every command, by destination."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out.update(_option_actions(sub))
+        elif action.option_strings:
+            out[action.dest] = action
+    return out
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """A config value, checked against the JSON type its flag takes."""
+    if action.nargs == 0:  # on/off flags
+        ok = isinstance(value, bool)
+    elif action.type is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif isinstance(value, list):  # a word or the weights as a JSON array
+        ok = (action.type is _word_arg or action.dest == "weights") and all(
+            isinstance(x, int) and not isinstance(x, bool) for x in value)
+        value = tuple(value)
+    else:
+        ok = isinstance(value, str)
+        if ok and action.type is not None:
+            value = action.type(value)
+    if not ok or (action.choices and value not in action.choices):
+        raise UsageError(f"config key {key!r} has a bad value {value!r}")
+    return value
+
+
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     path = getattr(args, "config", None)
-    if not path:
-        return
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise UsageError(f"cannot read config {path}: {e}")
-    if not isinstance(cfg, dict):
-        raise UsageError("config file must hold a JSON object")
-    renames = {"type": "type_label"}
-    for key, value in cfg.items():
-        attr = renames.get(key, key.replace("-", "_"))
-        if hasattr(args, attr) and getattr(args, attr) in (None, False):
-            setattr(args, attr, value)
+    if path:
+        try:
+            with open(path) as fh:
+                cfg = json.load(fh)
+        except (OSError, json.JSONDecodeError) as e:
+            raise UsageError(f"cannot read config {path}: {e}")
+        if not isinstance(cfg, dict):
+            raise UsageError("config file must hold a JSON object")
+        options = _option_actions(parser)
+        renames = {"type": "type_label"}
+        for key, value in cfg.items():
+            attr = renames.get(key, key.replace("-", "_"))
+            if attr not in options or attr not in vars(args) or attr == "config":
+                raise UsageError(f"unknown config key {key!r} for this command")
+            value = _config_value(options[attr], key, value)
+            current = getattr(args, attr)
+            if current is None or current is False:  # flags override the config
+                setattr(args, attr, value)
+    for attr, default in _DEFAULTS.items():
+        if getattr(args, attr, default) is None:
+            setattr(args, attr, default)
 
 
 def _make_system(args) -> CoxeterSystem:
@@ -196,7 +239,9 @@ def _progress(message: str) -> None:
 
 # -- report cache -----------------------------------------------------------
 
-def _cache_lookup(key_obj: dict) -> tuple[Optional[dict], Optional[str]]:
+def _cache_lookup(key_obj: dict) -> tuple[Optional[tuple[dict, str]], Optional[str]]:
+    """((report, its JSON text) on a hit or None, the entry's path or None
+    without HX_CACHE_DIR)."""
     cache_dir = os.environ.get("HX_CACHE_DIR")
     if not cache_dir:
         return None, None
@@ -207,21 +252,39 @@ def _cache_lookup(key_obj: dict) -> tuple[Optional[dict], Optional[str]]:
     if os.path.exists(path):
         try:
             with open(path) as fh:
-                return json.load(fh), path
+                text = fh.read()
+            return (json.loads(text), text), path
         except (OSError, json.JSONDecodeError):
             pass  # stale cache entry: recompute below
     return None, path
 
 
-def _cache_store(path: Optional[str], report: dict) -> None:
+def _cache_store(path: Optional[str], payload: str) -> None:
     if path:
         with open(path, "w") as fh:
-            fh.write(_dumps(report))
+            fh.write(payload)
+
+
+def _cached_report(key: dict, build: Callable[[], dict]) -> tuple[dict, str]:
+    """A report and its JSON text, serialized once: replayed byte for byte
+    from HX_CACHE_DIR when the entry parses, else built and stored."""
+    hit, path = _cache_lookup(key)
+    if hit is not None:
+        _progress(f"{key['command']}: cache hit")
+        return hit
+    report = build()
+    payload = _dumps(report)
+    _cache_store(path, payload)
+    return report, payload
 
 
 # -- commands -----------------------------------------------------------------
 
-def _cmd_group(args) -> tuple[dict, list[str]]:
+# (report, text lines, the report's JSON text when the command already has it)
+_Result = tuple[dict, list[str], Optional[str]]
+
+
+def _cmd_group(args) -> _Result:
     system = _make_system(args)
     weight = _make_weight(system, args)
     report = _header(system, weight)
@@ -235,7 +298,7 @@ def _cmd_group(args) -> tuple[dict, list[str]]:
         text.append(f"{len(ball)} elements of length <= {args.max_length}")
         for w in ball:
             text.append(f"  [{','.join(map(str, w.word))}]" if w.word else "  e")
-        return report, text
+        return report, text, None
     if not system.is_finite:
         raise InfiniteGroupError(
             "an infinite system needs --max-length for enumeration")
@@ -259,10 +322,10 @@ def _cmd_group(args) -> tuple[dict, list[str]]:
         text.append(f"  class {row['class_id']}: rep {row['representative']}, "
                     f"size {row['size']}, min length {row['min_length']}, "
                     f"centralizer {row['centralizer_order']}")
-    return report, text
+    return report, text, None
 
 
-def _cmd_weights(args) -> tuple[dict, list[str]]:
+def _cmd_weights(args) -> _Result:
     label = getattr(args, "type_label", None)
     if not label:
         raise UsageError("weights needs --type")
@@ -270,10 +333,10 @@ def _cmd_weights(args) -> tuple[dict, list[str]]:
     report = {"type": label, "catalog": [list(t) for t in catalog]}
     text = [f"admissible weight tuples for {label}:"]
     text.extend(f"  {tuple(t)}" for t in catalog)
-    return report, text
+    return report, text, None
 
 
-def _cmd_fprobe(args) -> tuple[dict, list[str]]:
+def _cmd_fprobe(args) -> _Result:
     system = _make_system(args)
     weight = _make_weight(system, args)
     algebra = HeckeAlgebra(system, weight)
@@ -291,24 +354,21 @@ def _cmd_fprobe(args) -> tuple[dict, list[str]]:
     if probe.witness:
         text.append(f"witness: x={report['witness']['x']} y={report['witness']['y']} "
                     f"z={report['witness']['z']}")
-    return report, text
+    return report, text, None
 
 
 def _poly_pairs(p) -> list[list[int]]:
     return p.to_pairs()
 
 
-def _cmd_kl_basis(args) -> tuple[dict, list[str]]:
+def _cmd_kl_basis(args) -> _Result:
     system = _make_system(args)
     weight = _make_weight(system, args)
     key = {"command": "kl basis", "matrix": system.matrix_json(),
            "weights": list(weight.values),
            "element": list(args.element) if args.element is not None else None}
-    cached, cache_path = _cache_lookup(key)
-    if cached is not None:
-        _progress("kl basis: cache hit")
-        report = cached
-    else:
+
+    def build() -> dict:
         kl = KLBasis(HeckeAlgebra(system, weight))
         if args.element is not None:
             targets = [system.normal_form(args.element)]
@@ -325,16 +385,18 @@ def _cmd_kl_basis(args) -> tuple[dict, list[str]]:
                        for y, p in sorted(kl.coords(w).items(),
                                           key=lambda kv: kv[0].sort_key)],
         } for w in targets]
-        _cache_store(cache_path, report)
+        return report
+
+    report, payload = _cached_report(key, build)
     text = []
     for entry in report["elements"]:
         text.append(f"c_{entry['w']}:")
         for yword, pairs in entry["coords"]:
             text.append(f"  {yword}: {pairs}")
-    return report, text
+    return report, text, payload
 
 
-def _cmd_kl_hconst(args) -> tuple[dict, list[str]]:
+def _cmd_kl_hconst(args) -> _Result:
     system = _make_system(args)
     weight = _make_weight(system, args)
     kl = KLBasis(HeckeAlgebra(system, weight))
@@ -349,19 +411,16 @@ def _cmd_kl_hconst(args) -> tuple[dict, list[str]]:
                                               key=lambda kv: kv[0].sort_key)]
     text = [f"c_{report['x']} * c_{report['y']}:"]
     text.extend(f"  h[z={zw}] = {pairs}" for zw, pairs in report["constants"])
-    return report, text
+    return report, text, None
 
 
-def _cmd_kl_afunction(args) -> tuple[dict, list[str]]:
+def _cmd_kl_afunction(args) -> _Result:
     system = _make_system(args)
     weight = _make_weight(system, args)
     key = {"command": "kl afunction", "matrix": system.matrix_json(),
            "weights": list(weight.values)}
-    cached, cache_path = _cache_lookup(key)
-    if cached is not None:
-        _progress("kl afunction: cache hit")
-        report = cached
-    else:
+
+    def build() -> dict:
         kl = KLBasis(HeckeAlgebra(system, weight))
         afn = a_function(kl, progress=lambda done, total: _progress(
             f"a-function: {done}/{total} pairs"))
@@ -370,9 +429,11 @@ def _cmd_kl_afunction(args) -> tuple[dict, list[str]]:
         report["values"] = [[_word(z), afn.values[z]] for z in order]
         report["witnesses"] = [[_word(z), _word(afn.witnesses[z][0]),
                                 _word(afn.witnesses[z][1])] for z in order]
-        _cache_store(cache_path, report)
+        return report
+
+    report, payload = _cached_report(key, build)
     text = [f"a({zw}) = {a}" for zw, a in report["values"]]
-    return report, text
+    return report, text, payload
 
 
 def _build_jring(args):
@@ -384,34 +445,33 @@ def _build_jring(args):
     return system, weight, ring
 
 
-def _jring_table_report(args) -> dict:
+def _jring_table_report(args) -> tuple[dict, str]:
     system = _make_system(args)
     weight = _make_weight(system, args)
     key = {"command": "jring table", "matrix": system.matrix_json(),
            "weights": list(weight.values)}
-    cached, cache_path = _cache_lookup(key)
-    if cached is not None:
-        _progress("jring table: cache hit")
-        return cached
-    _, _, ring = _build_jring(args)
-    report = _header(system, weight)
-    report["a_values"] = [[_word(z), ring.a.values[z]]
-                          for z in sorted(ring.a.values, key=lambda el: el.sort_key)]
-    triples = []
-    for (x, y) in sorted(ring.table, key=lambda kv: (kv[0].sort_key, kv[1].sort_key)):
-        row = ring.table[(x, y)]
-        for z in sorted(row, key=lambda el: el.sort_key):
-            triples.append([_word(x), _word(y), _word(z), row[z]])
-    report["triples"] = triples
-    _cache_store(cache_path, report)
-    return report
+
+    def build() -> dict:
+        _, _, ring = _build_jring(args)
+        report = _header(system, weight)
+        report["a_values"] = [[_word(z), ring.a.values[z]]
+                              for z in sorted(ring.a.values, key=lambda el: el.sort_key)]
+        triples = []
+        for (x, y) in sorted(ring.table, key=lambda kv: (kv[0].sort_key, kv[1].sort_key)):
+            row = ring.table[(x, y)]
+            for z in sorted(row, key=lambda el: el.sort_key):
+                triples.append([_word(x), _word(y), _word(z), row[z]])
+        report["triples"] = triples
+        return report
+
+    return _cached_report(key, build)
 
 
-def _cmd_jring(args) -> tuple[dict, list[str]]:
+def _cmd_jring(args) -> _Result:
     if args.subcommand == "table":
-        report = _jring_table_report(args)
+        report, payload = _jring_table_report(args)
         text = [f"{len(report['triples'])} nonzero structure constants"]
-        return report, text
+        return report, text, payload
     system, weight, ring = _build_jring(args)
     if args.subcommand == "check":
         res = j_associativity_check(ring, seed=args.seed,
@@ -431,7 +491,7 @@ def _cmd_jring(args) -> tuple[dict, list[str]]:
                 f"{', exhaustive' if res.exhaustive else ''})"]
         if res.counterexample:
             text.append(f"counterexample: {report['counterexample']}")
-        return report, text
+        return report, text, None
     unit = j_find_unit(ring)
     report = _header(system, weight)
     report["unit"] = (None if unit is None else
@@ -440,10 +500,10 @@ def _cmd_jring(args) -> tuple[dict, list[str]]:
     text = (["no two-sided unit found"] if unit is None else
             [f"unit = sum of {len(unit)} terms:"]
             + [f"  {row[0]}: {row[1]}" for row in report["unit"]])
-    return report, text
+    return report, text, None
 
 
-def _cmd_positivity(args) -> tuple[dict, list[str]]:
+def _cmd_positivity(args) -> _Result:
     system = _make_system(args)
     weight = _make_weight(system, args)
     algebra = HeckeAlgebra(system, weight)
@@ -463,7 +523,7 @@ def _cmd_positivity(args) -> tuple[dict, list[str]]:
                     f"{'POSITIVE' if r.positive else 'not positive'}")
     text.append("positive classes: "
                 + ", ".join(map(str, report["positive_class_ids"])))
-    return report, text
+    return report, text, None
 
 
 def _positivity_csv(report: dict) -> str:
@@ -478,31 +538,27 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args)
-        if args.jobs is None:
-            args.jobs = 1
-        if args.seed is None:
-            args.seed = 0
+        _apply_config(parser, args)
         if args.jobs < 1:
             raise UsageError("--jobs must be >= 1")
         command = args.command
         if command == "group":
-            report, text = _cmd_group(args)
+            report, text, payload = _cmd_group(args)
         elif command == "weights":
-            report, text = _cmd_weights(args)
+            report, text, payload = _cmd_weights(args)
         elif command == "hecke":
-            report, text = _cmd_fprobe(args)
+            report, text, payload = _cmd_fprobe(args)
         elif command == "kl":
             if args.subcommand == "basis":
-                report, text = _cmd_kl_basis(args)
+                report, text, payload = _cmd_kl_basis(args)
             elif args.subcommand == "hconst":
-                report, text = _cmd_kl_hconst(args)
+                report, text, payload = _cmd_kl_hconst(args)
             else:
-                report, text = _cmd_kl_afunction(args)
+                report, text, payload = _cmd_kl_afunction(args)
         elif command == "jring":
-            report, text = _cmd_jring(args)
+            report, text, payload = _cmd_jring(args)
         else:
-            report, text = _cmd_positivity(args)
+            report, text, payload = _cmd_positivity(args)
     except UsageError as e:
         print(f"hx: error: {e}", file=sys.stderr)
         return 1
@@ -517,12 +573,13 @@ def main(argv=None) -> int:
         return 3
 
     use_csv = bool(getattr(args, "csv", False))
+    if payload is None and (args.json or (args.out and not use_csv)):
+        payload = _dumps(report)
     if args.out:
-        payload = _positivity_csv(report) if use_csv else _dumps(report)
         with open(args.out, "w") as fh:
-            fh.write(payload)
+            fh.write(_positivity_csv(report) if use_csv else payload)
     if args.json:
-        sys.stdout.write(_dumps(report))
+        sys.stdout.write(payload)
     elif use_csv:
         sys.stdout.write(_positivity_csv(report))
     else:

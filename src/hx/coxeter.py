@@ -29,6 +29,7 @@ __all__ = [
     "InternalCheckError",
     "Element",
     "ConjugacyClass",
+    "DenseTables",
     "CoxeterSystem",
     "build_system",
 ]
@@ -119,6 +120,27 @@ class ConjugacyClass:
     def __repr__(self) -> str:
         return (f"ConjugacyClass(rep={self.representative!r}, size={self.size}, "
                 f"min_length={self.min_length})")
+
+
+@dataclass(frozen=True)
+class DenseTables:
+    """A finite group as dense integer ids, for kernels that loop over W.
+
+    Ids follow (length, ShortLex) order, so the identity is 0 and each
+    length level is a contiguous range. ``left[i][k]`` is the id of
+    ``s_i * w_k`` and ``right[i][k]`` that of ``w_k * s_i``, stored as
+    ``~id`` (a negative int) when the length goes down. For k > 0,
+    ``first[k]`` is the first letter of w_k's canonical word and
+    ``tail[k]`` the id of the rest of that word, its parent in the
+    length-BFS tree; both are -1 for the identity."""
+
+    elements: tuple[Element, ...]
+    index: dict[Element, int]
+    lengths: tuple[int, ...]
+    left: tuple[tuple[int, ...], ...]
+    right: tuple[tuple[int, ...], ...]
+    first: tuple[int, ...]
+    tail: tuple[int, ...]
 
 
 _LABEL_RE = re.compile(r"^(~?)([A-G])(\d+)$")
@@ -338,6 +360,7 @@ class CoxeterSystem:
         self._levels_complete = False
         self._classes: Optional[list[ConjugacyClass]] = None
         self._class_index: dict[Element, int] = {}
+        self._dense: Optional[DenseTables] = None
 
     # -- construction -------------------------------------------------------
 
@@ -545,6 +568,34 @@ class CoxeterSystem:
         if not self.is_finite:
             raise InfiniteGroupError("infinite group has no order")
         return len(self.enumerate_elements())
+
+    def dense_tables(self) -> DenseTables:
+        """Ids and generator-action tables of a finite group, built on first
+        use from ``left_mul_gen``/``right_mul_gen`` and then kept."""
+        if self._dense is not None:
+            return self._dense
+        elements = tuple(self.enumerate_elements())
+        index = {w: k for k, w in enumerate(elements)}
+
+        def table(mul) -> tuple[tuple[int, ...], ...]:
+            rows = []
+            for i in range(self.rank):
+                row = []
+                for w in elements:
+                    u, sign = mul(i, w)
+                    row.append(index[u] if sign > 0 else ~index[u])
+                rows.append(tuple(row))
+            return tuple(rows)
+
+        left = table(self.left_mul_gen)
+        right = table(lambda i, w: self.right_mul_gen(w, i))
+        first = tuple(w.word[0] if w.word else -1 for w in elements)
+        tail = tuple(~left[i][k] if i >= 0 else -1 for k, i in enumerate(first))
+        self._dense = DenseTables(
+            elements=elements, index=index,
+            lengths=tuple(w.length for w in elements),
+            left=left, right=right, first=first, tail=tail)
+        return self._dense
 
     # -- Bruhat order -----------------------------------------------------------
 

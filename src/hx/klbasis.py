@@ -65,15 +65,16 @@ class KLBasis:
         interval = self.system.bruhat_interval_below(w)
         bar_basis = self.algebra._bar_basis
         p: Terms = {w: ONE}
+        pbar: Terms = {w: ONE}  # bar(p_{y,w}), one bar per y
         for x in reversed(interval[:-1]):  # interval[-1] is w, the unique top
             q = ZERO
             xlen = x.length
-            for y, py in p.items():
+            for y, pyb in pbar.items():
                 if y.length <= xlen:
                     continue
                 r = bar_basis(y).get(x)
                 if r is not None:
-                    q = q + py.bar() * r
+                    q = q + pyb * r
             if q:
                 if q.coeff(0) != 0 or q.bar() != -q:
                     raise InternalCheckError(
@@ -81,6 +82,7 @@ class KLBasis:
                 px = q.negative_part()
                 if px:
                     p[x] = px
+                    pbar[x] = px.bar()
         self._coords[w] = p
         return p
 
@@ -134,31 +136,51 @@ class AFunction:
         return self.values[z]
 
 
-def a_function(kl: KLBasis,
-               progress: Optional[Callable[[int, int], None]] = None) -> AFunction:
-    """Full |W|^2 scan of the h-table, streamed pair by pair.
+def _h_scan(kl: KLBasis, progress: Optional[Callable[[int, int], None]]
+            ) -> tuple[AFunction, dict[tuple[Element, Element], dict[Element, int]]]:
+    """One |W|^2 pass over the h-table, streamed pair by pair.
 
-    Only the per-z running maxima are kept in memory. h_{e,z,z} = 1 puts
+    For each z it keeps the running maximum degree of h_{x,y,z}, the first
+    pair attaining it, and the leading coefficients of every pair that
+    attains it; those coefficients are the J table. h_{e,z,z} = 1 puts
     every z in the table with a(z) >= 0."""
-    system = kl.system
-    if not system.is_finite:
-        raise InfiniteGroupError("the a-function scan needs a finite system")
-    elements = system.enumerate_elements()
+    elements = kl.system.enumerate_elements()
     total = len(elements) ** 2
     done = 0
     values: dict[Element, int] = {}
     witnesses: dict[Element, tuple[Element, Element]] = {}
+    # z -> [(scan position, x, y, leading coefficient)] for the pairs at a(z)
+    leading: dict[Element, list[tuple[int, Element, Element, int]]] = {}
+    seq = 0
     for x in elements:
         for y in elements:
             for z, h in kl.h_constants(x, y).items():
                 d = int(h.degree)
-                if z not in values or d > values[z]:
-                    values[z] = d
+                best = values.get(z)
+                if best is None or d > best:
+                    values[z] = best = d
                     witnesses[z] = (x, y)
+                    leading[z] = []
+                if d == best:
+                    leading[z].append((seq, x, y, h.coeff(d)))
+                seq += 1
             done += 1
         if progress is not None:
             progress(done, total)
-    return AFunction(values=values, witnesses=witnesses)
+    # rows and their entries in scan order, as a second scan would fill them
+    table: dict[tuple[Element, Element], dict[Element, int]] = {}
+    for _, x, y, g, z in sorted(entry + (z,) for z, entries in leading.items()
+                                for entry in entries):
+        table.setdefault((x, y), {})[z] = g
+    return AFunction(values=values, witnesses=witnesses), table
+
+
+def a_function(kl: KLBasis,
+               progress: Optional[Callable[[int, int], None]] = None) -> AFunction:
+    """Full |W|^2 scan of the h-table; only per-z data is kept in memory."""
+    if not kl.system.is_finite:
+        raise InfiniteGroupError("the a-function scan needs a finite system")
+    return _h_scan(kl, progress)[0]
 
 
 @dataclass(frozen=True)
@@ -205,30 +227,19 @@ class JRing:
 
 def j_table(kl: KLBasis, afn: Optional[AFunction] = None,
             progress: Optional[Callable[[int, int], None]] = None) -> JRing:
-    """Tabulate the J multiplication from the h-table leading coefficients."""
+    """Tabulate the J multiplication from the h-table leading coefficients.
+
+    The a-function comes from the same scan; an `afn` passed in must agree
+    with it."""
     system = kl.system
     if not system.is_finite:
         raise InfiniteGroupError("the J ring is only built for finite systems")
-    if afn is None:
-        afn = a_function(kl)
-    elements = tuple(system.enumerate_elements())
-    total = len(elements) ** 2
-    done = 0
-    table: dict[tuple[Element, Element], dict[Element, int]] = {}
-    for x in elements:
-        for y in elements:
-            row: dict[Element, int] = {}
-            for z, h in kl.h_constants(x, y).items():
-                g = h.coeff(afn.values[z])
-                if g:
-                    row[z] = g
-            if row:
-                table[(x, y)] = row
-            done += 1
-        if progress is not None:
-            progress(done, total)
+    scanned, table = _h_scan(kl, progress)
+    if afn is not None and afn.values != scanned.values:
+        raise ValueError("afn is not the a-function of this KL basis")
     return JRing(system=system, weight=kl.algebra.weight,
-                 elements=elements, a=afn, table=table)
+                 elements=tuple(system.enumerate_elements()),
+                 a=scanned if afn is None else afn, table=table)
 
 
 @dataclass(frozen=True)

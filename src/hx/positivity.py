@@ -8,25 +8,40 @@ the centralizer order |W|/|C|. All three facts are theorems, so the code
 treats any violation as an internal bug (`InternalCheckError`), never as
 data. $C$ is called positive when $N^w \\in N[v^2]$.
 
-The trace is accumulated per basis element x: the coefficient of T_x in
-T_w T_x T_{w^{-1}}, built by generator-by-generator multiplication. The
-partial products are shared along the length-BFS tree (x = s_i x' with
+The trace is computed in the basis $\\tilde T_w = v^{|w|} T_w$, where
+$\\tilde T_s \\tilde T_w$ is $\\tilde T_{sw}$ when the length goes up and
+$q \\tilde T_{sw} + (q-1) \\tilde T_w$ with $q = v^2$ when it goes down. There
+$N^w = \\sum_x [\\tilde T_x](\\tilde T_w \\tilde T_x \\tilde T_{w^{-1}})$
+exactly, and every coefficient lies in $Z[q]$. Elements are the dense
+ids of `CoxeterSystem.dense_tables`, and each coefficient is one Python
+int, its value at $q = 2^B$ (Kronecker substitution), so a generator step
+is a few int shifts and adds per term. Signed base-$2^B$ digits are
+decoded once per $N^w$. B comes from a proven bound: a step at most
+triples the l1 norm of a coefficient and $N^w$ sums |W| of them, so after
+at most k steps per element every digit of $N^w$ lies within
+$|W| 3^k < 2^{B-1}$; a digit outside that bound raises. The cyclic route
+multiplies its terms by $q^{\\ell(w_0)}$ to clear negative powers of q and
+divides that out after the sum; a nonzero remainder there raises too.
+
+The partial products are shared along the length-BFS tree (x = s_i x' with
 x' the canonical-word tail), so only two length levels of them are alive
 at a time and no |W| x |W| operator matrix is formed. `n_trace` also
-offers an equivalent cyclically-rotated route that is much faster on
-long w; the two are cross-checked in the tests.
+offers an equivalent cyclically-rotated route; the two are cross-checked
+in the tests, and both against the Laurent-coefficient T-basis
+computation kept there as the oracle.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .coxeter import (ConjugacyClass, CoxeterSystem, Element,
                       InfiniteGroupError, InternalCheckError)
 from .hecke import HeckeAlgebra, UnequalParametersError
-from .laurent import LaurentPoly, ONE, ZERO, in_cone
+from .laurent import LaurentPoly, in_cone
 
 __all__ = ["TraceChecks", "TraceReport", "n_trace", "class_report",
            "classify_positive"]
@@ -87,51 +102,105 @@ def _gate(algebra: HeckeAlgebra) -> None:
             "N^w traces are defined for equal parameters (L = |.|) only")
 
 
+def _digit_bound(order: int, steps: int) -> int:
+    """Bound on |coefficient| of N^w after at most `steps` generator steps
+    per basis element: a step at most triples the l1 norm of a Z[q]
+    coefficient vector, and N^w sums |W| such vectors."""
+    return order * 3 ** steps
+
+
+def _step(col: tuple[int, ...], terms: dict[int, int],
+          width: int) -> dict[int, int]:
+    """One generator step T~_s h or h T~_s in packed coordinates; col is the
+    generator's left or right action table."""
+    out: dict[int, int] = {}
+    get = out.get
+    for k, p in terms.items():
+        j = col[k]
+        if j >= 0:
+            out[j] = get(j, 0) + p
+        else:
+            j = ~j
+            pq = p << width
+            out[j] = get(j, 0) + pq
+            out[k] = get(k, 0) + pq - p
+    return out
+
+
+def _decode(packed: int, width: int, bound: int, drop: int = 0) -> LaurentPoly:
+    """Z[q] from its packed value at q = 2^width, as a polynomial in v.
+
+    The lowest `drop` digits must be zero and are divided out. Every signed
+    digit must lie within `bound`; a digit outside it means the width was
+    too small for the value, and is raised rather than returned."""
+    low = drop * width
+    if packed & ((1 << low) - 1):
+        raise InternalCheckError(
+            f"trace is not divisible by q^{drop}: inexact cyclic shift")
+    packed >>= low
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    coeffs: list[int] = []
+    while packed:
+        d = packed & mask
+        if d >= half:
+            d -= 1 << width
+        if abs(d) > bound:
+            raise InternalCheckError(
+                f"trace digit {d} exceeds the proven bound {bound}: "
+                f"digit width {width} overflowed")
+        coeffs += (d, 0)  # q^k = v^{2k}
+        packed = (packed - d) >> width
+    return LaurentPoly(0, coeffs)
+
+
 def n_trace(algebra: HeckeAlgebra, w: Element, *,
             route: str = "direct") -> LaurentPoly:
     """The trace of h -> v^{2|w|} T_w h T_{w^{-1}} over the T-basis.
 
-    route "direct" accumulates [T_x](T_w T_x T_{w^{-1}}) per basis element
-    x, straight from the definition. route "cyclic" accumulates
-    [T_{w^{-1}}](T_x T_{w^{-1}} T_{x^{-1}}) instead, which is the same
-    trace because the coefficient-of-T_e functional is a symmetrizing
-    trace form; its partial products extend by a single generator on each
-    side per element, making long w much cheaper. The two routes are
-    checked against each other exhaustively in the test suite; "direct"
-    is the reference."""
+    route "direct" accumulates [T~_x](T~_w T~_x T~_{w^{-1}}) per basis
+    element x, straight from the definition. route "cyclic" accumulates
+    q^{|w|-|x|} [T~_{w^{-1}}](T~_x T~_{w^{-1}} T~_{x^{-1}}) instead, which is
+    the same trace because the coefficient-of-T_e functional is a
+    symmetrizing trace form; its partial products extend by a single
+    generator on each side per element, making long w much cheaper. The
+    two routes are checked against each other, and against the T-basis
+    Laurent computation they replace, in the test suite."""
     _gate(algebra)
     if route not in ("direct", "cyclic"):
         raise ValueError(f"unknown trace route {route!r}")
     system = algebra.system
     system._check_same_system(w)
-    winv = system.inverse(w)
-    wword = w.word
-    total = ZERO
-    elements = system.enumerate_elements()
-    levels: dict[int, list[Element]] = {}
-    for x in elements:
-        levels.setdefault(x.length, []).append(x)
-    # direct: partial[x] = T_x * T_{w^{-1}}; cyclic: T_x * T_{w^{-1}} * T_{x^{-1}}
-    partial = {system.identity: {winv: ONE}}
-    for length in range(max(levels) + 1):
-        for x in levels.get(length, ()):
-            if route == "direct":
-                coeff = algebra._t_word_mul(wword, partial[x]).get(x)
+    dense = system.dense_tables()
+    left, right, lengths = dense.left, dense.right, dense.lengths
+    top = lengths[-1]
+    cyclic = route == "cyclic"
+    bound = _digit_bound(len(lengths), 2 * top if cyclic else top + w.length)
+    width = bound.bit_length() + 1
+    winv = dense.index[system.inverse(w)]
+    wcols = [left[i] for i in reversed(w.word)]
+    starts = [bisect_left(lengths, length) for length in range(top + 3)]
+    total = 0
+    # direct: partial[x] = T~_x T~_{w^{-1}}; cyclic: T~_x T~_{w^{-1}} T~_{x^{-1}}
+    partial = {0: {winv: 1}}
+    for length in range(top + 1):
+        for x in range(starts[length], starts[length + 1]):
+            if cyclic:
+                coeff = partial[x].get(winv, 0) << (top + w.length - length) * width
             else:
-                coeff = partial[x].get(winv)
-            if coeff:
-                total = total + coeff
+                terms = partial[x]
+                for col in wcols:
+                    terms = _step(col, terms, width)
+                coeff = terms.get(x, 0)
+            total += coeff
         nxt = {}
-        for y in levels.get(length + 1, ()):
-            # canonical-word tail is the canonical word of s_{y0} y
-            s = y.word[0]
-            parent = system._elem(y.word[1:])
-            q = algebra._lmul_gen(s, partial[parent])
-            if route == "cyclic":
-                q = algebra._rmul_gen(q, s)
+        for y in range(starts[length + 1], starts[length + 2]):
+            s = dense.first[y]
+            q = _step(left[s], partial[dense.tail[y]], width)
+            if cyclic:
+                q = _step(right[s], q, width)
             nxt[y] = q
         partial = nxt
-    return total.shift(2 * w.length)
+    return _decode(total, width, bound, drop=top if cyclic else 0)
 
 
 def class_report(algebra: HeckeAlgebra, cls: ConjugacyClass, class_id: int,
@@ -222,6 +291,7 @@ def classify_positive(source: Union[CoxeterSystem, HeckeAlgebra], *,
     algebra = source if isinstance(source, HeckeAlgebra) else HeckeAlgebra(source)
     _gate(algebra)
     classes = algebra.system.conjugacy_classes()
+    algebra.system.dense_tables()  # once here, not in every forked worker
     ids = list(range(len(classes)))
 
     _POOL_ALGEBRA, _POOL_MAX_CMIN, _POOL_ROUTE = algebra, max_cmin, route

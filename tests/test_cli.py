@@ -191,3 +191,75 @@ def test_internal_invariant_violation_exits_3(monkeypatch):
     monkeypatch.setattr(cli, "classify_positive", boom)
     code, _, err = run_cli("positivity", "--type", "A2")
     assert code == 3 and "INTERNAL" in err
+
+
+def test_config_trace_route_reaches_the_classifier(tmp_path, monkeypatch):
+    import hx.cli as cli
+
+    routes = []
+    real = cli.classify_positive
+
+    def spy(*args, **kwargs):
+        routes.append(kwargs["route"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "classify_positive", spy)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trace-route": "cyclic"}))
+    plain = run_cli_json("positivity", "--type", "A2")
+    from_config = run_cli_json("positivity", "--type", "A2", "--config", str(cfg))
+    overridden = run_cli_json("positivity", "--type", "A2", "--config", str(cfg),
+                              "--trace-route", "direct")
+    assert routes == ["direct", "cyclic", "direct"]
+    assert plain == from_config == overridden
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"typo": 1}, "unknown config key 'typo'"),
+    ({"trace-route": "cyclic", "type": "A2"}, "unknown config key 'trace-route'"),
+    ({"config": "other.json"}, "unknown config key 'config'"),
+    ({"jobs": "2"}, "'jobs' has a bad value '2'"),
+    ({"jobs": True}, "'jobs' has a bad value True"),
+    ({"type": ["A2"]}, "'type' has a bad value"),
+    ({"json": "yes"}, "'json' has a bad value"),
+])
+def test_config_rejects_unknown_keys_and_bad_values(tmp_path, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    command = ["positivity"] if "trace-route" not in cfg else ["group"]
+    code, out, err = run_cli(*command, "--type", "A2", "--config", str(path))
+    assert code == 1 and not out
+    assert message in err and "Traceback" not in err
+
+
+def test_config_values_take_the_flag_types(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"type": "A2", "element": [0, 1, 0],
+                                "weights": [1, 1], "json": True}))
+    code, out, _ = run_cli("kl", "basis", "--config", str(path))
+    assert code == 0
+    assert json.loads(out) == run_cli_json("kl", "basis", "--type", "A2",
+                                           "--element", "0,1,0")
+
+
+@pytest.mark.parametrize("command", [["kl", "basis", "--type", "B2"],
+                                     ["kl", "afunction", "--type", "A2"],
+                                     ["jring", "table", "--type", "A2"]])
+def test_cached_report_serialized_once(tmp_path, monkeypatch, command):
+    import hx.cli as cli
+
+    dumps = []
+    real = cli._dumps
+    monkeypatch.setattr(cli, "_dumps", lambda report: dumps.append(1) or real(report))
+    monkeypatch.setenv("HX_CACHE_DIR", str(tmp_path / "cache"))
+    payloads = []
+    for run in ("cold", "warm"):
+        out = tmp_path / f"{run}.json"
+        code, stdout, err = run_cli(*command, "--json", "--out", str(out))
+        assert code == 0
+        assert stdout == out.read_text()
+        payloads.append(stdout)
+    assert "cache hit" in err
+    assert len(dumps) == 1  # the cold run's, shared by cache, --out and --json
+    (cache_file,) = (tmp_path / "cache").glob("*.json")
+    assert payloads[0] == payloads[1] == cache_file.read_text()

@@ -210,6 +210,31 @@ def test_enumeration_deterministic_order():
     assert len(set(els)) == len(els)
 
 
+
+@pytest.mark.parametrize("label", ["A4", "B3", "D4", "F4"])
+def test_dense_tables_agree_with_element_arithmetic(label):
+    W = build_system(label)
+    assert W._dense is None  # never built at construction
+    dense = W.dense_tables()
+    assert W.dense_tables() is dense
+    els = W.enumerate_elements()
+    assert list(dense.elements) == els
+    assert all(dense.index[w] == k for k, w in enumerate(els))
+    assert list(dense.lengths) == [w.length for w in els]
+    for k, w in enumerate(els):
+        for i in range(W.rank):
+            for entry, (u, sign) in ((dense.left[i][k], W.left_mul_gen(i, w)),
+                                     (dense.right[i][k], W.right_mul_gen(w, i))):
+                assert entry == (dense.index[u] if sign > 0 else ~dense.index[u])
+                assert (entry >= 0) == (u.length > w.length)
+        if k:
+            s, parent = dense.first[k], els[dense.tail[k]]
+            assert W.left_mul_gen(s, parent) == (w, +1)
+            assert w.word == (s,) + parent.word
+    assert dense.first[0] == dense.tail[0] == -1
+    with pytest.raises(InfiniteGroupError):
+        system("~A2").dense_tables()
+
 def _bruhat_oracle(W):
     """Downset closure of 'drop one letter from any reduced word'."""
     def all_reduced_words(w):

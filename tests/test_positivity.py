@@ -3,11 +3,13 @@ classifier."""
 
 import pytest
 
-from hx.coxeter import InfiniteGroupError
+import hx.positivity
+from hx.coxeter import InfiniteGroupError, InternalCheckError
 from hx.hecke import HeckeAlgebra, UnequalParametersError, WeightFunction
 from hx.laurent import LaurentPoly, in_cone
-from hx.positivity import class_report, classify_positive, n_trace
-from support import algebra, system
+from hx.positivity import _decode, class_report, classify_positive, n_trace
+from support import algebra, run_cli, system
+from trace_oracle import reference_n_trace
 
 
 def test_n_trace_identity_is_group_order():
@@ -128,3 +130,36 @@ def test_classify_positive_route_cyclic_matches_direct():
     cyclic = classify_positive(system("A3"), route="cyclic")
     assert ([r.to_jsonable() for r in direct]
             == [r.to_jsonable() for r in cyclic])
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "G2", "D4"])
+@pytest.mark.parametrize("route", ["direct", "cyclic"])
+def test_kernel_matches_laurent_oracle(label, route):
+    H = algebra(label)
+    for cls in system(label).conjugacy_classes():
+        for w in cls.min_length_set:
+            assert (n_trace(H, w, route=route)
+                    == reference_n_trace(H, w, route=route)), (label, route, w)
+
+
+def test_decode_rejects_overflow_and_inexact_shift():
+    # 3 - 2q + q^3 at q = 2^4, and the same times q^2
+    packed = 3 - 2 * 16 + 16 ** 3
+    expected = LaurentPoly.from_pairs([(0, 3), (2, -2), (6, 1)])
+    assert _decode(packed, 4, 3) == expected
+    assert _decode(packed << 8, 4, 3, drop=2) == expected
+    assert _decode(-packed, 4, 3) == -expected
+    with pytest.raises(InternalCheckError, match="bound"):
+        _decode(packed, 4, 2)
+    with pytest.raises(InternalCheckError, match="shift"):
+        _decode(packed << 4, 4, 3, drop=2)
+
+
+@pytest.mark.parametrize("route", ["direct", "cyclic"])
+def test_too_narrow_digits_exit_3(monkeypatch, route):
+    # a bound of 1 gives 2-bit digits, too narrow for N^e = 6 on A2
+    monkeypatch.setattr(hx.positivity, "_digit_bound", lambda order, steps: 1)
+    with pytest.raises(InternalCheckError, match="overflowed"):
+        n_trace(algebra("A2"), system("A2").identity, route=route)
+    code, out, err = run_cli("positivity", "--type", "A2", "--trace-route", route)
+    assert code == 3 and "INTERNAL" in err and not out
