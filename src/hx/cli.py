@@ -245,7 +245,10 @@ def _cache_lookup(key_obj: dict) -> tuple[Optional[tuple[dict, str]], Optional[s
     cache_dir = os.environ.get("HX_CACHE_DIR")
     if not cache_dir:
         return None, None
-    os.makedirs(cache_dir, exist_ok=True)
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+    except OSError as e:
+        raise UsageError(f"cannot use HX_CACHE_DIR {cache_dir}: {e}")
     digest = hashlib.sha256(
         json.dumps(key_obj, sort_keys=True).encode()).hexdigest()[:32]
     path = os.path.join(cache_dir, f"{digest}.json")
@@ -260,9 +263,20 @@ def _cache_lookup(key_obj: dict) -> tuple[Optional[tuple[dict, str]], Optional[s
 
 
 def _cache_store(path: Optional[str], payload: str) -> None:
-    if path:
-        with open(path, "w") as fh:
+    """Write the entry to a temp file beside it, then os.replace it into
+    place, so a killed run never leaves a half-written entry to replay."""
+    if not path:
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
             fh.write(payload)
+        os.replace(tmp, path)
+    except OSError as e:
+        raise UsageError(f"cannot write to HX_CACHE_DIR: {e}")
+    finally:
+        if os.path.exists(tmp):  # the write or the rename failed
+            os.unlink(tmp)
 
 
 def _cached_report(key: dict, build: Callable[[], dict]) -> tuple[dict, str]:
@@ -357,10 +371,6 @@ def _cmd_fprobe(args) -> _Result:
     return report, text, None
 
 
-def _poly_pairs(p) -> list[list[int]]:
-    return p.to_pairs()
-
-
 def _cmd_kl_basis(args) -> _Result:
     system = _make_system(args)
     weight = _make_weight(system, args)
@@ -381,7 +391,7 @@ def _cmd_kl_basis(args) -> _Result:
         report = _header(system, weight)
         report["elements"] = [{
             "w": _word(w),
-            "coords": [[_word(y), _poly_pairs(p)]
+            "coords": [[_word(y), p.to_pairs()]
                        for y, p in sorted(kl.coords(w).items(),
                                           key=lambda kv: kv[0].sort_key)],
         } for w in targets]
@@ -406,7 +416,7 @@ def _cmd_kl_hconst(args) -> _Result:
     report = _header(system, weight)
     report["x"] = _word(x)
     report["y"] = _word(y)
-    report["constants"] = [[_word(z), _poly_pairs(p)]
+    report["constants"] = [[_word(z), p.to_pairs()]
                            for z, p in sorted(constants.items(),
                                               key=lambda kv: kv[0].sort_key)]
     text = [f"c_{report['x']} * c_{report['y']}:"]
@@ -436,23 +446,20 @@ def _cmd_kl_afunction(args) -> _Result:
     return report, text, payload
 
 
-def _build_jring(args):
-    system = _make_system(args)
-    weight = _make_weight(system, args)
-    kl = KLBasis(HeckeAlgebra(system, weight))
-    ring = j_table(kl, progress=lambda done, total: _progress(
-        f"j-table: {done}/{total} pairs"))
-    return system, weight, ring
+def _j_ring(system: CoxeterSystem, weight: WeightFunction):
+    return j_table(KLBasis(HeckeAlgebra(system, weight)),
+                   progress=lambda done, total: _progress(
+                       f"j-table: {done}/{total} pairs"))
 
 
-def _jring_table_report(args) -> tuple[dict, str]:
+def _cmd_jring_table(args) -> _Result:
     system = _make_system(args)
     weight = _make_weight(system, args)
     key = {"command": "jring table", "matrix": system.matrix_json(),
            "weights": list(weight.values)}
 
     def build() -> dict:
-        _, _, ring = _build_jring(args)
+        ring = _j_ring(system, weight)
         report = _header(system, weight)
         report["a_values"] = [[_word(z), ring.a.values[z]]
                               for z in sorted(ring.a.values, key=lambda el: el.sort_key)]
@@ -464,35 +471,38 @@ def _jring_table_report(args) -> tuple[dict, str]:
         report["triples"] = triples
         return report
 
-    return _cached_report(key, build)
+    report, payload = _cached_report(key, build)
+    text = [f"{len(report['triples'])} nonzero structure constants"]
+    return report, text, payload
 
 
-def _cmd_jring(args) -> _Result:
-    if args.subcommand == "table":
-        report, payload = _jring_table_report(args)
-        text = [f"{len(report['triples'])} nonzero structure constants"]
-        return report, text, payload
-    system, weight, ring = _build_jring(args)
-    if args.subcommand == "check":
-        res = j_associativity_check(ring, seed=args.seed,
-                                    force_exhaustive=bool(getattr(args, "exhaustive", False)))
-        report = _header(system, weight)
-        report["passed"] = res.passed
-        report["triples_checked"] = res.triples_checked
-        report["triples_total"] = res.triples_total
-        report["exhaustive"] = res.exhaustive
-        report["seed"] = res.seed
-        report["counterexample"] = (None if res.counterexample is None else
-                                    {"x": _word(res.counterexample[0]),
-                                     "y": _word(res.counterexample[1]),
-                                     "z": _word(res.counterexample[2])})
-        text = [f"associativity {'PASS' if res.passed else 'FAIL'} "
-                f"({res.triples_checked}/{res.triples_total} triples"
-                f"{', exhaustive' if res.exhaustive else ''})"]
-        if res.counterexample:
-            text.append(f"counterexample: {report['counterexample']}")
-        return report, text, None
-    unit = j_find_unit(ring)
+def _cmd_jring_check(args) -> _Result:
+    system = _make_system(args)
+    weight = _make_weight(system, args)
+    res = j_associativity_check(_j_ring(system, weight), seed=args.seed,
+                                force_exhaustive=args.exhaustive)
+    report = _header(system, weight)
+    report["passed"] = res.passed
+    report["triples_checked"] = res.triples_checked
+    report["triples_total"] = res.triples_total
+    report["exhaustive"] = res.exhaustive
+    report["seed"] = res.seed
+    report["counterexample"] = (None if res.counterexample is None else
+                                {"x": _word(res.counterexample[0]),
+                                 "y": _word(res.counterexample[1]),
+                                 "z": _word(res.counterexample[2])})
+    text = [f"associativity {'PASS' if res.passed else 'FAIL'} "
+            f"({res.triples_checked}/{res.triples_total} triples"
+            f"{', exhaustive' if res.exhaustive else ''})"]
+    if res.counterexample:
+        text.append(f"counterexample: {report['counterexample']}")
+    return report, text, None
+
+
+def _cmd_jring_unit(args) -> _Result:
+    system = _make_system(args)
+    weight = _make_weight(system, args)
+    unit = j_find_unit(_j_ring(system, weight))
     report = _header(system, weight)
     report["unit"] = (None if unit is None else
                       [[_word(w), c] for w, c in sorted(unit.items(),
@@ -534,6 +544,20 @@ def _positivity_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_COMMANDS: dict[tuple[str, Optional[str]], Callable[..., _Result]] = {
+    ("group", None): _cmd_group,
+    ("weights", None): _cmd_weights,
+    ("hecke", "fprobe"): _cmd_fprobe,
+    ("kl", "basis"): _cmd_kl_basis,
+    ("kl", "hconst"): _cmd_kl_hconst,
+    ("kl", "afunction"): _cmd_kl_afunction,
+    ("jring", "table"): _cmd_jring_table,
+    ("jring", "check"): _cmd_jring_check,
+    ("jring", "unit"): _cmd_jring_unit,
+    ("positivity", None): _cmd_positivity,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -541,24 +565,17 @@ def main(argv=None) -> int:
         _apply_config(parser, args)
         if args.jobs < 1:
             raise UsageError("--jobs must be >= 1")
-        command = args.command
-        if command == "group":
-            report, text, payload = _cmd_group(args)
-        elif command == "weights":
-            report, text, payload = _cmd_weights(args)
-        elif command == "hecke":
-            report, text, payload = _cmd_fprobe(args)
-        elif command == "kl":
-            if args.subcommand == "basis":
-                report, text, payload = _cmd_kl_basis(args)
-            elif args.subcommand == "hconst":
-                report, text, payload = _cmd_kl_hconst(args)
-            else:
-                report, text, payload = _cmd_kl_afunction(args)
-        elif command == "jring":
-            report, text, payload = _cmd_jring(args)
-        else:
-            report, text, payload = _cmd_positivity(args)
+        command = _COMMANDS[args.command, getattr(args, "subcommand", None)]
+        report, text, payload = command(args)
+        use_csv = bool(getattr(args, "csv", False))
+        if payload is None and (args.json or (args.out and not use_csv)):
+            payload = _dumps(report)
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(_positivity_csv(report) if use_csv else payload)
+            except OSError as e:
+                raise UsageError(f"cannot write {args.out}: {e}")
     except UsageError as e:
         print(f"hx: error: {e}", file=sys.stderr)
         return 1
@@ -572,12 +589,6 @@ def main(argv=None) -> int:
         print(f"hx: INTERNAL INVARIANT VIOLATION: {e}", file=sys.stderr)
         return 3
 
-    use_csv = bool(getattr(args, "csv", False))
-    if payload is None and (args.json or (args.out and not use_csv)):
-        payload = _dumps(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_positivity_csv(report) if use_csv else payload)
     if args.json:
         sys.stdout.write(payload)
     elif use_csv:

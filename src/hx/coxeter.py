@@ -370,10 +370,6 @@ class CoxeterSystem:
         rank, edges = _label_edges(label)
         return cls(_matrix_from_edges(rank, edges), label=label)
 
-    @classmethod
-    def from_matrix(cls, rows, *, label: Optional[str] = None) -> "CoxeterSystem":
-        return cls(rows, label=label)
-
     def matrix_json(self) -> list[list]:
         """Coxeter matrix in the external format ("inf" for infinity)."""
         return [["inf" if m is INFINITE else m for m in row] for row in self.matrix]
@@ -702,4 +698,4 @@ def build_system(source: Union[str, Sequence[Sequence]]) -> CoxeterSystem:
     """Build a system from a type label or an explicit Coxeter matrix."""
     if isinstance(source, str):
         return CoxeterSystem.from_label(source)
-    return CoxeterSystem.from_matrix(source)
+    return CoxeterSystem(source)

@@ -11,12 +11,18 @@ table is ever needed and everything works over infinite systems too
 Weight functions assign a positive integer to each generator, equal
 across odd bonds (additivity along the braid word forces this). The
 equal-parameter case is ``WeightFunction.equal_parameters(system)``.
+
+An element is a dict from group elements to coefficients that never holds
+a zero value, so equal elements are equal dicts and ``not terms`` tests
+for zero. Every sum here and in ``klbasis`` goes through ``add_into``,
+which keeps that invariant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Optional, Union
 
 from .coxeter import CoxeterSystem, Element, GatingError, InfiniteGroupError
@@ -103,6 +109,22 @@ def weight_catalog(label: str) -> tuple[tuple[int, ...], ...]:
 Terms = dict[Element, LaurentPoly]
 
 
+def add_into(acc: dict, terms: dict, c=None) -> dict:
+    """acc += c * terms in place (c = 1 when None), and return acc.
+
+    A key whose sum is zero is dropped, so acc never holds a zero value.
+    Coefficients and c may be ints or LaurentPolys."""
+    items = terms.items() if c is None else [(k, c * p) for k, p in terms.items()]
+    for k, p in items:
+        q = acc.get(k)
+        q = p if q is None else q + p
+        if q:
+            acc[k] = q
+        else:
+            acc.pop(k, None)
+    return acc
+
+
 class HeckeElement:
     """A finite A-linear combination of T-basis elements."""
 
@@ -122,15 +144,7 @@ class HeckeElement:
         return not self.terms
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        out = dict(self.terms)
-        for w, p in other.terms.items():
-            q = out.get(w)
-            q = p if q is None else q + p
-            if q:
-                out[w] = q
-            else:
-                out.pop(w, None)
-        return HeckeElement(self.algebra, out)
+        return HeckeElement(self.algebra, add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
         return self + (-other)
@@ -220,49 +234,27 @@ class HeckeAlgebra:
 
     def _lmul_gen(self, i: int, terms: Terms) -> Terms:
         """T_{s_i} * (sum of terms), one generator step."""
-        lmul = self.system.left_mul_gen
-        xi = self._xi[i]
-        out: Terms = {}
-        for w, p in terms.items():
-            sw, sign = lmul(i, w)
-            q = out.get(sw)
-            q = p if q is None else q + p
-            if q:
-                out[sw] = q
-            else:
-                out.pop(sw, None)
-            if sign < 0:
-                extra = xi * p
-                q = out.get(w)
-                q = extra if q is None else q + extra
-                if q:
-                    out[w] = q
-                else:
-                    out.pop(w, None)
-        return out
+        return self._gen_step(
+            i, terms, map(self.system.left_mul_gen, repeat(i), terms))
 
     def _rmul_gen(self, terms: Terms, i: int) -> Terms:
         """(sum of terms) * T_{s_i}, one generator step."""
-        rmul = self.system.right_mul_gen
-        xi = self._xi[i]
+        return self._gen_step(
+            i, terms, map(self.system.right_mul_gen, terms, repeat(i)))
+
+    def _gen_step(self, i: int, terms: Terms, moves) -> Terms:
+        """One generator step: ``moves`` yields (s_i w, sign) or (w s_i, sign)
+        for each w of terms in order, with sign < 0 at a descent.
+
+        Multiplying by a generator permutes W, so the moved terms land on
+        distinct keys; a descent also leaves xi_i * p at w itself."""
         out: Terms = {}
-        for w, p in terms.items():
-            ws, sign = rmul(w, i)
-            q = out.get(ws)
-            q = p if q is None else q + p
-            if q:
-                out[ws] = q
-            else:
-                out.pop(ws, None)
+        down: Terms = {}
+        for (w, p), (sw, sign) in zip(terms.items(), moves):
+            out[sw] = p
             if sign < 0:
-                extra = xi * p
-                q = out.get(w)
-                q = extra if q is None else q + extra
-                if q:
-                    out[w] = q
-                else:
-                    out.pop(w, None)
-        return out
+                down[w] = p
+        return add_into(out, down, self._xi[i])
 
     def _t_word_mul(self, word: tuple[int, ...], terms: Terms) -> Terms:
         """T_w * (sum of terms) along the reduced word of w."""
@@ -275,14 +267,7 @@ class HeckeAlgebra:
             raise ValueError("operands live in different Hecke algebras")
         acc: Terms = {}
         for w, p in h1.terms.items():
-            part = self._t_word_mul(w.word, h2.terms)
-            for u, q in part.items():
-                r = acc.get(u)
-                r = q * p if r is None else r + q * p
-                if r:
-                    acc[u] = r
-                else:
-                    acc.pop(u, None)
+            add_into(acc, self._t_word_mul(w.word, h2.terms), p)
         return HeckeElement(self, acc)
 
     # -- the bar involution -------------------------------------------------------
@@ -297,16 +282,7 @@ class HeckeAlgebra:
             return hit
         i = w.word[0]
         rest = self._bar_basis(self.system._elem(w.word[1:]))
-        out = self._lmul_gen(i, rest)
-        xi = self._xi[i]
-        for u, q in rest.items():
-            extra = -(xi * q)
-            r = out.get(u)
-            r = extra if r is None else r + extra
-            if r:
-                out[u] = r
-            else:
-                out.pop(u, None)
+        out = add_into(self._lmul_gen(i, rest), rest, -self._xi[i])
         self._bar_t[w] = out
         return out
 
@@ -314,14 +290,7 @@ class HeckeAlgebra:
         """The bar involution: v -> v^{-1}, T_w -> (T_{w^{-1}})^{-1}."""
         acc: Terms = {}
         for w, p in h.terms.items():
-            pbar = p.bar()
-            for u, q in self._bar_basis(w).items():
-                r = acc.get(u)
-                r = q * pbar if r is None else r + q * pbar
-                if r:
-                    acc[u] = r
-                else:
-                    acc.pop(u, None)
+            add_into(acc, self._bar_basis(w), p.bar())
         return HeckeElement(self, acc)
 
     # -- structure constants and probes ----------------------------------------------

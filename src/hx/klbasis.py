@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 from .coxeter import (CoxeterSystem, Element, InfiniteGroupError,
                       InternalCheckError)
-from .hecke import HeckeAlgebra, HeckeElement, Terms, WeightFunction
+from .hecke import HeckeAlgebra, HeckeElement, Terms, WeightFunction, add_into
 from .laurent import ONE, ZERO
 
 __all__ = [
@@ -94,13 +94,7 @@ class KLBasis:
         """Expand a c-coordinate vector into T-coordinates."""
         acc: Terms = {}
         for w, q in coords.items():
-            for y, p in self.coords(w).items():
-                r = acc.get(y)
-                r = p * q if r is None else r + p * q
-                if r:
-                    acc[y] = r
-                else:
-                    acc.pop(y, None)
+            add_into(acc, self.coords(w), q)
         return HeckeElement(self.algebra, acc)
 
     def to_c_basis(self, h: HeckeElement) -> Terms:
@@ -111,13 +105,7 @@ class KLBasis:
             w = max(rem, key=lambda el: el.sort_key)
             q = rem[w]
             out[w] = q
-            for y, p in self.coords(w).items():
-                r = rem.get(y)
-                r = -(p * q) if r is None else r - p * q
-                if r:
-                    rem[y] = r
-                else:
-                    rem.pop(y, None)
+            add_into(rem, self.coords(w), -q)
         return out
 
     def h_constants(self, x: Element, y: Element) -> Terms:
@@ -205,23 +193,13 @@ class JRing:
         of t_x * t_y."""
         return self.structure_coeff(x, y, self.system.inverse(z))
 
-    def t(self, w: Element) -> dict[Element, int]:
-        return {w: 1}
-
     def product(self, a: dict[Element, int], b: dict[Element, int]) -> dict[Element, int]:
         out: dict[Element, int] = {}
         for x, cx in a.items():
             for y, cy in b.items():
                 row = self.table.get((x, y))
-                if not row:
-                    continue
-                c = cx * cy
-                for z, g in row.items():
-                    r = out.get(z, 0) + c * g
-                    if r:
-                        out[z] = r
-                    else:
-                        out.pop(z, None)
+                if row:
+                    add_into(out, row, cx * cy)
         return out
 
 

@@ -263,3 +263,63 @@ def test_cached_report_serialized_once(tmp_path, monkeypatch, command):
     assert len(dumps) == 1  # the cold run's, shared by cache, --out and --json
     (cache_file,) = (tmp_path / "cache").glob("*.json")
     assert payloads[0] == payloads[1] == cache_file.read_text()
+
+
+def test_every_command_has_one_handler():
+    import argparse
+
+    import hx.cli as cli
+
+    def subcommands(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                return action.choices
+        return {}
+
+    commands = set()
+    for name, sub in subcommands(cli._build_parser()).items():
+        commands |= {(name, s) for s in subcommands(sub)} or {(name, None)}
+    assert commands == set(cli._COMMANDS)
+
+
+def test_out_into_missing_directory_is_a_usage_error(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli("group", "--type", "A2", "--out", str(target))
+    assert code == 1 and not out
+    assert f"cannot write {target}" in err and "Traceback" not in err
+
+
+def test_cache_dir_naming_a_file_is_a_usage_error(tmp_path, monkeypatch):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    monkeypatch.setenv("HX_CACHE_DIR", str(not_a_dir))
+    code, out, err = run_cli("kl", "afunction", "--type", "A1")
+    assert code == 1 and not out
+    assert "HX_CACHE_DIR" in err and "Traceback" not in err
+
+
+def test_cache_store_never_leaves_a_partial_entry(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("HX_CACHE_DIR", str(cache))
+    command = ("kl", "afunction", "--type", "A2", "--json")
+    real_replace = os.replace
+
+    def refuse(src, dst):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out, err = run_cli(*command)
+    assert code == 1 and not out
+    assert "HX_CACHE_DIR" in err and "Traceback" not in err
+
+    def interrupt(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(*command)
+    assert list(cache.iterdir()) == []  # no entry and no leftover temp file
+    monkeypatch.setattr(os, "replace", real_replace)
+    code, _, err = run_cli(*command)
+    assert code == 0 and "cache hit" not in err
+    assert [p.suffix for p in cache.iterdir()] == [".json"]

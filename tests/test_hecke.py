@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hx.coxeter import InfiniteGroupError
-from hx.hecke import HeckeAlgebra, WeightFunction, weight_catalog
+from hx.hecke import HeckeAlgebra, WeightFunction, add_into, weight_catalog
 from hx.laurent import LaurentPoly, ONE, V
 from support import algebra, system
 
@@ -137,19 +137,38 @@ def test_bar_inverts_t_basis():
 
 
 def test_bar_is_involutive_ring_map():
-    H = algebra("A3")
-    els = H.system.enumerate_elements()
-    rng = random.Random(9)
-    def rand_h():
-        out = H.element({})
-        for _ in range(3):
-            c = LaurentPoly.from_pairs([(rng.randint(-3, 3), rng.randint(-4, 4))])
-            out = out + H.t(rng.choice(els)).scale(c)
-        return out
-    for _ in range(25):
-        h1, h2 = rand_h(), rand_h()
-        assert H.bar(H.bar(h1)) == h1
-        assert H.bar(H.mul(h1, h2)) == H.mul(H.bar(h1), H.bar(h2))
+    # +, -, mul and bar keep the no-zero-values invariant of HeckeElement.terms
+    for label, weights in (("A3", None), ("B3", (1, 1, 2))):
+        H = algebra(label, weights)
+        els = H.system.enumerate_elements()
+        rng = random.Random(9)
+        def rand_h():
+            out = H.element({})
+            for _ in range(3):
+                c = LaurentPoly.from_pairs([(rng.randint(-3, 3), rng.randint(-4, 4))])
+                out = out + H.t(rng.choice(els)).scale(c)
+            return out
+        for _ in range(25):
+            h1, h2 = rand_h(), rand_h()
+            assert H.bar(H.bar(h1)) == h1
+            assert H.bar(H.mul(h1, h2)) == H.mul(H.bar(h1), H.bar(h2))
+            assert (h1 + h2) - h2 == h1 and (h1 - h1).is_zero()
+            for h in (h1, h1 + h2, h1 - h2, H.mul(h1, h2), H.bar(h1)):
+                assert all(h.terms.values())
+
+
+def test_add_into():
+    terms = {"x": V, "y": ONE}
+    acc = {"x": -V, "z": V}
+    assert add_into(acc, terms) is acc
+    assert acc == {"y": ONE, "z": V}  # x cancelled and left
+    assert terms == {"x": V, "y": ONE}
+    assert add_into({"y": V}, terms, -V) == {"x": -(V * V)}
+    assert add_into({}, terms, 2) == {"x": V * 2, "y": ONE * 2}
+    assert add_into({"x": V}, terms, 0) == {"x": V}
+    # integer coefficients, as in the J ring
+    assert add_into({"a": 6, "b": 1}, {"a": 2, "c": 5}, -3) == {"b": 1, "c": -15}
+    assert add_into({"a": -2}, {"a": 2}) == {}
 
 
 # -- f-constants and the degree probe ------------------------------------------------
