@@ -15,7 +15,7 @@ never bad input).
 ``HX_CACHE_DIR`` (environment) enables an on-disk report cache for the
 expensive tables (``kl basis``, ``kl afunction``, ``jring table``): a
 report is computed once per (matrix, weights, options) and replayed
-byte-identically afterwards.
+byte-identically afterwards by the same ``hx`` version and report schema.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import os
 import sys
 from typing import Callable, Optional
 
+from . import __version__
 from .coxeter import (CoxeterSystem, Element, GatingError, InfiniteGroupError,
                       InternalCheckError, build_system)
 from .hecke import HeckeAlgebra, WeightFunction, weight_catalog
@@ -239,6 +240,12 @@ def _progress(message: str) -> None:
 
 # -- report cache -----------------------------------------------------------
 
+# Raised whenever a cached report's layout or content changes. With
+# ``__version__`` it is part of every cache key, so an entry written by other
+# code is never replayed.
+REPORT_SCHEMA = 1
+
+
 def _cache_lookup(key_obj: dict) -> tuple[Optional[tuple[dict, str]], Optional[str]]:
     """((report, its JSON text) on a hit or None, the entry's path or None
     without HX_CACHE_DIR)."""
@@ -249,8 +256,9 @@ def _cache_lookup(key_obj: dict) -> tuple[Optional[tuple[dict, str]], Optional[s
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as e:
         raise UsageError(f"cannot use HX_CACHE_DIR {cache_dir}: {e}")
+    key = {"hx": __version__, "schema": REPORT_SCHEMA, "report": key_obj}
     digest = hashlib.sha256(
-        json.dumps(key_obj, sort_keys=True).encode()).hexdigest()[:32]
+        json.dumps(key, sort_keys=True).encode()).hexdigest()[:32]
     path = os.path.join(cache_dir, f"{digest}.json")
     if os.path.exists(path):
         try:

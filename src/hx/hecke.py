@@ -16,6 +16,21 @@ An element is a dict from group elements to coefficients that never holds
 a zero value, so equal elements are equal dicts and ``not terms`` tests
 for zero. Every sum here and in ``klbasis`` goes through ``add_into``,
 which keeps that invariant.
+
+The bar involution rests on the rows $bar(T_y) = \\sum_x R_{x,y} T_x$,
+kept packed: row y maps x to $R_{x,y} v^{L(y)}$, a polynomial with
+exponents in $[0, 2L(y)]$, evaluated at $v = 2^B$ (Kronecker
+substitution), one Python int per x. A row is built from the row of its
+canonical-word tail $y'$ ($y = s y'$) by shifts alone: the term p at x
+moves to $sx$ as $p \\cdot 2^{B L(s)}$, and when $sx > x$ it also leaves
+$p - p \\cdot 2^{2 B L(s)}$ at x (at a descent, the $\\xi p$ of $T_s$ and
+the $-\\xi p$ of $bar(T_s)$ cancel). Packed values are exact at any B; a
+width only matters when a value is decoded into signed base-$2^B$ digits
+(``unpack``), which needs every digit below $2^{B-1}$ in absolute value.
+A step at most triples the l1 norm of a row, so every digit of row y lies
+within ``row_bound(y.length)`` $= 3^{\\ell(y)}$; ``bar`` widens B (doubling
+it and dropping the rows) until that bound fits before it decodes a row,
+and the KL solve in ``klbasis`` does the same with its own bound.
 """
 
 from __future__ import annotations
@@ -25,7 +40,8 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Optional, Union
 
-from .coxeter import CoxeterSystem, Element, GatingError, InfiniteGroupError
+from .coxeter import (CoxeterSystem, Element, GatingError, InfiniteGroupError,
+                      InternalCheckError)
 from .laurent import LaurentPoly, ONE, ZERO
 
 __all__ = [
@@ -125,6 +141,45 @@ def add_into(acc: dict, terms: dict, c=None) -> dict:
     return acc
 
 
+def pack(coeffs, width: int) -> int:
+    """sum_k coeffs[k] v^k at v = 2^width."""
+    out = 0
+    for c in reversed(coeffs):
+        out = (out << width) + c
+    return out
+
+
+def unpack(packed: int, width: int, bound: int) -> list[int]:
+    """The signed base-2^width digits of packed, lowest first (the inverse
+    of ``pack`` up to trailing zeros).
+
+    Every digit must lie within `bound`; a digit outside it means the width
+    was too small for the value, and is raised rather than returned."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    digits: list[int] = []
+    while packed:
+        d = packed & mask
+        if d >= half:
+            d -= 1 << width
+        if abs(d) > bound:
+            raise InternalCheckError(
+                f"packed digit {d} exceeds the proven bound {bound}: "
+                f"digit width {width} overflowed")
+        digits.append(d)
+        packed = (packed - d) >> width
+    return digits
+
+
+def row_bound(length: int) -> int:
+    """Bound on every coefficient of R_{x,y}, over all x, for l(y) = length:
+    a generator step at most triples the l1 norm of a row."""
+    return 3 ** length
+
+
+# digit width of freshly packed bar(T_y) rows; doubled on demand
+INITIAL_WIDTH = 32
+
+
 class HeckeElement:
     """A finite A-linear combination of T-basis elements."""
 
@@ -198,9 +253,10 @@ class FBoundProbe:
 class HeckeAlgebra:
     """$H$ for a fixed system and weight function.
 
-    The bar cache is a write-once idempotent memo: concurrent fills of the
-    same key compute identical values, and readers never see partial
-    entries (entries are inserted fully built).
+    The packed bar(T_y) rows are a write-once memo at the current digit
+    width, and entries are inserted fully built. Widening replaces the
+    whole memo, so a caller holding rows must be done with them before it
+    widens.
     """
 
     def __init__(self, system: CoxeterSystem,
@@ -213,7 +269,9 @@ class HeckeAlgebra:
         self._xi = tuple(
             LaurentPoly.monomial(L) - LaurentPoly.monomial(-L)
             for L in self.weight.values)
-        self._bar_t: dict[Element, Terms] = {system.identity: {system.identity: ONE}}
+        self._width = INITIAL_WIDTH
+        self._bar_t: dict[Element, dict[Element, int]] = {
+            system.identity: {system.identity: 1}}
 
     # -- building blocks -----------------------------------------------------
 
@@ -272,25 +330,51 @@ class HeckeAlgebra:
 
     # -- the bar involution -------------------------------------------------------
 
-    def _bar_basis(self, w: Element) -> Terms:
-        """bar(T_w) in T-coordinates, memoized per element.
+    def _bar_basis(self, w: Element) -> dict[Element, int]:
+        """The packed row of bar(T_w): x -> R_{x,w} v^{L(w)} at
+        v = 2^width, memoized per element.
 
         bar(T_s) = T_s - (v^{L(s)} - v^{-L(s)}) T_e is T_s^{-1}; for longer
-        words bar is multiplicative along the canonical word."""
+        words bar is multiplicative along the canonical word, so
+        bar(T_w) = (T_s - xi_s) bar(T_{w'}) with w = s w'."""
         hit = self._bar_t.get(w)
         if hit is not None:
             return hit
         i = w.word[0]
         rest = self._bar_basis(self.system._elem(w.word[1:]))
-        out = add_into(self._lmul_gen(i, rest), rest, -self._xi[i])
+        up = self._width * self.weight.values[i]
+        out: dict[Element, int] = {}
+        stay: dict[Element, int] = {}
+        for (x, p), (sx, sign) in zip(
+                rest.items(), map(self.system.left_mul_gen, repeat(i), rest)):
+            out[sx] = p << up
+            if sign > 0:
+                stay[x] = p - (p << 2 * up)
+        add_into(out, stay)
         self._bar_t[w] = out
         return out
+
+    def _widen(self) -> None:
+        """Double the digit width and drop the rows packed at the old one."""
+        self._width *= 2
+        e = self.system.identity
+        self._bar_t = {e: {e: 1}}
+
+    def _bar_terms(self, w: Element) -> Terms:
+        """bar(T_w) in T-coordinates, decoded from its packed row."""
+        bound = row_bound(w.length)
+        while bound >= 1 << (self._width - 1):
+            self._widen()
+        row, width = self._bar_basis(w), self._width
+        val = -self.weight(w)
+        return {x: LaurentPoly(val, unpack(r, width, bound))
+                for x, r in row.items()}
 
     def bar(self, h: HeckeElement) -> HeckeElement:
         """The bar involution: v -> v^{-1}, T_w -> (T_{w^{-1}})^{-1}."""
         acc: Terms = {}
         for w, p in h.terms.items():
-            add_into(acc, self._bar_basis(w), p.bar())
+            add_into(acc, self._bar_terms(w), p.bar())
         return HeckeElement(self, acc)
 
     # -- structure constants and probes ----------------------------------------------

@@ -14,6 +14,20 @@ and since $p_{x,w}$ has only negative powers of v for $x \\ne w$, it is
 exactly the negative-exponent part of the right-hand side. This works
 verbatim for unequal parameters.
 
+The solve runs in packed integers, on the rows $R_{x,y} v^{L(y)}$ at
+$v = 2^B$ that ``HeckeAlgebra`` keeps for the bar involution. It pushes
+rather than pulls: it walks $[e, w]$ downward keeping one packed sum
+acc[x] per x, and once $p_{y,w}$ is known it adds
+$bar(p_{y,w}) v^{L(w)-L(y)}$, packed, times row y into acc[x] for every x
+of that row. When the walk reaches x, acc[x] holds the right-hand side
+times $v^{L(w)}$; it is decoded once into signed base-$2^B$ digits, the
+bar-antisymmetry of the result is checked, and its negative part is
+$p_{x,w}$. Width guard: a row's digits lie within $3^{\\ell(y)}$, so every
+digit of acc[x] lies within $3^{\\ell(w)} \\sum_y \\|p_{y,w}\\|_1$ over the y
+pushed so far. When that bound needs more than B - 1 bits, the algebra
+doubles B, drops its rows and the solve starts again; a digit outside the
+bound at a decode raises ``InternalCheckError``.
+
 From $c_x c_y = \\sum_z h_{x,y,z} c_z$ one gets $a(z)$ as the largest
 degree of $h_{x,y,z}$ over all pairs, and the leading coefficients
 $\\gamma$ at $v^{a(z)}$ become the structure constants of the ring J on
@@ -30,8 +44,9 @@ from typing import Callable, Optional
 
 from .coxeter import (CoxeterSystem, Element, InfiniteGroupError,
                       InternalCheckError)
-from .hecke import HeckeAlgebra, HeckeElement, Terms, WeightFunction, add_into
-from .laurent import ONE, ZERO
+from .hecke import (HeckeAlgebra, HeckeElement, Terms, WeightFunction, add_into,
+                    pack, row_bound, unpack)
+from .laurent import ONE, LaurentPoly
 
 __all__ = [
     "KLBasis",
@@ -63,27 +78,48 @@ class KLBasis:
         if hit is not None:
             return hit
         interval = self.system.bruhat_interval_below(w)
-        bar_basis = self.algebra._bar_basis
-        p: Terms = {w: ONE}
-        pbar: Terms = {w: ONE}  # bar(p_{y,w}), one bar per y
-        for x in reversed(interval[:-1]):  # interval[-1] is w, the unique top
-            q = ZERO
-            xlen = x.length
-            for y, pyb in pbar.items():
-                if y.length <= xlen:
-                    continue
-                r = bar_basis(y).get(x)
-                if r is not None:
-                    q = q + pyb * r
-            if q:
-                if q.coeff(0) != 0 or q.bar() != -q:
-                    raise InternalCheckError(
-                        f"KL solve lost bar-antisymmetry at x={x!r}, w={w!r}")
-                px = q.negative_part()
-                if px:
-                    p[x] = px
-                    pbar[x] = px.bar()
+        p = self._solve(w, interval)
+        while p is None:  # the digit bound outgrew the width
+            self.algebra._widen()
+            p = self._solve(w, interval)
         self._coords[w] = p
+        return p
+
+    def _solve(self, w: Element, interval: list[Element]) -> Optional[Terms]:
+        """The push-form solve at the algebra's current digit width, or None
+        when the proven digit bound stops fitting in it."""
+        algebra = self.algebra
+        rows, weight, width = algebra._bar_basis, algebra.weight, algebra._width
+        top = weight(w)
+        scale = row_bound(w.length)
+        limit = 1 << (width - 1)
+        mass = 1  # sum of ||p_{y,w}||_1 over the y pushed so far
+        if scale >= limit:
+            return None
+        # acc[x] = sum_y bar(p_{y,w}) R_{x,y} v^{L(w)}, packed
+        acc = dict(rows(w))
+        get = acc.get
+        p: Terms = {w: ONE}
+        for x in reversed(interval[:-1]):  # interval[-1] is w, the unique top
+            packed = acc.pop(x, 0)
+            if not packed:
+                continue
+            q = LaurentPoly(-top, unpack(packed, width, scale * mass))
+            if q.coeff(0) != 0 or q.bar() != -q:
+                raise InternalCheckError(
+                    f"KL solve lost bar-antisymmetry at x={x!r}, w={w!r}")
+            px = q.negative_part()
+            if not px:
+                continue
+            p[x] = px
+            mass += sum(map(abs, px.coeffs))
+            if scale * mass >= limit:
+                return None
+            # bar(p_{x,w}) v^{L(w)-L(x)}, a polynomial in v, packed
+            c = pack(px.coeffs[::-1], width) << width * (
+                top - weight(x) - px.degree)
+            for z, r in rows(x).items():
+                acc[z] = get(z, 0) + c * r
         return p
 
     def element(self, w: Element) -> HeckeElement:

@@ -36,11 +36,12 @@ from __future__ import annotations
 import multiprocessing
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Union
 
 from .coxeter import (ConjugacyClass, CoxeterSystem, Element,
                       InfiniteGroupError, InternalCheckError)
-from .hecke import HeckeAlgebra, UnequalParametersError
+from .hecke import HeckeAlgebra, UnequalParametersError, unpack
 from .laurent import LaurentPoly, in_cone
 
 __all__ = ["TraceChecks", "TraceReport", "n_trace", "class_report",
@@ -138,18 +139,9 @@ def _decode(packed: int, width: int, bound: int, drop: int = 0) -> LaurentPoly:
         raise InternalCheckError(
             f"trace is not divisible by q^{drop}: inexact cyclic shift")
     packed >>= low
-    half, mask = 1 << (width - 1), (1 << width) - 1
     coeffs: list[int] = []
-    while packed:
-        d = packed & mask
-        if d >= half:
-            d -= 1 << width
-        if abs(d) > bound:
-            raise InternalCheckError(
-                f"trace digit {d} exceeds the proven bound {bound}: "
-                f"digit width {width} overflowed")
+    for d in unpack(packed, width, bound):
         coeffs += (d, 0)  # q^k = v^{2k}
-        packed = (packed - d) >> width
     return LaurentPoly(0, coeffs)
 
 
@@ -247,18 +239,11 @@ def class_report(algebra: HeckeAlgebra, cls: ConjugacyClass, class_id: int,
     )
 
 
-# fork-pool state: set in the parent before the pool is created, inherited
-# by the workers via fork
-_POOL_ALGEBRA: Optional[HeckeAlgebra] = None
-_POOL_MAX_CMIN: Optional[int] = None
-_POOL_ROUTE: str = "direct"
-
-
-def _pool_job(class_id: int) -> dict:
-    algebra = _POOL_ALGEBRA
+def _pool_job(algebra: HeckeAlgebra, max_cmin: Optional[int], route: str,
+              class_id: int) -> dict:
     cls = algebra.system.conjugacy_classes()[class_id]
-    return class_report(algebra, cls, class_id, max_cmin=_POOL_MAX_CMIN,
-                        route=_POOL_ROUTE).to_jsonable()
+    return class_report(algebra, cls, class_id, max_cmin=max_cmin,
+                        route=route).to_jsonable()
 
 
 def _report_from_jsonable(system: CoxeterSystem, payload: dict) -> TraceReport:
@@ -285,34 +270,32 @@ def classify_positive(source: Union[CoxeterSystem, HeckeAlgebra], *,
                       ) -> list[TraceReport]:
     """One TraceReport per conjugacy class, in the deterministic class order.
 
-    jobs > 1 distributes whole classes over a fork pool; the assembly is
-    ordered by class id, so the output is schedule-independent."""
-    global _POOL_ALGEBRA, _POOL_MAX_CMIN, _POOL_ROUTE
+    jobs > 1 distributes whole classes over a fork pool, each task carrying
+    the algebra and options as its arguments and returning its report as
+    JSON; the assembly is ordered by class id, so the output is
+    schedule-independent. Without a pool the reports are built in place."""
     algebra = source if isinstance(source, HeckeAlgebra) else HeckeAlgebra(source)
     _gate(algebra)
-    classes = algebra.system.conjugacy_classes()
-    algebra.system.dense_tables()  # once here, not in every forked worker
-    ids = list(range(len(classes)))
-
-    _POOL_ALGEBRA, _POOL_MAX_CMIN, _POOL_ROUTE = algebra, max_cmin, route
-    try:
-        if jobs > 1 and len(ids) > 1:
-            try:
-                ctx = multiprocessing.get_context("fork")
-                with ctx.Pool(min(jobs, len(ids))) as pool:
-                    # chunksize 1: class costs are very uneven
-                    payloads = pool.map(_pool_job, ids, chunksize=1)
-            except (OSError, ValueError):
-                payloads = [_pool_job(i) for i in ids]  # pools unavailable: degrade
-            if progress is not None:
-                progress(len(ids), len(ids))
-        else:
-            payloads = []
-            for i in ids:
-                payloads.append(_pool_job(i))
-                if progress is not None:
-                    progress(i + 1, len(ids))
-    finally:
-        _POOL_ALGEBRA, _POOL_MAX_CMIN, _POOL_ROUTE = None, None, "direct"
-
-    return [_report_from_jsonable(algebra.system, p) for p in payloads]
+    system = algebra.system
+    classes = system.conjugacy_classes()
+    total = len(classes)
+    system.dense_tables()  # once here, not in every worker or class
+    if jobs > 1 and total > 1:
+        job = partial(_pool_job, algebra, max_cmin, route)
+        try:
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(min(jobs, total)) as pool:
+                # chunksize 1: class costs are very uneven
+                payloads = pool.map(job, range(total), chunksize=1)
+        except (OSError, ValueError):
+            payloads = [job(i) for i in range(total)]  # pools unavailable: degrade
+        if progress is not None:
+            progress(total, total)
+        return [_report_from_jsonable(system, p) for p in payloads]
+    reports = []
+    for i, cls in enumerate(classes):
+        reports.append(class_report(algebra, cls, i, max_cmin=max_cmin,
+                                    route=route))
+        if progress is not None:
+            progress(i + 1, total)
+    return reports

@@ -174,6 +174,24 @@ def test_report_cache_round_trip(tmp_path, monkeypatch):
     assert len(list((tmp_path / "cache").glob("*.json"))) == 2
 
 
+@pytest.mark.parametrize("name,other", [("__version__", "0.0.0"),
+                                        ("REPORT_SCHEMA", 0)])
+def test_cache_entry_from_other_code_misses(tmp_path, monkeypatch, name, other):
+    import hx.cli as cli
+
+    monkeypatch.setenv("HX_CACHE_DIR", str(tmp_path / "cache"))
+    command = ("kl", "afunction", "--type", "A2", "--json")
+    with monkeypatch.context() as older:
+        older.setattr(cli, name, other)
+        code, stale, _ = run_cli(*command)
+        assert code == 0
+    code, out, err = run_cli(*command)
+    assert code == 0 and "cache hit" not in err and out == stale
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+    _, _, err = run_cli(*command)
+    assert "cache hit" in err
+
+
 def test_progress_goes_to_stderr_not_stdout():
     code, out, err = run_cli("positivity", "--type", "A2", "--json")
     assert code == 0
