@@ -7,12 +7,31 @@ diagonal (the crystallographic bond orders; m = 5 and finite m >= 7 are
 rejected because they force irrational root coordinates).
 
 Elements are identified with their ShortLex-least reduced word, so
-equality of elements is equality of words. Reduction uses the "numbers
-game" on integral root coordinates coming from a Cartan realization of
-the Coxeter matrix: for a reduced word w and a generator s_i,
-``|s_i w| < |w|`` iff ``w^{-1}(alpha_i)`` is a negative root, which is an
-exact integer computation. This works uniformly for finite and affine
-systems; no group table is required.
+equality of elements is equality of words. Arithmetic uses the "numbers
+game" on integral root coordinates coming from a Cartan realization C of
+the Coxeter matrix, s_i(alpha_j) = alpha_j - C[i][j] alpha_i: every
+w(alpha_j) is a root, all of whose coordinates share one sign, and
+``|s_i w| < |w|`` iff ``w^{-1}(alpha_i)`` is negative. This works
+uniformly for finite, affine and hyperbolic systems; no group table is
+required.
+
+Root data. Each element carries, computed once, the coordinates of
+``w^{-1}(alpha_j)`` and then of ``w(alpha_j)`` for every j, as one flat
+int tuple of 2 rank^2 entries. j is a left descent of w iff
+``w^{-1}(alpha_j) < 0`` and a right descent iff ``w(alpha_j) < 0``. The
+data of a neighbour costs O(rank^2): ``(s_i w)^{-1}(alpha_j) =
+w^{-1}(alpha_j) - C[i][j] w^{-1}(alpha_i)`` and s_i is applied to each
+``w(alpha_j)``; ``w s_i`` is the mirror case, and the inverse swaps the
+two halves. Elements are interned by their root data as well as by word,
+so a step looks its result up by data; only on a miss is the canonical
+word built, as the least left descent d followed by the canonical word of
+``s_d u``, itself looked up the same way.
+
+The interning is faithful for every accepted matrix, finite, affine or
+hyperbolic. Two elements u, v with the same data act on the root lattice
+by the same linear map, so g = u v^{-1} fixes every simple root. Then
+``g^{-1}(alpha_j) = alpha_j > 0`` for all j, g has no left descent by
+the same theorem, and g = e.
 """
 
 from __future__ import annotations
@@ -20,6 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
@@ -54,13 +74,18 @@ class InternalCheckError(Exception):
 
 
 class Element:
-    """A group element, canonically the ShortLex-least reduced word."""
+    """A group element, canonically the ShortLex-least reduced word.
 
-    __slots__ = ("system", "word", "_hash")
+    ``roots`` is its root data: the coordinates of w^{-1}(alpha_j), then
+    of w(alpha_j), for j = 0 .. rank-1, flattened."""
 
-    def __init__(self, system: "CoxeterSystem", word: tuple[int, ...]):
+    __slots__ = ("system", "word", "roots", "_hash")
+
+    def __init__(self, system: "CoxeterSystem", word: tuple[int, ...],
+                 roots: tuple[int, ...]):
         self.system = system
         self.word = word
+        self.roots = roots
         self._hash = hash(word)
 
     @property
@@ -345,17 +370,22 @@ class CoxeterSystem:
             _component_is_finite(self.matrix, self.cartan, c) for c in comps)
         self.is_irreducible = len(comps) == 1
 
-        self._interned: dict[tuple[int, ...], Element] = {}
-        self.identity = self._elem(())
-        self._units = tuple(
-            tuple(1 if j == i else 0 for j in range(self.rank))
-            for i in range(self.rank))
+        rank = self.rank
+        # (j, C[i][j]) for the nonzero entries of each Cartan row
+        self._cartan_nonzero = tuple(
+            tuple((j, c) for j, c in enumerate(row) if c) for row in self.cartan)
+        units = tuple(int(j == k) for j in range(rank) for k in range(rank))
+        self.identity = Element(self, (), units + units)
+        self._interned: dict[tuple[int, ...], Element] = {(): self.identity}
+        self._by_roots: dict[tuple[int, ...], Element] = {
+            self.identity.roots: self.identity}
         self._lmul: dict[tuple[int, Element], tuple[Element, int]] = {}
         self._rmul: dict[tuple[Element, int], tuple[Element, int]] = {}
-        self._inv: dict[Element, Element] = {}
         self._rdesc: dict[Element, frozenset[int]] = {}
         self._ldesc: dict[Element, frozenset[int]] = {}
         self._bruhat: dict[tuple[Element, Element], bool] = {}
+        self._below: dict[Element, tuple[Element, ...]] = {
+            self.identity: (self.identity,)}
         self._levels: list[list[Element]] = [[self.identity]]
         self._levels_complete = False
         self._classes: Optional[list[ConjugacyClass]] = None
@@ -378,68 +408,63 @@ class CoxeterSystem:
         tag = self.type_label or f"rank {self.rank} matrix"
         return f"CoxeterSystem({tag})"
 
-    # -- root coordinate machinery -------------------------------------------
+    # -- root data --------------------------------------------------------------
 
-    def _reflect(self, i: int, vec: list[int]) -> None:
+    def _act(self, roots: tuple[int, ...], i: int, left: bool) -> tuple[int, ...]:
+        """The root data of s_i w (left) or w s_i (right) from that of w.
+
+        On one half every vector v_j becomes v_j - C[i][j] v_i; on the other
+        s_i is applied to every vector. Left steps do the first to the
+        w^{-1} half, right steps to the w half."""
+        n = self.rank
+        half = n * n
+        cols, rows = (0, half) if left else (half, 0)
+        nonzero = self._cartan_nonzero[i]
+        out = list(roots)
+        vi = roots[cols + i * n:cols + i * n + n]
+        for j, c in nonzero:
+            b = cols + j * n
+            out[b:b + n] = [x - c * y for x, y in zip(roots[b:b + n], vi)]
         row = self.cartan[i]
-        vec[i] -= sum(row[j] * vec[j] for j in range(self.rank) if vec[j])
-
-    def _is_left_descent_word(self, word: Sequence[int], i: int) -> bool:
-        vec = list(self._units[i])
-        for a in word:
-            self._reflect(a, vec)
-        return min(vec) < 0
-
-    def _is_right_descent_word(self, word: Sequence[int], i: int) -> bool:
-        vec = list(self._units[i])
-        for a in reversed(word):
-            self._reflect(a, vec)
-        return min(vec) < 0
-
-    def _left_exchange(self, word: Sequence[int], i: int) -> tuple[int, ...]:
-        """Reduced word for s_i * w given that i is a left descent of w."""
-        vec = list(self._units[i])
-        for t, a in enumerate(word):
-            if vec == list(self._units[a]):
-                return tuple(word[:t]) + tuple(word[t + 1:])
-            self._reflect(a, vec)
-        raise AssertionError("exchange failed on a reduced word")
-
-    def _right_exchange(self, word: Sequence[int], i: int) -> tuple[int, ...]:
-        """Reduced word for w * s_i given that i is a right descent of w."""
-        vec = list(self._units[i])
-        for t in range(len(word) - 1, -1, -1):
-            if vec == list(self._units[word[t]]):
-                return tuple(word[:t]) + tuple(word[t + 1:])
-            self._reflect(word[t], vec)
-        raise AssertionError("exchange failed on a reduced word")
-
-    def _canonical_of_reduced(self, word: Sequence[int]) -> tuple[int, ...]:
-        """ShortLex-least reduced word of the element of a reduced word.
-
-        Greedy: the canonical word starts with the least left descent."""
-        out = []
-        cur = tuple(word)
-        while cur:
-            first = cur[0]
-            smaller = None
-            for j in range(first):
-                if self._is_left_descent_word(cur, j):
-                    smaller = j
-                    break
-            if smaller is None:
-                out.append(first)
-                cur = cur[1:]
-            else:
-                out.append(smaller)
-                cur = self._left_exchange(cur, smaller)
+        for b in range(rows, rows + half, n):
+            out[b + i] -= sum(map(mul, row, roots[b:b + n]))
         return tuple(out)
 
+    def _negative(self, roots: tuple[int, ...], start: int) -> bool:
+        """Whether the root with coordinates at roots[start:] is negative."""
+        return min(roots[start:start + self.rank]) < 0
+
+    def _intern(self, roots: tuple[int, ...]) -> Element:
+        """The element with this root data, building its canonical word on a
+        miss: the least left descent d, then the word of s_d u, looked up the
+        same way until a known element is reached."""
+        el = self._by_roots.get(roots)
+        if el is not None:
+            return el
+        n = self.rank
+        chain = []
+        while el is None:
+            d = next((j for j in range(n) if self._negative(roots, j * n)), None)
+            if d is None:
+                raise InternalCheckError(
+                    "an element other than e has no left descent")
+            chain.append((d, roots))
+            roots = self._act(roots, d, True)
+            el = self._by_roots.get(roots)
+        for d, roots in reversed(chain):
+            el = Element(self, (d,) + el.word, roots)
+            self._by_roots[roots] = el
+            self._interned[el.word] = el
+        return el
+
     def _elem(self, word: tuple[int, ...]) -> Element:
+        """The element of a word of generators, normally a canonical one."""
         el = self._interned.get(word)
         if el is None:
-            el = Element(self, word)
-            self._interned[word] = el
+            roots = self.identity.roots
+            for i in reversed(word):
+                roots = self._act(roots, i, True)
+            el = self._intern(roots)
         return el
 
     # -- element arithmetic ---------------------------------------------------
@@ -457,10 +482,8 @@ class CoxeterSystem:
             return hit
         if not 0 <= i < self.rank:
             raise ValueError(f"generator index {i} out of range for rank {self.rank}")
-        if self._is_left_descent_word(w.word, i):
-            res = (self._elem(self._canonical_of_reduced(self._left_exchange(w.word, i))), -1)
-        else:
-            res = (self._elem(self._canonical_of_reduced((i,) + w.word)), +1)
+        sign = -1 if self._negative(w.roots, i * self.rank) else +1
+        res = (self._intern(self._act(w.roots, i, True)), sign)
         self._lmul[key] = res
         return res
 
@@ -471,10 +494,9 @@ class CoxeterSystem:
             return hit
         if not 0 <= i < self.rank:
             raise ValueError(f"generator index {i} out of range for rank {self.rank}")
-        if self._is_right_descent_word(w.word, i):
-            res = (self._elem(self._canonical_of_reduced(self._right_exchange(w.word, i))), -1)
-        else:
-            res = (self._elem(self._canonical_of_reduced(w.word + (i,))), +1)
+        n = self.rank
+        sign = -1 if self._negative(w.roots, n * n + i * n) else +1
+        res = (self._intern(self._act(w.roots, i, False)), sign)
         self._rmul[key] = res
         return res
 
@@ -504,29 +526,25 @@ class CoxeterSystem:
 
     def inverse(self, a: Element) -> Element:
         self._check_same_system(a)
-        hit = self._inv.get(a)
-        if hit is None:
-            hit = self._elem(self._canonical_of_reduced(tuple(reversed(a.word))))
-            self._inv[a] = hit
-            self._inv[hit] = a
-        return hit
+        half = self.rank * self.rank
+        return self._intern(a.roots[half:] + a.roots[:half])
+
+    def _descent_set(self, a: Element, start: int) -> frozenset[int]:
+        n = self.rank
+        return frozenset(j for j in range(n) if self._negative(a.roots, start + j * n))
 
     def left_descents(self, a: Element) -> frozenset[int]:
         self._check_same_system(a)
         hit = self._ldesc.get(a)
         if hit is None:
-            hit = frozenset(i for i in range(self.rank)
-                            if self._is_left_descent_word(a.word, i))
-            self._ldesc[a] = hit
+            hit = self._ldesc[a] = self._descent_set(a, 0)
         return hit
 
     def right_descents(self, a: Element) -> frozenset[int]:
         self._check_same_system(a)
         hit = self._rdesc.get(a)
         if hit is None:
-            hit = frozenset(i for i in range(self.rank)
-                            if self._is_right_descent_word(a.word, i))
-            self._rdesc[a] = hit
+            hit = self._rdesc[a] = self._descent_set(a, self.rank * self.rank)
         return hit
 
     def descents(self, a: Element) -> tuple[frozenset[int], frozenset[int]]:
@@ -616,10 +634,24 @@ class CoxeterSystem:
         return res
 
     def bruhat_interval_below(self, w: Element) -> list[Element]:
-        """All y <= w, sorted by (length, ShortLex)."""
+        """All y <= w, sorted by (length, ShortLex).
+
+        Built from the memoized interval of the canonical tail: with s a
+        left descent of w, [e, w] = [e, sw] U s[e, sw] (a subword of a
+        reduced word s.u either skips the s or starts with it)."""
         self._check_same_system(w)
-        ball = self.enumerate_elements(max_length=w.length)
-        return [y for y in ball if self.bruhat_leq(y, w)]
+        chain = []
+        u = w
+        while u not in self._below:
+            chain.append(u)
+            u = self.left_mul_gen(u.word[0], u)[0]
+        below = self._below[u]
+        for u in reversed(chain):
+            s = u.word[0]
+            down = set(below)
+            down.update([self.left_mul_gen(s, y)[0] for y in below])
+            below = self._below[u] = tuple(sorted(down, key=lambda el: el.sort_key))
+        return list(below)
 
     # -- conjugacy classes -------------------------------------------------------
 

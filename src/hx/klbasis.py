@@ -104,11 +104,15 @@ class KLBasis:
             packed = acc.pop(x, 0)
             if not packed:
                 continue
-            q = LaurentPoly(-top, unpack(packed, width, scale * mass))
-            if q.coeff(0) != 0 or q.bar() != -q:
+            # digits[k] is the coefficient of v^(k - top) of the right-hand
+            # side q; bar(q) = -q reads digits[top + e] == -digits[top - e]
+            digits = unpack(packed, width, scale * mass)
+            digits += [0] * (2 * top + 1 - len(digits))
+            if len(digits) > 2 * top + 1 or digits[top:] != [
+                    -d for d in reversed(digits[:top + 1])]:
                 raise InternalCheckError(
                     f"KL solve lost bar-antisymmetry at x={x!r}, w={w!r}")
-            px = q.negative_part()
+            px = LaurentPoly(-top, digits[:top])
             if not px:
                 continue
             p[x] = px

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from coxeter_oracle import assert_matches_word_walk
 from hx.coxeter import (GatingError, INFINITE, InfiniteGroupError,
                         build_system)
 from support import system
@@ -156,6 +157,28 @@ def test_length_changes_by_one(label):
             assert sign in (-1, +1)
 
 
+@pytest.mark.parametrize("label,radius", [
+    ("A1", None), ("A2", None), ("A3", None), ("A4", None),
+    ("B2", None), ("B3", None), ("B4", None), ("D4", None), ("G2", None),
+    ("F4", None), ("~A1", 12), ("~A2", 6), ("~C2", 6), ("~G2", 8),
+])
+def test_root_data_arithmetic_matches_word_walk(label, radius):
+    words = [w.word for w in system(label).enumerate_elements(max_length=radius)]
+    # a fresh system, longest words first, so most steps build a new element
+    assert_matches_word_walk(build_system(label), words[::-1])
+
+
+def test_normal_form_beyond_the_recursion_limit():
+    W = build_system("~A1")
+    w = W.normal_form([0, 1] * 750)
+    assert w.word == (0, 1) * 750
+    assert W.inverse(w).word == (1, 0) * 750
+    assert W.descents(w) == (frozenset({0}), frozenset({1}))
+    assert W.left_mul_gen(1, w) == (W.normal_form((1, 0) * 750 + (1,)), +1)
+    # a fresh system, reached by word only
+    assert build_system("~A1")._elem(w.word).word == w.word
+
+
 def test_multiply_inverse_descents():
     A2 = system("A2")
     w = A2.normal_form([0, 1])
@@ -281,6 +304,15 @@ def test_bruhat_exhaustive_against_oracle_a3():
     for y in W.enumerate_elements():
         for x in W.enumerate_elements():
             assert W.bruhat_leq(x, y) == (x in oracle[y]), (x, y)
+
+
+@pytest.mark.parametrize("label,radius", [
+    ("A4", None), ("B3", None), ("D4", None), ("~G2", 7)])
+def test_bruhat_interval_matches_brute_force(label, radius):
+    W = build_system(label)
+    ball = W.enumerate_elements(max_length=radius)
+    for w in reversed(ball):  # longest first: the tails are not yet memoized
+        assert W.bruhat_interval_below(w) == [y for y in ball if W.bruhat_leq(y, w)]
 
 
 def test_conjugacy_classes():

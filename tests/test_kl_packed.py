@@ -91,3 +91,23 @@ def test_out_of_bound_row_digit_raises(monkeypatch):
     H = fresh("A2")
     with pytest.raises(InternalCheckError, match="overflowed"):
         H.bar(H.t(system("A2").generator(0)))
+
+
+@pytest.mark.parametrize("digit", [0, 3, 7])  # v^-3, v^0 and beyond v^3
+def test_bar_antisymmetry_violation_exits_3(monkeypatch, digit):
+    # one extra unit in the packed row of w0 = s0 s1 s0 at x = e puts a
+    # digit into acc[e] that no mirror digit cancels
+    genuine = HeckeAlgebra._bar_basis
+
+    def tampered(self, y):
+        row = genuine(self, y)
+        if y.word != (0, 1, 0):
+            return row
+        e = self.system.identity
+        return {**row, e: row[e] + (1 << self._width * digit)}
+
+    monkeypatch.setattr(HeckeAlgebra, "_bar_basis", tampered)
+    with pytest.raises(InternalCheckError, match="antisymmetry at x=Element"):
+        KLBasis(fresh("A2")).coords(system("A2").longest_element())
+    code, out, err = run_cli("kl", "basis", "--type", "A2")
+    assert code == 3 and "antisymmetry" in err and not out

@@ -1,12 +1,13 @@
-"""Property tests of the KL solve over random crystallographic Coxeter
-matrices of rank <= 3 (finite, affine and hyperbolic alike) with random
-admissible weights."""
+"""Property tests of the KL solve and of the group arithmetic under it over
+random crystallographic Coxeter matrices of rank <= 3 (finite, affine and
+hyperbolic alike) with random admissible weights."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from coxeter_oracle import assert_matches_word_walk  # noqa: E402
 from hx.coxeter import CoxeterSystem  # noqa: E402
 from hx.hecke import HeckeAlgebra, WeightFunction  # noqa: E402
 from hx.klbasis import KLBasis  # noqa: E402
@@ -73,3 +74,16 @@ def test_c_basis_round_trip(case, data):
         if p:
             coords[y] = p
     assert k.to_c_basis(k.from_c_basis(coords)) == coords
+
+
+@SETTINGS
+@given(kl_cases())
+def test_root_data_arithmetic_matches_word_walk(case):
+    k, w = case
+    W = k.system
+    assert_matches_word_walk(W, [w.word])
+    # the whole length ball below w, on a fresh system
+    ball = W.enumerate_elements(max_length=w.length)
+    assert_matches_word_walk(CoxeterSystem(W.matrix_json()),
+                             [u.word for u in reversed(ball)])
+    assert W.bruhat_interval_below(w) == [y for y in ball if W.bruhat_leq(y, w)]
