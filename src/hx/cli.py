@@ -119,15 +119,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--csv", action="store_true", help="emit the flat CSV table")
     p.add_argument("--max-cmin", type=int, default=None,
                    help="cap evaluated C_min members per class (rank-5 time budget)")
-    p.add_argument("--trace-route", choices=["direct", "cyclic"], default=None,
-                   help="trace evaluation route (default direct; both give the "
-                        "same report and are cross-checked in the test suite)")
     return parser
 
 
 # defaults of the options whose parser default is None, applied after
 # --config so that a config value can stand in for any flag left unset
-_DEFAULTS = {"jobs": 1, "seed": 0, "trace_route": "direct"}
+_DEFAULTS = {"jobs": 1, "seed": 0}
 
 
 def _option_actions(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
@@ -156,7 +153,7 @@ def _config_value(action: argparse.Action, key: str, value):
         ok = isinstance(value, str)
         if ok and action.type is not None:
             value = action.type(value)
-    if not ok or (action.choices and value not in action.choices):
+    if not ok:
         raise UsageError(f"config key {key!r} has a bad value {value!r}")
     return value
 
@@ -527,7 +524,6 @@ def _cmd_positivity(args) -> _Result:
     algebra = HeckeAlgebra(system, weight)
     reports = classify_positive(
         algebra, jobs=max(1, args.jobs), max_cmin=args.max_cmin,
-        route=args.trace_route,
         progress=lambda done, total: _progress(f"positivity: class {done}/{total}"))
     report = _header(system, weight)
     report["order"] = system.order()

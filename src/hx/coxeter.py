@@ -153,19 +153,19 @@ class DenseTables:
 
     Ids follow (length, ShortLex) order, so the identity is 0 and each
     length level is a contiguous range. ``left[i][k]`` is the id of
-    ``s_i * w_k`` and ``right[i][k]`` that of ``w_k * s_i``, stored as
-    ``~id`` (a negative int) when the length goes down. For k > 0,
-    ``first[k]`` is the first letter of w_k's canonical word and
-    ``tail[k]`` the id of the rest of that word, its parent in the
-    length-BFS tree; both are -1 for the identity."""
+    ``s_i * w_k``, stored as ``~id`` (a negative int) when the length goes
+    down. For k > 0, ``first[k]`` is the first letter of w_k's canonical
+    word and ``tail[k]`` the id of the rest of that word, its parent in the
+    length-BFS tree; both are -1 for the identity. ``inverse[k]`` is the id
+    of w_k^{-1}."""
 
     elements: tuple[Element, ...]
     index: dict[Element, int]
     lengths: tuple[int, ...]
     left: tuple[tuple[int, ...], ...]
-    right: tuple[tuple[int, ...], ...]
     first: tuple[int, ...]
     tail: tuple[int, ...]
+    inverse: tuple[int, ...]
 
 
 _LABEL_RE = re.compile(r"^(~?)([A-G])(\d+)$")
@@ -381,8 +381,6 @@ class CoxeterSystem:
             self.identity.roots: self.identity}
         self._lmul: dict[tuple[int, Element], tuple[Element, int]] = {}
         self._rmul: dict[tuple[Element, int], tuple[Element, int]] = {}
-        self._rdesc: dict[Element, frozenset[int]] = {}
-        self._ldesc: dict[Element, frozenset[int]] = {}
         self._bruhat: dict[tuple[Element, Element], bool] = {}
         self._below: dict[Element, tuple[Element, ...]] = {
             self.identity: (self.identity,)}
@@ -535,17 +533,11 @@ class CoxeterSystem:
 
     def left_descents(self, a: Element) -> frozenset[int]:
         self._check_same_system(a)
-        hit = self._ldesc.get(a)
-        if hit is None:
-            hit = self._ldesc[a] = self._descent_set(a, 0)
-        return hit
+        return self._descent_set(a, 0)
 
     def right_descents(self, a: Element) -> frozenset[int]:
         self._check_same_system(a)
-        hit = self._rdesc.get(a)
-        if hit is None:
-            hit = self._rdesc[a] = self._descent_set(a, self.rank * self.rank)
-        return hit
+        return self._descent_set(a, self.rank * self.rank)
 
     def descents(self, a: Element) -> tuple[frozenset[int], frozenset[int]]:
         return self.left_descents(a), self.right_descents(a)
@@ -584,31 +576,26 @@ class CoxeterSystem:
         return len(self.enumerate_elements())
 
     def dense_tables(self) -> DenseTables:
-        """Ids and generator-action tables of a finite group, built on first
-        use from ``left_mul_gen``/``right_mul_gen`` and then kept."""
+        """Ids, the left generator-action table and the inverses of a finite
+        group, built on first use from ``left_mul_gen`` and then kept."""
         if self._dense is not None:
             return self._dense
         elements = tuple(self.enumerate_elements())
         index = {w: k for k, w in enumerate(elements)}
-
-        def table(mul) -> tuple[tuple[int, ...], ...]:
-            rows = []
-            for i in range(self.rank):
-                row = []
-                for w in elements:
-                    u, sign = mul(i, w)
-                    row.append(index[u] if sign > 0 else ~index[u])
-                rows.append(tuple(row))
-            return tuple(rows)
-
-        left = table(self.left_mul_gen)
-        right = table(lambda i, w: self.right_mul_gen(w, i))
+        left = []
+        for i in range(self.rank):
+            row = []
+            for w in elements:
+                u, sign = self.left_mul_gen(i, w)
+                row.append(index[u] if sign > 0 else ~index[u])
+            left.append(tuple(row))
         first = tuple(w.word[0] if w.word else -1 for w in elements)
         tail = tuple(~left[i][k] if i >= 0 else -1 for k, i in enumerate(first))
         self._dense = DenseTables(
             elements=elements, index=index,
             lengths=tuple(w.length for w in elements),
-            left=left, right=right, first=first, tail=tail)
+            left=tuple(left), first=first, tail=tail,
+            inverse=tuple(index[self.inverse(w)] for w in elements))
         return self._dense
 
     # -- Bruhat order -----------------------------------------------------------

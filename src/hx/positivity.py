@@ -10,25 +10,48 @@ data. $C$ is called positive when $N^w \\in N[v^2]$.
 
 The trace is computed in the basis $\\tilde T_w = v^{|w|} T_w$, where
 $\\tilde T_s \\tilde T_w$ is $\\tilde T_{sw}$ when the length goes up and
-$q \\tilde T_{sw} + (q-1) \\tilde T_w$ with $q = v^2$ when it goes down. There
-$N^w = \\sum_x [\\tilde T_x](\\tilde T_w \\tilde T_x \\tilde T_{w^{-1}})$
-exactly, and every coefficient lies in $Z[q]$. Elements are the dense
-ids of `CoxeterSystem.dense_tables`, and each coefficient is one Python
-int, its value at $q = 2^B$ (Kronecker substitution), so a generator step
-is a few int shifts and adds per term. Signed base-$2^B$ digits are
-decoded once per $N^w$. B comes from a proven bound: a step at most
-triples the l1 norm of a coefficient and $N^w$ sums |W| of them, so after
-at most k steps per element every digit of $N^w$ lies within
-$|W| 3^k < 2^{B-1}$; a digit outside that bound raises. The cyclic route
-multiplies its terms by $q^{\\ell(w_0)}$ to clear negative powers of q and
-divides that out after the sum; a nonzero remainder there raises too.
+$q \\tilde T_{sw} + (q-1) \\tilde T_w$ with $q = v^2$ when it goes down, so
+every coefficient lies in $Z[q]$ and
+$N^w = \\sum_x [\\tilde T_x](\\tilde T_w \\tilde T_x \\tilde T_{w^{-1}})$.
+The symmetrizing trace form $\\tau(\\tilde T_a \\tilde T_b) = q^{\\ell(a)}
+\\delta_{ab,e}$ (Geck-Pfeiffer, Characters of Finite Coxeter Groups and
+Iwahori-Hecke Algebras, 2000, 8.1) reads a coefficient as
+$[\\tilde T_x] h = q^{-\\ell(x)} \\tau(h \\tilde T_{x^{-1}})$. With
+$\\tau(ab) = \\tau(ba)$ and $\\tau \\circ \\iota = \\tau$ for the
+anti-involution $\\iota(\\tilde T_b) = \\tilde T_{b^{-1}}$,
 
-The partial products are shared along the length-BFS tree (x = s_i x' with
-x' the canonical-word tail), so only two length levels of them are alive
-at a time and no |W| x |W| operator matrix is formed. `n_trace` also
-offers an equivalent cyclically-rotated route; the two are cross-checked
-in the tests, and both against the Laurent-coefficient T-basis
-computation kept there as the oracle.
+  $\\tau(\\tilde T_w \\tilde T_x \\tilde T_{w^{-1}} \\tilde T_{x^{-1}})
+   = \\tau(\\iota(F_{x^{-1}}) \\iota(G_x)) = \\tau(G_x F_{x^{-1}})$,
+
+where $G_y = \\tilde T_y \\tilde T_w$ and $F_y = \\tilde T_y \\tilde T_{w^{-1}}$.
+Expanding $\\tau$ over the basis gives the one formula used here:
+
+  $N^w = \\sum_x q^{-\\ell(x)} \\sum_a q^{\\ell(a)} G_x[a] F_{x^{-1}}[a^{-1}]$.
+
+Both families grow along the length-BFS tree: with $y = s y'$ and $y'$ the
+canonical-word tail, $G_y = \\tilde T_s G_{y'}$ and
+$F_y = \\tilde T_s F_{y'}$, one left generator step each. x and $x^{-1}$
+have the same length, so two length levels of each family are alive at a
+time, and no |W| x |W| operator matrix is formed.
+
+Elements are the dense ids of `CoxeterSystem.dense_tables`, and each
+coefficient is one Python int, its value at $q = 2^B$ (Kronecker
+substitution). That is a ring map $Z[q] \\to Z$, so a generator step is a
+few int shifts and adds per term and the product of two packed ints is the
+packed product. Each term is shifted by $q^{top + \\ell(a) - \\ell(x)}$,
+top = $\\ell(w_0)$, to clear negative powers; the packed sum is then
+$q^{top} N^w$ at $q = 2^B$, and its signed base-$2^B$ digits are decoded
+once. The lowest top digits must be zero; a nonzero one raises
+`InternalCheckError`.
+
+Width. A step at most triples the l1 norm of a family member (a term p
+goes to p, or to $pq$ and $pq - p$), so after the $\\ell(x)$ steps that
+build it, $\\|G_x\\|_1, \\|F_{x^{-1}}\\|_1 \\le 3^{\\ell(x)}$, summing the
+l1 norms of all coefficients. The l1 norm of a product of polynomials is at
+most the product of their norms, so x contributes at most $3^{2\\ell(x)}$ and
+every digit of the sum lies within $|W| 3^{2 top} < 2^{B-1}$. A digit
+outside that bound raises `InternalCheckError` too. The Laurent-coefficient
+T-basis computation this replaced is kept in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -104,16 +127,16 @@ def _gate(algebra: HeckeAlgebra) -> None:
 
 
 def _digit_bound(order: int, steps: int) -> int:
-    """Bound on |coefficient| of N^w after at most `steps` generator steps
-    per basis element: a step at most triples the l1 norm of a Z[q]
-    coefficient vector, and N^w sums |W| such vectors."""
+    """Bound on |coefficient| of N^w: it sums |W| = `order` products of two
+    family members built with at most `steps` generator steps between them,
+    and a step at most triples the l1 norm."""
     return order * 3 ** steps
 
 
 def _step(col: tuple[int, ...], terms: dict[int, int],
           width: int) -> dict[int, int]:
-    """One generator step T~_s h or h T~_s in packed coordinates; col is the
-    generator's left or right action table."""
+    """One generator step T~_s h in packed coordinates; col is the
+    generator's row of the left action table."""
     out: dict[int, int] = {}
     get = out.get
     for k, p in terms.items():
@@ -137,7 +160,7 @@ def _decode(packed: int, width: int, bound: int, drop: int = 0) -> LaurentPoly:
     low = drop * width
     if packed & ((1 << low) - 1):
         raise InternalCheckError(
-            f"trace is not divisible by q^{drop}: inexact cyclic shift")
+            f"trace is not divisible by q^{drop}: inexact shift")
     packed >>= low
     coeffs: list[int] = []
     for d in unpack(packed, width, bound):
@@ -145,59 +168,45 @@ def _decode(packed: int, width: int, bound: int, drop: int = 0) -> LaurentPoly:
     return LaurentPoly(0, coeffs)
 
 
-def n_trace(algebra: HeckeAlgebra, w: Element, *,
-            route: str = "direct") -> LaurentPoly:
+def n_trace(algebra: HeckeAlgebra, w: Element) -> LaurentPoly:
     """The trace of h -> v^{2|w|} T_w h T_{w^{-1}} over the T-basis.
 
-    route "direct" accumulates [T~_x](T~_w T~_x T~_{w^{-1}}) per basis
-    element x, straight from the definition. route "cyclic" accumulates
-    q^{|w|-|x|} [T~_{w^{-1}}](T~_x T~_{w^{-1}} T~_{x^{-1}}) instead, which is
-    the same trace because the coefficient-of-T_e functional is a
-    symmetrizing trace form; its partial products extend by a single
-    generator on each side per element, making long w much cheaper. The
-    two routes are checked against each other, and against the T-basis
-    Laurent computation they replace, in the test suite."""
+    Computed as N^w = sum_x q^{-l(x)} sum_a q^{l(a)} G_x[a] F_{x^{-1}}[a^{-1}]
+    with G_y = T~_y T~_w and F_y = T~_y T~_{w^{-1}}, from the symmetrizing
+    trace form (see the module docstring for the derivation and the digit
+    bound |W| 3^{2 l(w_0)}). The test suite checks it against the T-basis
+    Laurent computation it replaced."""
     _gate(algebra)
-    if route not in ("direct", "cyclic"):
-        raise ValueError(f"unknown trace route {route!r}")
     system = algebra.system
     system._check_same_system(w)
     dense = system.dense_tables()
-    left, right, lengths = dense.left, dense.right, dense.lengths
+    left, lengths, inverse = dense.left, dense.lengths, dense.inverse
     top = lengths[-1]
-    cyclic = route == "cyclic"
-    bound = _digit_bound(len(lengths), 2 * top if cyclic else top + w.length)
+    bound = _digit_bound(len(lengths), 2 * top)
     width = bound.bit_length() + 1
-    winv = dense.index[system.inverse(w)]
-    wcols = [left[i] for i in reversed(w.word)]
     starts = [bisect_left(lengths, length) for length in range(top + 3)]
+    wid = dense.index[w]
     total = 0
-    # direct: partial[x] = T~_x T~_{w^{-1}}; cyclic: T~_x T~_{w^{-1}} T~_{x^{-1}}
-    partial = {0: {winv: 1}}
+    # one length level of G_y = T~_y T~_w and of F_y = T~_y T~_{w^{-1}}
+    g, f = {0: {wid: 1}}, {0: {inverse[wid]: 1}}
     for length in range(top + 1):
         for x in range(starts[length], starts[length + 1]):
-            if cyclic:
-                coeff = partial[x].get(winv, 0) << (top + w.length - length) * width
-            else:
-                terms = partial[x]
-                for col in wcols:
-                    terms = _step(col, terms, width)
-                coeff = terms.get(x, 0)
-            total += coeff
-        nxt = {}
+            fx = f[inverse[x]]
+            for a, p in g[x].items():
+                r = fx.get(inverse[a])
+                if r:
+                    total += p * r << (top + lengths[a] - length) * width
+        g_next, f_next = {}, {}
         for y in range(starts[length + 1], starts[length + 2]):
-            s = dense.first[y]
-            q = _step(left[s], partial[dense.tail[y]], width)
-            if cyclic:
-                q = _step(right[s], q, width)
-            nxt[y] = q
-        partial = nxt
-    return _decode(total, width, bound, drop=top if cyclic else 0)
+            col, parent = left[dense.first[y]], dense.tail[y]
+            g_next[y] = _step(col, g[parent], width)
+            f_next[y] = _step(col, f[parent], width)
+        g, f = g_next, f_next
+    return _decode(total, width, bound, drop=top)
 
 
 def class_report(algebra: HeckeAlgebra, cls: ConjugacyClass, class_id: int,
-                 *, max_cmin: Optional[int] = None,
-                 route: str = "direct") -> TraceReport:
+                 *, max_cmin: Optional[int] = None) -> TraceReport:
     """Evaluate N^w over C_min and certify the theorem-backed invariants.
 
     max_cmin caps how many minimal-length members are evaluated (rank-5
@@ -207,7 +216,7 @@ def class_report(algebra: HeckeAlgebra, cls: ConjugacyClass, class_id: int,
     members = cls.min_length_set
     if max_cmin is not None:
         members = members[:max(1, max_cmin)]
-    traces = [n_trace(algebra, w, route=route) for w in members]
+    traces = [n_trace(algebra, w) for w in members]
     n_poly = traces[0]
 
     constant = all(t == n_poly for t in traces[1:])
@@ -239,11 +248,11 @@ def class_report(algebra: HeckeAlgebra, cls: ConjugacyClass, class_id: int,
     )
 
 
-def _pool_job(algebra: HeckeAlgebra, max_cmin: Optional[int], route: str,
+def _pool_job(algebra: HeckeAlgebra, max_cmin: Optional[int],
               class_id: int) -> dict:
     cls = algebra.system.conjugacy_classes()[class_id]
-    return class_report(algebra, cls, class_id, max_cmin=max_cmin,
-                        route=route).to_jsonable()
+    return class_report(algebra, cls, class_id,
+                        max_cmin=max_cmin).to_jsonable()
 
 
 def _report_from_jsonable(system: CoxeterSystem, payload: dict) -> TraceReport:
@@ -265,7 +274,6 @@ def _report_from_jsonable(system: CoxeterSystem, payload: dict) -> TraceReport:
 
 def classify_positive(source: Union[CoxeterSystem, HeckeAlgebra], *,
                       jobs: int = 1, max_cmin: Optional[int] = None,
-                      route: str = "direct",
                       progress: Optional[Callable[[int, int], None]] = None
                       ) -> list[TraceReport]:
     """One TraceReport per conjugacy class, in the deterministic class order.
@@ -281,7 +289,7 @@ def classify_positive(source: Union[CoxeterSystem, HeckeAlgebra], *,
     total = len(classes)
     system.dense_tables()  # once here, not in every worker or class
     if jobs > 1 and total > 1:
-        job = partial(_pool_job, algebra, max_cmin, route)
+        job = partial(_pool_job, algebra, max_cmin)
         try:
             ctx = multiprocessing.get_context("fork")
             with ctx.Pool(min(jobs, total)) as pool:
@@ -294,8 +302,7 @@ def classify_positive(source: Union[CoxeterSystem, HeckeAlgebra], *,
         return [_report_from_jsonable(system, p) for p in payloads]
     reports = []
     for i, cls in enumerate(classes):
-        reports.append(class_report(algebra, cls, i, max_cmin=max_cmin,
-                                    route=route))
+        reports.append(class_report(algebra, cls, i, max_cmin=max_cmin))
         if progress is not None:
             progress(i + 1, total)
     return reports

@@ -4,7 +4,8 @@ either way). All tolerances are exact; runtime budgets are asserted.
 
 The B4/D4 positivity tables produced by criterion 3 are the main data
 deliverable; they are compared against the committed copies under
-reports/ to certify reproducibility.
+reports/ to certify reproducibility. The committed F4 table is
+spot-checked on three classes.
 """
 
 import json
@@ -20,7 +21,7 @@ from hx.hecke import HeckeAlgebra, WeightFunction
 from hx.klbasis import (a_function, j_associativity_check, j_find_unit,
                         j_table)
 from hx.laurent import LaurentPoly, ONE, V, in_cone
-from hx.positivity import classify_positive
+from hx.positivity import class_report, classify_positive
 from support import algebra, kl, run_cli, system
 
 REPORTS_DIR = Path(__file__).resolve().parents[1] / "reports"
@@ -90,6 +91,22 @@ def test_criterion_03_trace_well_formedness(positivity_tables):
                 (REPORTS_DIR / f"positivity_{label}.json").read_text())
             computed = [r.to_jsonable() for r in positivity_tables[label][0]]
             assert committed["reports"] == computed, label
+
+
+def test_committed_f4_classes_recompute():
+    # the whole F4 table takes about 11 s to recompute, so three of its
+    # classes are checked against the committed entries, one C_min member each
+    committed = json.loads((REPORTS_DIR / "positivity_F4.json").read_text())
+    W = system("F4")
+    H = HeckeAlgebra(W)
+    classes = W.conjugacy_classes()
+    assert committed["order"] == W.order() and len(committed["reports"]) == len(classes)
+    for w in (W.identity, W.coxeter_element(), W.longest_element()):
+        class_id = W.class_of(w)
+        report = class_report(H, classes[class_id], class_id, max_cmin=1)
+        entry = dict(committed["reports"][class_id], cmin_evaluated=1)
+        assert report.to_jsonable() == entry, class_id
+        assert report.positive
 
 
 def test_criterion_04_elliptic_regular_spot_checks(positivity_tables):

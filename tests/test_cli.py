@@ -211,25 +211,15 @@ def test_internal_invariant_violation_exits_3(monkeypatch):
     assert code == 3 and "INTERNAL" in err
 
 
-def test_config_trace_route_reaches_the_classifier(tmp_path, monkeypatch):
-    import hx.cli as cli
-
-    routes = []
-    real = cli.classify_positive
-
-    def spy(*args, **kwargs):
-        routes.append(kwargs["route"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "classify_positive", spy)
+def test_trace_route_is_gone(tmp_path):
+    code, out, err = run_cli("positivity", "--type", "A2", "--trace-route", "cyclic")
+    assert code == 1 and not out
+    assert "--trace-route" in err and "Traceback" not in err
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trace-route": "cyclic"}))
-    plain = run_cli_json("positivity", "--type", "A2")
-    from_config = run_cli_json("positivity", "--type", "A2", "--config", str(cfg))
-    overridden = run_cli_json("positivity", "--type", "A2", "--config", str(cfg),
-                              "--trace-route", "direct")
-    assert routes == ["direct", "cyclic", "direct"]
-    assert plain == from_config == overridden
+    code, out, err = run_cli("positivity", "--type", "A2", "--config", str(cfg))
+    assert code == 1 and not out
+    assert "unknown config key 'trace-route'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("cfg, message", [

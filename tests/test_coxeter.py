@@ -246,10 +246,11 @@ def test_dense_tables_agree_with_element_arithmetic(label):
     assert list(dense.lengths) == [w.length for w in els]
     for k, w in enumerate(els):
         for i in range(W.rank):
-            for entry, (u, sign) in ((dense.left[i][k], W.left_mul_gen(i, w)),
-                                     (dense.right[i][k], W.right_mul_gen(w, i))):
-                assert entry == (dense.index[u] if sign > 0 else ~dense.index[u])
-                assert (entry >= 0) == (u.length > w.length)
+            entry, (u, sign) = dense.left[i][k], W.left_mul_gen(i, w)
+            assert entry == (dense.index[u] if sign > 0 else ~dense.index[u])
+            assert (entry >= 0) == (u.length > w.length)
+        assert dense.inverse[k] == dense.index[W.inverse(w)]
+        assert W.multiply(w, dense.elements[dense.inverse[k]]).is_identity()
         if k:
             s, parent = dense.first[k], els[dense.tail[k]]
             assert W.left_mul_gen(s, parent) == (w, +1)
