@@ -523,7 +523,7 @@ def _cmd_positivity(args) -> _Result:
     weight = _make_weight(system, args)
     algebra = HeckeAlgebra(system, weight)
     reports = classify_positive(
-        algebra, jobs=max(1, args.jobs), max_cmin=args.max_cmin,
+        algebra, jobs=args.jobs, max_cmin=args.max_cmin,
         progress=lambda done, total: _progress(f"positivity: class {done}/{total}"))
     report = _header(system, weight)
     report["order"] = system.order()

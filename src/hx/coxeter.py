@@ -16,20 +16,20 @@ uniformly for finite, affine and hyperbolic systems; no group table is
 required.
 
 Root data. Each element carries, computed once, the coordinates of
-``w^{-1}(alpha_j)`` and then of ``w(alpha_j)`` for every j, as one flat
-int tuple of 2 rank^2 entries. j is a left descent of w iff
-``w^{-1}(alpha_j) < 0`` and a right descent iff ``w(alpha_j) < 0``. The
-data of a neighbour costs O(rank^2): ``(s_i w)^{-1}(alpha_j) =
-w^{-1}(alpha_j) - C[i][j] w^{-1}(alpha_i)`` and s_i is applied to each
-``w(alpha_j)``; ``w s_i`` is the mirror case, and the inverse swaps the
-two halves. Elements are interned by their root data as well as by word,
+``w^{-1}(alpha_j)`` for every j, as one flat int tuple of rank^2 entries;
+j is a left descent of w iff ``w^{-1}(alpha_j) < 0``. Writing v_j for
+these vectors, a left step gives ``(s_i w)^{-1}(alpha_j) = v_j - C[i][j]
+v_i`` and a right step ``(w s_i)^{-1}(alpha_j) = s_i(v_j)``, each in
+O(rank^2). Elements are interned by their root data as well as by word,
 so a step looks its result up by data; only on a miss is the canonical
 word built, as the least left descent d followed by the canonical word of
-``s_d u``, itself looked up the same way.
+``s_d u``, itself looked up the same way. The sign of a right step, and so
+a right descent, comes from the lengths of the two interned words.
 
 The interning is faithful for every accepted matrix, finite, affine or
-hyperbolic. Two elements u, v with the same data act on the root lattice
-by the same linear map, so g = u v^{-1} fixes every simple root. Then
+hyperbolic. The data is the linear map w^{-1} on the simple roots, so two
+elements u, v with the same data act on the root lattice by the same
+linear map, and g = u v^{-1} fixes every simple root. Then
 ``g^{-1}(alpha_j) = alpha_j > 0`` for all j, g has no left descent by
 the same theorem, and g = e.
 """
@@ -76,8 +76,8 @@ class InternalCheckError(Exception):
 class Element:
     """A group element, canonically the ShortLex-least reduced word.
 
-    ``roots`` is its root data: the coordinates of w^{-1}(alpha_j), then
-    of w(alpha_j), for j = 0 .. rank-1, flattened."""
+    ``roots`` is its root data: the coordinates of w^{-1}(alpha_j) for
+    j = 0 .. rank-1, flattened."""
 
     __slots__ = ("system", "word", "roots", "_hash")
 
@@ -374,8 +374,8 @@ class CoxeterSystem:
         # (j, C[i][j]) for the nonzero entries of each Cartan row
         self._cartan_nonzero = tuple(
             tuple((j, c) for j, c in enumerate(row) if c) for row in self.cartan)
-        units = tuple(int(j == k) for j in range(rank) for k in range(rank))
-        self.identity = Element(self, (), units + units)
+        self.identity = Element(self, (), tuple(
+            int(j == k) for j in range(rank) for k in range(rank)))
         self._interned: dict[tuple[int, ...], Element] = {(): self.identity}
         self._by_roots: dict[tuple[int, ...], Element] = {
             self.identity.roots: self.identity}
@@ -411,26 +411,25 @@ class CoxeterSystem:
     def _act(self, roots: tuple[int, ...], i: int, left: bool) -> tuple[int, ...]:
         """The root data of s_i w (left) or w s_i (right) from that of w.
 
-        On one half every vector v_j becomes v_j - C[i][j] v_i; on the other
-        s_i is applied to every vector. Left steps do the first to the
-        w^{-1} half, right steps to the w half."""
+        A left step makes every v_j into v_j - C[i][j] v_i; a right step
+        applies s_i to every v_j, as (w s_i)^{-1}(alpha_j) = s_i(v_j)."""
         n = self.rank
-        half = n * n
-        cols, rows = (0, half) if left else (half, 0)
-        nonzero = self._cartan_nonzero[i]
         out = list(roots)
-        vi = roots[cols + i * n:cols + i * n + n]
-        for j, c in nonzero:
-            b = cols + j * n
-            out[b:b + n] = [x - c * y for x, y in zip(roots[b:b + n], vi)]
-        row = self.cartan[i]
-        for b in range(rows, rows + half, n):
-            out[b + i] -= sum(map(mul, row, roots[b:b + n]))
+        if left:
+            vi = roots[i * n:i * n + n]
+            for j, c in self._cartan_nonzero[i]:
+                b = j * n
+                out[b:b + n] = [x - c * y for x, y in zip(roots[b:b + n], vi)]
+        else:
+            row = self.cartan[i]
+            for b in range(0, n * n, n):
+                out[b + i] -= sum(map(mul, row, roots[b:b + n]))
         return tuple(out)
 
-    def _negative(self, roots: tuple[int, ...], start: int) -> bool:
-        """Whether the root with coordinates at roots[start:] is negative."""
-        return min(roots[start:start + self.rank]) < 0
+    def _negative(self, roots: tuple[int, ...], j: int) -> bool:
+        """Whether w^{-1}(alpha_j) is negative, i.e. j is a left descent."""
+        n = self.rank
+        return min(roots[j * n:j * n + n]) < 0
 
     def _intern(self, roots: tuple[int, ...]) -> Element:
         """The element with this root data, building its canonical word on a
@@ -442,7 +441,7 @@ class CoxeterSystem:
         n = self.rank
         chain = []
         while el is None:
-            d = next((j for j in range(n) if self._negative(roots, j * n)), None)
+            d = next((j for j in range(n) if self._negative(roots, j)), None)
             if d is None:
                 raise InternalCheckError(
                     "an element other than e has no left descent")
@@ -480,7 +479,7 @@ class CoxeterSystem:
             return hit
         if not 0 <= i < self.rank:
             raise ValueError(f"generator index {i} out of range for rank {self.rank}")
-        sign = -1 if self._negative(w.roots, i * self.rank) else +1
+        sign = -1 if self._negative(w.roots, i) else +1
         res = (self._intern(self._act(w.roots, i, True)), sign)
         self._lmul[key] = res
         return res
@@ -492,9 +491,8 @@ class CoxeterSystem:
             return hit
         if not 0 <= i < self.rank:
             raise ValueError(f"generator index {i} out of range for rank {self.rank}")
-        n = self.rank
-        sign = -1 if self._negative(w.roots, n * n + i * n) else +1
-        res = (self._intern(self._act(w.roots, i, False)), sign)
+        ws = self._intern(self._act(w.roots, i, False))
+        res = (ws, +1 if ws.length > w.length else -1)
         self._rmul[key] = res
         return res
 
@@ -524,20 +522,16 @@ class CoxeterSystem:
 
     def inverse(self, a: Element) -> Element:
         self._check_same_system(a)
-        half = self.rank * self.rank
-        return self._intern(a.roots[half:] + a.roots[:half])
-
-    def _descent_set(self, a: Element, start: int) -> frozenset[int]:
-        n = self.rank
-        return frozenset(j for j in range(n) if self._negative(a.roots, start + j * n))
+        return self._elem(a.word[::-1])
 
     def left_descents(self, a: Element) -> frozenset[int]:
         self._check_same_system(a)
-        return self._descent_set(a, 0)
+        return frozenset(j for j in range(self.rank) if self._negative(a.roots, j))
 
     def right_descents(self, a: Element) -> frozenset[int]:
         self._check_same_system(a)
-        return self._descent_set(a, self.rank * self.rank)
+        return frozenset(i for i in range(self.rank)
+                         if self.right_mul_gen(a, i)[1] < 0)
 
     def descents(self, a: Element) -> tuple[frozenset[int], frozenset[int]]:
         return self.left_descents(a), self.right_descents(a)

@@ -16,23 +16,29 @@ $N^w = \\sum_x [\\tilde T_x](\\tilde T_w \\tilde T_x \\tilde T_{w^{-1}})$.
 The symmetrizing trace form $\\tau(\\tilde T_a \\tilde T_b) = q^{\\ell(a)}
 \\delta_{ab,e}$ (Geck-Pfeiffer, Characters of Finite Coxeter Groups and
 Iwahori-Hecke Algebras, 2000, 8.1) reads a coefficient as
-$[\\tilde T_x] h = q^{-\\ell(x)} \\tau(h \\tilde T_{x^{-1}})$. With
-$\\tau(ab) = \\tau(ba)$ and $\\tau \\circ \\iota = \\tau$ for the
-anti-involution $\\iota(\\tilde T_b) = \\tilde T_{b^{-1}}$,
+$[\\tilde T_x] h = q^{-\\ell(x)} \\tau(h \\tilde T_{x^{-1}})$.
 
-  $\\tau(\\tilde T_w \\tilde T_x \\tilde T_{w^{-1}} \\tilde T_{x^{-1}})
-   = \\tau(\\iota(F_{x^{-1}}) \\iota(G_x)) = \\tau(G_x F_{x^{-1}})$,
+One character identity halves the work. Over a splitting field of Q(v),
+H is split semisimple, so the trace of $h \\mapsto a h b$ on H is
+$\\sum_\\chi \\chi(a) \\chi(b)$ over its irreducible characters, and for
+finite W, $\\chi(T_{w^{-1}}) = \\chi(T_w)$ (Geck-Pfeiffer, ch. 8). Hence
+$N^w$ is also the trace of $h \\mapsto \\tilde T_w h \\tilde T_w$, and with
+$\\tau(ab) = \\tau(ba)$,
 
-where $G_y = \\tilde T_y \\tilde T_w$ and $F_y = \\tilde T_y \\tilde T_{w^{-1}}$.
+  $N^w = \\sum_x q^{-\\ell(x)}
+   \\tau(\\tilde T_w \\tilde T_x \\tilde T_w \\tilde T_{x^{-1}})
+   = \\sum_x q^{-\\ell(x)} \\tau(G_x G_{x^{-1}})$,
+  where $G_y = \\tilde T_y \\tilde T_w$.
+
 Expanding $\\tau$ over the basis gives the one formula used here:
 
-  $N^w = \\sum_x q^{-\\ell(x)} \\sum_a q^{\\ell(a)} G_x[a] F_{x^{-1}}[a^{-1}]$.
+  $N^w = \\sum_x q^{-\\ell(x)} \\sum_a q^{\\ell(a)} G_x[a] G_{x^{-1}}[a^{-1}]$.
 
-Both families grow along the length-BFS tree: with $y = s y'$ and $y'$ the
-canonical-word tail, $G_y = \\tilde T_s G_{y'}$ and
-$F_y = \\tilde T_s F_{y'}$, one left generator step each. x and $x^{-1}$
-have the same length, so two length levels of each family are alive at a
-time, and no |W| x |W| operator matrix is formed.
+The family grows along the length-BFS tree: with $y = s y'$ and $y'$ the
+canonical-word tail, $G_y = \\tilde T_s G_{y'}$, one left generator step.
+x and $x^{-1}$ have the same length, so only the length level being summed
+and the next one, being built from it, are alive at a time, and no
+|W| x |W| operator matrix is formed.
 
 Elements are the dense ids of `CoxeterSystem.dense_tables`, and each
 coefficient is one Python int, its value at $q = 2^B$ (Kronecker
@@ -46,7 +52,7 @@ once. The lowest top digits must be zero; a nonzero one raises
 
 Width. A step at most triples the l1 norm of a family member (a term p
 goes to p, or to $pq$ and $pq - p$), so after the $\\ell(x)$ steps that
-build it, $\\|G_x\\|_1, \\|F_{x^{-1}}\\|_1 \\le 3^{\\ell(x)}$, summing the
+build it, $\\|G_x\\|_1, \\|G_{x^{-1}}\\|_1 \\le 3^{\\ell(x)}$, summing the
 l1 norms of all coefficients. The l1 norm of a product of polynomials is at
 most the product of their norms, so x contributes at most $3^{2\\ell(x)}$ and
 every digit of the sum lies within $|W| 3^{2 top} < 2^{B-1}$. A digit
@@ -58,6 +64,7 @@ from __future__ import annotations
 
 import multiprocessing
 from bisect import bisect_left
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Union
@@ -171,11 +178,11 @@ def _decode(packed: int, width: int, bound: int, drop: int = 0) -> LaurentPoly:
 def n_trace(algebra: HeckeAlgebra, w: Element) -> LaurentPoly:
     """The trace of h -> v^{2|w|} T_w h T_{w^{-1}} over the T-basis.
 
-    Computed as N^w = sum_x q^{-l(x)} sum_a q^{l(a)} G_x[a] F_{x^{-1}}[a^{-1}]
-    with G_y = T~_y T~_w and F_y = T~_y T~_{w^{-1}}, from the symmetrizing
-    trace form (see the module docstring for the derivation and the digit
-    bound |W| 3^{2 l(w_0)}). The test suite checks it against the T-basis
-    Laurent computation it replaced."""
+    Computed as N^w = sum_x q^{-l(x)} sum_a q^{l(a)} G_x[a] G_{x^{-1}}[a^{-1}]
+    with G_y = T~_y T~_w, from the symmetrizing trace form and
+    chi(T_{w^{-1}}) = chi(T_w) (see the module docstring for the derivation
+    and the digit bound |W| 3^{2 l(w_0)}). The test suite checks it against
+    the T-basis Laurent computation it replaced."""
     _gate(algebra)
     system = algebra.system
     system._check_same_system(w)
@@ -185,23 +192,17 @@ def n_trace(algebra: HeckeAlgebra, w: Element) -> LaurentPoly:
     bound = _digit_bound(len(lengths), 2 * top)
     width = bound.bit_length() + 1
     starts = [bisect_left(lengths, length) for length in range(top + 3)]
-    wid = dense.index[w]
     total = 0
-    # one length level of G_y = T~_y T~_w and of F_y = T~_y T~_{w^{-1}}
-    g, f = {0: {wid: 1}}, {0: {inverse[wid]: 1}}
+    g = {0: {dense.index[w]: 1}}  # one length level of G_y = T~_y T~_w
     for length in range(top + 1):
         for x in range(starts[length], starts[length + 1]):
-            fx = f[inverse[x]]
+            gx_inv = g[inverse[x]]
             for a, p in g[x].items():
-                r = fx.get(inverse[a])
+                r = gx_inv.get(inverse[a])
                 if r:
                     total += p * r << (top + lengths[a] - length) * width
-        g_next, f_next = {}, {}
-        for y in range(starts[length + 1], starts[length + 2]):
-            col, parent = left[dense.first[y]], dense.tail[y]
-            g_next[y] = _step(col, g[parent], width)
-            f_next[y] = _step(col, f[parent], width)
-        g, f = g_next, f_next
+        g = {y: _step(left[dense.first[y]], g[dense.tail[y]], width)
+             for y in range(starts[length + 1], starts[length + 2])}
     return _decode(total, width, bound, drop=top)
 
 
@@ -210,12 +211,15 @@ def class_report(algebra: HeckeAlgebra, cls: ConjugacyClass, class_id: int,
     """Evaluate N^w over C_min and certify the theorem-backed invariants.
 
     max_cmin caps how many minimal-length members are evaluated (rank-5
-    time budgets); the default evaluates all of C_min."""
+    time budgets); the default evaluates all of C_min. A cap below 1 is
+    rejected with ValueError."""
     _gate(algebra)
     system = algebra.system
     members = cls.min_length_set
     if max_cmin is not None:
-        members = members[:max(1, max_cmin)]
+        if max_cmin < 1:
+            raise ValueError(f"max_cmin must be >= 1, not {max_cmin}")
+        members = members[:max_cmin]
     traces = [n_trace(algebra, w) for w in members]
     n_poly = traces[0]
 
@@ -280,29 +284,33 @@ def classify_positive(source: Union[CoxeterSystem, HeckeAlgebra], *,
 
     jobs > 1 distributes whole classes over a fork pool, each task carrying
     the algebra and options as its arguments and returning its report as
-    JSON; the assembly is ordered by class id, so the output is
-    schedule-independent. Without a pool the reports are built in place."""
+    JSON; results come back in class order, so the output is
+    schedule-independent. Without a pool the reports are built in place.
+    Either way, progress(i + 1, total) is called as each class arrives."""
     algebra = source if isinstance(source, HeckeAlgebra) else HeckeAlgebra(source)
     _gate(algebra)
     system = algebra.system
     classes = system.conjugacy_classes()
     total = len(classes)
     system.dense_tables()  # once here, not in every worker or class
+    pool = None
     if jobs > 1 and total > 1:
-        job = partial(_pool_job, algebra, max_cmin)
         try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(min(jobs, total)) as pool:
-                # chunksize 1: class costs are very uneven
-                payloads = pool.map(job, range(total), chunksize=1)
+            pool = multiprocessing.get_context("fork").Pool(min(jobs, total))
         except (OSError, ValueError):
-            payloads = [job(i) for i in range(total)]  # pools unavailable: degrade
-        if progress is not None:
-            progress(total, total)
-        return [_report_from_jsonable(system, p) for p in payloads]
-    reports = []
-    for i, cls in enumerate(classes):
-        reports.append(class_report(algebra, cls, i, max_cmin=max_cmin))
-        if progress is not None:
-            progress(i + 1, total)
+            pass  # pools unavailable: degrade to the serial loop
+    with pool or nullcontext():
+        if pool is None:
+            results = (class_report(algebra, cls, i, max_cmin=max_cmin)
+                       for i, cls in enumerate(classes))
+        else:
+            # chunksize 1: class costs are very uneven
+            payloads = pool.imap(partial(_pool_job, algebra, max_cmin),
+                                 range(total), chunksize=1)
+            results = (_report_from_jsonable(system, p) for p in payloads)
+        reports = []
+        for i, report in enumerate(results):
+            reports.append(report)
+            if progress is not None:
+                progress(i + 1, total)
     return reports

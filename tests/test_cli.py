@@ -146,6 +146,16 @@ def test_positivity_jobs_byte_identical(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_max_cmin_below_one_is_a_usage_error(tmp_path, value):
+    code, out, err = run_cli("positivity", "--type", "A2", "--max-cmin", value)
+    assert code == 1 and "max_cmin" in err and "Traceback" not in err and not out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"type": "A2", "max-cmin": int(value)}))
+    code, out, err = run_cli("positivity", "--config", str(cfg))
+    assert code == 1 and "max_cmin" in err and not out
+
+
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"type": "A3", "weights": "equal", "jobs": 2}))

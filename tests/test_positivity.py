@@ -80,6 +80,9 @@ def test_class_report_evaluates_all_of_cmin():
     assert r.cmin_evaluated == len(classes[cox_id].min_length_set) == 2
     capped = class_report(H, classes[cox_id], cox_id, max_cmin=1)
     assert capped.cmin_evaluated == 1 and capped.n_poly == r.n_poly
+    for bad in (0, -4):
+        with pytest.raises(ValueError, match="max_cmin"):
+            class_report(H, classes[cox_id], cox_id, max_cmin=bad)
 
 
 def test_positive_fixture_classes_in_b2():
@@ -99,6 +102,15 @@ def test_classifier_deterministic_and_parallel_identical():
     assert as_json(seq) == as_json(par) == as_json(again)
 
 
+def test_pool_reports_progress_per_class():
+    calls = []
+    pooled = classify_positive(system("A3"), jobs=2,
+                               progress=lambda i, n: calls.append((i, n)))
+    assert calls == [(i, 5) for i in range(1, 6)]
+    serial = classify_positive(system("A3"), jobs=1)
+    assert [r.to_jsonable() for r in pooled] == [r.to_jsonable() for r in serial]
+
+
 def test_type_a_positive_set_is_identity_and_coxeter():
     for label in ["A2", "A3"]:
         reports = classify_positive(system(label))
@@ -112,7 +124,7 @@ def test_type_a_positive_set_is_identity_and_coxeter():
 @pytest.mark.parametrize("route", ["direct", "cyclic"])
 def test_kernel_matches_laurent_oracle(label, route):
     H, W = algebra(label), system(label)
-    if label in ("A1", "A2", "A3", "B2", "G2"):
+    if label in ("A1", "A2", "A3", "B2", "B3", "G2"):
         # the formula holds for every w, not only for C_min members
         elements = W.enumerate_elements()
     else:
