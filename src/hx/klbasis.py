@@ -33,6 +33,30 @@ degree of $h_{x,y,z}$ over all pairs, and the leading coefficients
 $\\gamma$ at $v^{a(z)}$ become the structure constants of the ring J on
 the basis $\\{t_w\\}$ (finite systems only: for infinite W the needed
 uniform degree bound is an open problem).
+
+The h-scan multiplies in the c-basis, through the left action of
+$c_s = T_s + v^{-L(s)}$ (Lusztig, *Hecke algebras with unequal
+parameters*, arXiv:math/0208154, Thm 6.6): for every w,
+
+    c_s c_w = (v^{L(s)} + v^{-L(s)}) c_w                        if sw < w,
+    c_s c_w = c_{sw} + sum_{z < w, sz < z} mu^s_{z,w} c_z        if sw > w,
+
+with every $\\mu^s_{z,w}$ bar-invariant. Once per algebra the scan
+computes the action rows $A_s[w]$, the c-coordinates of $c_s c_w$, for
+every s and w, each by one generator step on $c_w$ and ``to_c_basis``, and
+checks that each has exactly this shape. Then, for one y at a time, it
+walks x in length order with x = s x' (x' the canonical tail):
+
+    h_{x,y,.} = sum_u h_{x',y,u} A_s[u] - sum_{z != x} A_s[x'][z] h_{z,y,.},
+
+starting from $h_{e,y,.} = \\{y: 1\\}$; the z of the second sum are
+shorter than x', so their entries are already in the column. That is one
+generator step per (s, w) instead of a T-basis product per pair, and one
+column of entries alive at a time. Every $h_{x,y,z}$ must be
+bar-invariant, and on a seeded sample of pairs the scan must agree with
+``KLBasis.h_constants``, the T-basis product that stays behind
+``hx kl hconst`` (and serves infinite W); a failure of any of these
+checks raises ``InternalCheckError``.
 """
 
 from __future__ import annotations
@@ -40,7 +64,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .coxeter import (CoxeterSystem, Element, InfiniteGroupError,
                       InternalCheckError)
@@ -149,8 +173,17 @@ class KLBasis:
         return out
 
     def h_constants(self, x: Element, y: Element) -> Terms:
-        """The map z -> h_{x,y,z} where c_x c_y = sum_z h_{x,y,z} c_z."""
+        """The map z -> h_{x,y,z} where c_x c_y = sum_z h_{x,y,z} c_z, from
+        the T-basis product (any W; the oracle of the finite h-scan)."""
         return self.to_c_basis(self.algebra.mul(self.element(x), self.element(y)))
+
+    def gen_product(self, s: int, w: Element) -> Terms:
+        """The c-coordinates of c_s c_w for the generator s (an index):
+        (T_s + v^{-L(s)}) c_w in one generator step, then ``to_c_basis``."""
+        algebra, cw = self.algebra, self.coords(w)
+        low = LaurentPoly.monomial(-algebra.weight.values[s])
+        return self.to_c_basis(HeckeElement(
+            algebra, add_into(algebra._lmul_gen(s, cw), cw, low)))
 
 
 @dataclass(frozen=True)
@@ -164,43 +197,111 @@ class AFunction:
         return self.values[z]
 
 
+def _action_rows(kl: KLBasis) -> list[dict[Element, Terms]]:
+    """rows[s][w] = kl.gen_product(s, w) for every generator s and every w
+    of a finite W, each checked against the shape Thm 6.6 gives it."""
+    system = kl.system
+    elements = system.enumerate_elements()
+    rows = []
+    for s, L in enumerate(kl.algebra.weight.values):
+        twice = LaurentPoly.monomial(L) + LaurentPoly.monomial(-L)
+        row: dict[Element, Terms] = {}
+        for w in elements:
+            a = row[w] = kl.gen_product(s, w)
+            sw, sign = system.left_mul_gen(s, w)
+            if sign < 0:
+                ok = a == {w: twice}
+            else:
+                below = set(system.bruhat_interval_below(w))
+                ok = a.get(sw) == ONE and all(
+                    z == sw or (z in below and z != w and m.bar() == m
+                                and system.left_mul_gen(s, z)[1] < 0)
+                    for z, m in a.items())
+            if not ok:
+                raise InternalCheckError(
+                    f"c_s c_w at s={s}, w={w!r} is not of the shape of "
+                    f"Lusztig's Thm 6.6: {a}")
+        rows.append(row)
+    return rows
+
+
+def _h_columns(kl: KLBasis) -> Iterator[tuple[Element, dict[Element, Terms]]]:
+    """(y, x -> (z -> h_{x,y,z})) for each y of a finite W in length order,
+    one column at a time, by the recursion on x = s x' in the module
+    docstring: c_x = c_s c_x' - sum_{z != x} A_s[x'][z] c_z, and each such
+    z is shorter than x', so its entry is already in the column."""
+    system = kl.system
+    elements = system.enumerate_elements()
+    rows = _action_rows(kl)
+    tails = [(x.word[0], system.left_mul_gen(x.word[0], x)[0])
+             for x in elements[1:]]
+    for y in elements:
+        column = {elements[0]: {y: ONE}}
+        for x, (s, tail) in zip(elements[1:], tails):
+            act = rows[s]
+            acc: Terms = {}
+            for u, h in column[tail].items():
+                add_into(acc, act[u], h)
+            for z, m in act[tail].items():
+                if z != x:
+                    add_into(acc, column[z], -m)
+            column[x] = acc
+        yield y, column
+
+
+# pairs per scan whose column entries are recomputed by ``h_constants``
+CROSS_CHECK_PAIRS = 8
+
+
 def _h_scan(kl: KLBasis, progress: Optional[Callable[[int, int], None]]
             ) -> tuple[AFunction, dict[tuple[Element, Element], dict[Element, int]]]:
-    """One |W|^2 pass over the h-table, streamed pair by pair.
+    """One |W|^2 pass over the h-table, streamed one column c_* c_y at a time.
 
-    For each z it keeps the running maximum degree of h_{x,y,z}, the first
-    pair attaining it, and the leading coefficients of every pair that
-    attains it; those coefficients are the J table. h_{e,z,z} = 1 puts
-    every z in the table with a(z) >= 0."""
+    For each z it keeps the largest degree of h_{x,y,z}, and the leading
+    coefficients of every pair that attains it; those coefficients are
+    the J table, and the witness is the first such pair in x-major
+    order. h_{e,z,z} = 1 puts every z in the table with a(z) >= 0.
+    Every h_{x,y,z} must be bar-invariant, and on a seeded sample of
+    CROSS_CHECK_PAIRS pairs equal to ``h_constants``."""
     elements = kl.system.enumerate_elements()
-    total = len(elements) ** 2
-    done = 0
+    n = len(elements)
+    # pair (x, y) is number x_index * n + y_index
+    sample = set(random.Random(0).sample(range(n * n), min(CROSS_CHECK_PAIRS, n * n)))
     values: dict[Element, int] = {}
-    witnesses: dict[Element, tuple[Element, Element]] = {}
-    # z -> [(scan position, x, y, leading coefficient)] for the pairs at a(z)
-    leading: dict[Element, list[tuple[int, Element, Element, int]]] = {}
-    seq = 0
-    for x in elements:
-        for y in elements:
-            for z, h in kl.h_constants(x, y).items():
-                d = int(h.degree)
+    # z -> [(x index, y index, leading coefficient)] for the pairs at a(z)
+    leading: dict[Element, list[tuple[int, int, int]]] = {}
+    for yi, (y, column) in enumerate(_h_columns(kl)):
+        for xi, x in enumerate(elements):
+            hs = column[x]
+            for z, h in hs.items():
+                if h.bar() != h:
+                    raise InternalCheckError(
+                        f"h_(x,y,z) is not bar-invariant at x={x!r}, y={y!r}, "
+                        f"z={z!r}: {h}")
+                d = h.degree
                 best = values.get(z)
                 if best is None or d > best:
                     values[z] = best = d
-                    witnesses[z] = (x, y)
                     leading[z] = []
                 if d == best:
-                    leading[z].append((seq, x, y, h.coeff(d)))
-                seq += 1
-            done += 1
+                    leading[z].append((xi, yi, h.coeffs[-1]))
+            if xi * n + yi in sample and hs != kl.h_constants(x, y):
+                raise InternalCheckError(
+                    f"the h-scan disagrees with h_constants at x={x!r}, y={y!r}")
         if progress is not None:
-            progress(done, total)
-    # rows and their entries in scan order, as a second scan would fill them
+            progress((yi + 1) * n, n * n)
+    index = {z: k for k, z in enumerate(elements)}
+    witnesses = {z: tuple(elements[k] for k in min(leading[z])[:2])
+                 for z in elements}
+    # rows in x-major pair order, each z-map in descending z, as h_constants
+    # lists it
     table: dict[tuple[Element, Element], dict[Element, int]] = {}
-    for _, x, y, g, z in sorted(entry + (z,) for z, entries in leading.items()
-                                for entry in entries):
-        table.setdefault((x, y), {})[z] = g
-    return AFunction(values=values, witnesses=witnesses), table
+    for xi, yi, minus_zi, g in sorted((xi, yi, -index[z], g)
+                                      for z, entries in leading.items()
+                                      for xi, yi, g in entries):
+        table.setdefault((elements[xi], elements[yi]), {})[elements[-minus_zi]] = g
+    afn = AFunction(values={z: values[z] for z in elements}, witnesses=witnesses)
+    return afn, table
 
 
 def a_function(kl: KLBasis,

@@ -5,7 +5,8 @@ either way). All tolerances are exact; runtime budgets are asserted.
 The B4/D4 positivity tables produced by criterion 3 are the main data
 deliverable; they are compared against the committed copies under
 reports/ to certify reproducibility. The committed F4 table is
-spot-checked on three classes.
+spot-checked on three classes, and the committed a-function (B3, A4) and
+J (B3) tables are recomputed byte for byte.
 """
 
 import json
@@ -107,6 +108,18 @@ def test_committed_f4_classes_recompute():
         entry = dict(committed["reports"][class_id], cmin_evaluated=1)
         assert report.to_jsonable() == entry, class_id
         assert report.positive
+
+
+@pytest.mark.parametrize("name,args", [
+    ("afunction_B3", ("kl", "afunction", "--type", "B3")),
+    ("afunction_A4", ("kl", "afunction", "--type", "A4")),
+    ("jring_B3", ("jring", "table", "--type", "B3")),
+])
+def test_committed_h_scan_reports_recompute(name, args):
+    # made by the per-pair T-basis products; the c-basis recursion must
+    # reproduce them byte for byte
+    code, out, _ = run_cli(*args, "--json")
+    assert code == 0 and out == (REPORTS_DIR / f"{name}.json").read_text()
 
 
 def test_criterion_04_elliptic_regular_spot_checks(positivity_tables):

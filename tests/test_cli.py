@@ -221,6 +221,54 @@ def test_internal_invariant_violation_exits_3(monkeypatch):
     assert code == 3 and "INTERNAL" in err
 
 
+@pytest.mark.parametrize("at_descent", [True, False])
+def test_action_row_off_the_theorem_exits_3(monkeypatch, at_descent):
+    from hx.klbasis import KLBasis
+    from hx.laurent import ONE
+
+    real = KLBasis.gen_product
+
+    def skewed(self, s, w):
+        row = dict(real(self, s, w))
+        if (self.system.left_mul_gen(s, w)[1] < 0) == at_descent:
+            row[w] = row.get(w, 0) + ONE
+        return row
+
+    monkeypatch.setattr(KLBasis, "gen_product", skewed)
+    code, out, err = run_cli("kl", "afunction", "--type", "A2")
+    assert code == 3 and "Thm 6.6" in err and "Traceback" not in err and not out
+
+
+def _skew_h_scan(monkeypatch, shift):
+    """Add shift to every h_{x,y,z} the scan sees."""
+    from hx import klbasis
+
+    real = klbasis._h_columns
+
+    def skewed(kl):
+        for y, column in real(kl):
+            yield y, {x: {z: h + shift for z, h in hs.items()}
+                      for x, hs in column.items()}
+
+    monkeypatch.setattr(klbasis, "_h_columns", skewed)
+
+
+def test_h_value_not_bar_invariant_exits_3(monkeypatch):
+    from hx.laurent import V
+
+    _skew_h_scan(monkeypatch, V)
+    code, out, err = run_cli("jring", "table", "--type", "A2")
+    assert code == 3 and "bar-invariant" in err and "Traceback" not in err and not out
+
+
+def test_h_scan_off_h_constants_exits_3(monkeypatch):
+    from hx.laurent import LaurentPoly, V
+
+    _skew_h_scan(monkeypatch, V + LaurentPoly.monomial(-1))  # bar-invariant
+    code, out, err = run_cli("kl", "afunction", "--type", "A2")
+    assert code == 3 and "h_constants" in err and "Traceback" not in err and not out
+
+
 def test_trace_route_is_gone(tmp_path):
     code, out, err = run_cli("positivity", "--type", "A2", "--trace-route", "cyclic")
     assert code == 1 and not out

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from hx.coxeter import InfiniteGroupError
-from hx.klbasis import (a_function, j_associativity_check, j_find_unit,
-                        j_table)
+from hx.klbasis import (_h_columns, a_function, j_associativity_check,
+                        j_find_unit, j_table)
 from hx.laurent import LaurentPoly, ONE, V, in_cone
 from support import algebra, kl, system
 
@@ -123,6 +123,24 @@ def test_h_constants_a2_product_of_generators():
     A2 = k.system
     s0, s1 = A2.generator(0), A2.generator(1)
     assert k.h_constants(s0, s1) == {A2.normal_form([0, 1]): ONE}
+
+
+@pytest.mark.parametrize("label,weights", [
+    ("A1", None), ("A2", None), ("A3", None), ("G2", None),
+    ("B2", None), ("B2", (1, 2)),
+    ("B3", None), ("B3", (1, 1, 2)), ("B3", (2, 2, 1)),
+])
+def test_h_scan_matches_h_constants(label, weights):
+    # the c-basis recursion against the T-basis product, on every pair
+    k = kl(label, weights)
+    elements = k.system.enumerate_elements()
+    columns = 0
+    for y, column in _h_columns(k):
+        assert list(column) == elements
+        for x, hs in column.items():
+            assert hs == k.h_constants(x, y), (x, y)
+        columns += 1
+    assert columns == len(elements)
 
 
 def test_h_specialization_consistency_at_1():
