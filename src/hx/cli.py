@@ -25,7 +25,7 @@ import hashlib
 import json
 import os
 import sys
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__
 from .coxeter import (CoxeterSystem, Element, GatingError, InfiniteGroupError,
@@ -299,8 +299,9 @@ def _cached_report(key: dict, build: Callable[[], dict]) -> tuple[dict, str]:
 
 # -- commands -----------------------------------------------------------------
 
-# (report, text lines, the report's JSON text when the command already has it)
-_Result = tuple[dict, list[str], Optional[str]]
+# (report, text lines, the report's JSON text when the command already has
+# it); the lines may be a generator, formatted only when text is printed
+_Result = tuple[dict, Iterable[str], Optional[str]]
 
 
 def _cmd_group(args) -> _Result:
@@ -403,12 +404,14 @@ def _cmd_kl_basis(args) -> _Result:
         return report
 
     report, payload = _cached_report(key, build)
-    text = []
-    for entry in report["elements"]:
-        text.append(f"c_{entry['w']}:")
-        for yword, pairs in entry["coords"]:
-            text.append(f"  {yword}: {pairs}")
-    return report, text, payload
+
+    def text() -> Iterator[str]:
+        for entry in report["elements"]:
+            yield f"c_{entry['w']}:"
+            for yword, pairs in entry["coords"]:
+                yield f"  {yword}: {pairs}"
+
+    return report, text(), payload
 
 
 def _cmd_kl_hconst(args) -> _Result:
@@ -598,8 +601,7 @@ def main(argv=None) -> int:
     elif use_csv:
         sys.stdout.write(_positivity_csv(report))
     else:
-        for line in text:
-            print(line)
+        sys.stdout.write("".join(f"{line}\n" for line in text))
     return 0
 
 

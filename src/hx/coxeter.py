@@ -379,8 +379,11 @@ class CoxeterSystem:
         self._interned: dict[tuple[int, ...], Element] = {(): self.identity}
         self._by_roots: dict[tuple[int, ...], Element] = {
             self.identity.roots: self.identity}
-        self._lmul: dict[tuple[int, Element], tuple[Element, int]] = {}
-        self._rmul: dict[tuple[Element, int], tuple[Element, int]] = {}
+        # _lmul[i][w] = (s_i w, sign) and _rmul[i][w] = (w s_i, sign)
+        self._lmul: list[dict[Element, tuple[Element, int]]] = [
+            {} for _ in range(rank)]
+        self._rmul: list[dict[Element, tuple[Element, int]]] = [
+            {} for _ in range(rank)]
         self._bruhat: dict[tuple[Element, Element], bool] = {}
         self._below: dict[Element, tuple[Element, ...]] = {
             self.identity: (self.identity,)}
@@ -473,27 +476,25 @@ class CoxeterSystem:
 
     def left_mul_gen(self, i: int, w: Element) -> tuple[Element, int]:
         """(s_i * w, +1) on a length increase, (s_i * w, -1) on a decrease."""
-        key = (i, w)
-        hit = self._lmul.get(key)
+        if not 0 <= i < self.rank:  # before indexing: _lmul[-1] is a memo too
+            raise ValueError(f"generator index {i} out of range for rank {self.rank}")
+        memo = self._lmul[i]
+        hit = memo.get(w)
         if hit is not None:
             return hit
-        if not 0 <= i < self.rank:
-            raise ValueError(f"generator index {i} out of range for rank {self.rank}")
         sign = -1 if self._negative(w.roots, i) else +1
-        res = (self._intern(self._act(w.roots, i, True)), sign)
-        self._lmul[key] = res
+        res = memo[w] = (self._intern(self._act(w.roots, i, True)), sign)
         return res
 
     def right_mul_gen(self, w: Element, i: int) -> tuple[Element, int]:
-        key = (w, i)
-        hit = self._rmul.get(key)
-        if hit is not None:
-            return hit
         if not 0 <= i < self.rank:
             raise ValueError(f"generator index {i} out of range for rank {self.rank}")
+        memo = self._rmul[i]
+        hit = memo.get(w)
+        if hit is not None:
+            return hit
         ws = self._intern(self._act(w.roots, i, False))
-        res = (ws, +1 if ws.length > w.length else -1)
-        self._rmul[key] = res
+        res = memo[w] = (ws, +1 if ws.length > w.length else -1)
         return res
 
     def normal_form(self, word: Iterable[int]) -> Element:

@@ -18,19 +18,22 @@ for zero. Every sum here and in ``klbasis`` goes through ``add_into``,
 which keeps that invariant.
 
 The bar involution rests on the rows $bar(T_y) = \\sum_x R_{x,y} T_x$,
-kept packed: row y maps x to $R_{x,y} v^{L(y)}$, a polynomial with
-exponents in $[0, 2L(y)]$, evaluated at $v = 2^B$ (Kronecker
-substitution), one Python int per x. A row is built from the row of its
-canonical-word tail $y'$ ($y = s y'$) by shifts alone: the term p at x
-moves to $sx$ as $p \\cdot 2^{B L(s)}$, and when $sx > x$ it also leaves
+which serve ``bar`` only: the KL basis in ``klbasis`` is built without
+them, and ``bar`` is the independent test that each $c_w$ is
+bar-invariant. They are kept packed: row y maps x to $R_{x,y} v^{L(y)}$,
+a polynomial with exponents in $[0, 2L(y)]$, evaluated at $v = 2^B$
+(Kronecker substitution), one Python int per x. A row is built from the
+row of its canonical-word tail $y'$ ($y = s y'$) by shifts alone: the term
+p at x moves to $sx$ as $p \\cdot 2^{B L(s)}$, and when $sx > x$ it also leaves
 $p - p \\cdot 2^{2 B L(s)}$ at x (at a descent, the $\\xi p$ of $T_s$ and
 the $-\\xi p$ of $bar(T_s)$ cancel). Packed values are exact at any B; a
 width only matters when a value is decoded into signed base-$2^B$ digits
 (``unpack``), which needs every digit below $2^{B-1}$ in absolute value.
 A step at most triples the l1 norm of a row, so every digit of row y lies
 within ``row_bound(y.length)`` $= 3^{\\ell(y)}$; ``bar`` widens B (doubling
-it and dropping the rows) until that bound fits before it decodes a row,
-and the KL solve in ``klbasis`` does the same with its own bound.
+it and dropping the rows) until that bound fits before it decodes a row.
+The KL recursion in ``klbasis`` packs at the same B and widens it the same
+way, with its own bound.
 """
 
 from __future__ import annotations
@@ -336,23 +339,26 @@ class HeckeAlgebra:
 
         bar(T_s) = T_s - (v^{L(s)} - v^{-L(s)}) T_e is T_s^{-1}; for longer
         words bar is multiplicative along the canonical word, so
-        bar(T_w) = (T_s - xi_s) bar(T_{w'}) with w = s w'."""
-        hit = self._bar_t.get(w)
-        if hit is not None:
-            return hit
-        i = w.word[0]
-        rest = self._bar_basis(self.system._elem(w.word[1:]))
-        up = self._width * self.weight.values[i]
-        out: dict[Element, int] = {}
-        stay: dict[Element, int] = {}
-        for (x, p), (sx, sign) in zip(
-                rest.items(), map(self.system.left_mul_gen, repeat(i), rest)):
-            out[sx] = p << up
-            if sign > 0:
-                stay[x] = p - (p << 2 * up)
-        add_into(out, stay)
-        self._bar_t[w] = out
-        return out
+        bar(T_w) = (T_s - xi_s) bar(T_{w'}) with w = s w', built forward
+        from the longest tail that has a row, without recursion."""
+        rows = self._bar_t
+        chain = []
+        while w not in rows:  # walk the tail chain down to a known row
+            chain.append(w)
+            w = self.system._elem(w.word[1:])
+        rest = rows[w]
+        for w in reversed(chain):
+            i = w.word[0]
+            up = self._width * self.weight.values[i]
+            out: dict[Element, int] = {}
+            stay: dict[Element, int] = {}
+            for (x, p), (sx, sign) in zip(
+                    rest.items(), map(self.system.left_mul_gen, repeat(i), rest)):
+                out[sx] = p << up
+                if sign > 0:
+                    stay[x] = p - (p << 2 * up)
+            rest = rows[w] = add_into(out, stay)
+        return rest
 
     def _widen(self) -> None:
         """Double the digit width and drop the rows packed at the old one."""

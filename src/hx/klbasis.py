@@ -3,30 +3,45 @@ Kazhdan-Lusztig basis, c-basis structure constants, the a-function, and
 the asymptotic ring J, for general weight functions.
 
 The basis element $c_w$ is the unique bar-invariant element of
-$H_{\\le 0}$ with $c_w - T_w \\in v^{-1} H_{\\le 0}$. It is computed by a
-triangular solve over the Bruhat interval $[e, w]$: writing
-$bar(T_y) = \\sum_x R_{x,y} T_x$, bar-invariance of
-$c_w = \\sum_y p_{y,w} T_y$ reads
+$H_{\\le 0}$ with $c_w - T_w \\in v^{-1} H_{\\le 0}$. It is built by the
+recursion of Lusztig, *Hecke algebras with unequal parameters*
+(arXiv:math/0208154, Thm 6.6), which holds verbatim for unequal weights:
+with $s$ the first letter of the canonical word of w and $w' = s w$ its
+tail,
 
-    p_{x,w} - bar(p_{x,w}) = sum_{y > x} bar(p_{y,w}) R_{x,y},
+    c_w = c_s c_{w'} - sum_{z < w', sz < z} mu^s_{z,w'} c_z,
 
-and since $p_{x,w}$ has only negative powers of v for $x \\ne w$, it is
-exactly the negative-exponent part of the right-hand side. This works
-verbatim for unequal parameters.
+where every $\\mu^s_{z,w'}$ is bar-invariant of degree below $L(s)$ (du
+Cloux's Coxeter3 rests on the same recursion). The coefficient of $T_z$ in
+$c_s c_{w'}$ minus the terms already subtracted is $p_{z,w} + \\mu_z$, and
+$p_{z,w}$ has only negative powers of v, so $\\mu_z$ is the mirror image of
+its part at exponents $\\ge 0$.
 
-The solve runs in packed integers, on the rows $R_{x,y} v^{L(y)}$ at
-$v = 2^B$ that ``HeckeAlgebra`` keeps for the bar involution. It pushes
-rather than pulls: it walks $[e, w]$ downward keeping one packed sum
-acc[x] per x, and once $p_{y,w}$ is known it adds
-$bar(p_{y,w}) v^{L(w)-L(y)}$, packed, times row y into acc[x] for every x
-of that row. When the walk reaches x, acc[x] holds the right-hand side
-times $v^{L(w)}$; it is decoded once into signed base-$2^B$ digits, the
-bar-antisymmetry of the result is checked, and its negative part is
-$p_{x,w}$. Width guard: a row's digits lie within $3^{\\ell(y)}$, so every
-digit of acc[x] lies within $3^{\\ell(w)} \\sum_y \\|p_{y,w}\\|_1$ over the y
-pushed so far. When that bound needs more than B - 1 bits, the algebra
-doubles B, drops its rows and the solve starts again; a digit outside the
-bound at a decode raises ``InternalCheckError``.
+The build runs in packed integers: $P_w[y] = v^{L(w)} p_{y,w}$, a
+polynomial in v, is evaluated at $v = 2^B$ (Kronecker substitution), one
+Python int per y. The generator step
+
+    v^{L(s)} (T_s + v^{-L(s)}) T_y = v^{L(s)} T_{sy} + (v^{2L(s)} if sy < y else 1) T_y
+
+is shifts and adds only, and gives $R = v^{L(w)} c_s c_{w'}$ from
+$P_{w'}$. The build then walks $[e, w]$ downward and decodes each R[z]
+once into signed base-$2^B$ digits: the digits at exponents $\\ge L(w)$
+give $\\mu_z$, and $\\mu_z v^{L(w)-L(z)} P_z$ is subtracted from R; what
+remains is $P_w$. The build is lazy: it makes $c_{w'}$ and the $c_z$ with
+$\\mu_z \\ne 0$ only, and it is iterative, each build a generator on an
+explicit stack that it suspends while a $P$ it needs is built.
+
+Width guard: with $mass(u) = \\sum_y \\|p_{y,u}\\|_1$, every digit of R lies
+within $2\\,mass(w') + \\sum_z \\|\\mu_z\\|_1 mass(z)$ over the $\\mu_z$
+subtracted so far. When that bound needs more than B - 1 bits, the algebra
+doubles B, the packed memo is dropped and the build starts again. Hard
+checks, each an ``InternalCheckError``: a digit outside the bound; a
+$T_w$ coefficient of R other than $v^{L(w)}$; a $\\mu_z \\ne 0$ with z
+outside $[e, w'] \\setminus \\{w'\\}$, with $sz > z$ or of degree $\\ge L(s)$;
+support outside $[e, w]$; and, at equal parameters, support other than
+all of $[e, w]$, a negative coefficient, or an exponent without the
+parity of $\\ell(w) - \\ell(y)$ (Kazhdan-Lusztig positivity; Elias-Williamson
+2014).
 
 From $c_x c_y = \\sum_z h_{x,y,z} c_z$ one gets $a(z)$ as the largest
 degree of $h_{x,y,z}$ over all pairs, and the leading coefficients
@@ -35,8 +50,7 @@ the basis $\\{t_w\\}$ (finite systems only: for infinite W the needed
 uniform degree bound is an open problem).
 
 The h-scan multiplies in the c-basis, through the left action of
-$c_s = T_s + v^{-L(s)}$ (Lusztig, *Hecke algebras with unequal
-parameters*, arXiv:math/0208154, Thm 6.6): for every w,
+$c_s = T_s + v^{-L(s)}$ that the same theorem gives: for every w,
 
     c_s c_w = (v^{L(s)} + v^{-L(s)}) c_w                        if sw < w,
     c_s c_w = c_{sw} + sum_{z < w, sz < z} mu^s_{z,w} c_z        if sw > w,
@@ -64,12 +78,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Iterator, Optional
 
 from .coxeter import (CoxeterSystem, Element, InfiniteGroupError,
                       InternalCheckError)
 from .hecke import (HeckeAlgebra, HeckeElement, Terms, WeightFunction, add_into,
-                    pack, row_bound, unpack)
+                    pack, unpack)
 from .laurent import ONE, LaurentPoly
 
 __all__ = [
@@ -84,71 +99,138 @@ __all__ = [
 ]
 
 
+class _Overflow(Exception):
+    """A build's digit bound outgrew the algebra's digit width."""
+
+
 class KLBasis:
     """The c-basis of a Hecke algebra, with the {T} <-> {c} conversions.
 
     All computed coordinates are cached per element (write-once memo,
-    idempotent under concurrent fills).
+    idempotent under concurrent fills). The packed rows P_w the recursion
+    builds from are a second memo, valid at one digit width and dropped
+    when the algebra widens.
     """
 
     def __init__(self, algebra: HeckeAlgebra):
         self.algebra = algebra
         self.system = algebra.system
-        self._coords: dict[Element, Terms] = {}
+        e = self.system.identity
+        self._coords: dict[Element, Terms] = {e: {e: ONE}}
+        # w -> (P_w as y -> v^{L(w)} p_{y,w} at v = 2^_width, mass(w))
+        self._packed: dict[Element, tuple[dict[Element, int], int]] = {}
+        self._width = 0
 
     def coords(self, w: Element) -> Terms:
         """The map y -> p_{y,w} with c_w = sum_y p_{y,w} T_y."""
         hit = self._coords.get(w)
         if hit is not None:
             return hit
-        interval = self.system.bruhat_interval_below(w)
-        p = self._solve(w, interval)
-        while p is None:  # the digit bound outgrew the width
-            self.algebra._widen()
-            p = self._solve(w, interval)
-        self._coords[w] = p
-        return p
+        while True:
+            if self._width != self.algebra._width:
+                self._width = self.algebra._width
+                e = self.system.identity
+                self._packed = {e: ({e: 1}, 1)}
+            stack = [self._build(w)]
+            try:
+                while stack:
+                    need = next(stack[-1], None)
+                    if need is None:
+                        stack.pop()
+                    else:
+                        stack.append(self._build(need))
+            except _Overflow:
+                self.algebra._widen()
+                continue
+            return self._coords[w]
 
-    def _solve(self, w: Element, interval: list[Element]) -> Optional[Terms]:
-        """The push-form solve at the algebra's current digit width, or None
-        when the proven digit bound stops fitting in it."""
-        algebra = self.algebra
-        rows, weight, width = algebra._bar_basis, algebra.weight, algebra._width
-        top = weight(w)
-        scale = row_bound(w.length)
+    def _step(self, s: int, row: dict[Element, int]) -> dict[Element, int]:
+        """v^{L(s)} c_s times the packed element row, term by term:
+        v^{L(s)} T_{sy} + (v^{2L(s)} if sy < y else 1) T_y."""
+        up = self._width * self.algebra.weight.values[s]
+        out: dict[Element, int] = {}
+        stay: dict[Element, int] = {}
+        for (y, p), (sy, sign) in zip(
+                row.items(), map(self.system.left_mul_gen, repeat(s), row)):
+            out[sy] = p << up
+            stay[y] = p << 2 * up if sign < 0 else p
+        return add_into(out, stay)
+
+    def _build(self, w: Element) -> Iterator[Element]:
+        """Build P_w and c_w by the recursion in the module docstring.
+
+        A generator: it yields each u whose packed row it needs and the
+        memo lacks, and resumes once the caller has built it."""
+        system, packed, width = self.system, self._packed, self._width
+        weight = self.algebra.weight
+        s = w.word[0]
+        tail = system.left_mul_gen(s, w)[0]
+        if tail not in packed:
+            yield tail
+        row, mass = packed[tail]
+        L, top = weight.values[s], weight(w)
+        acc = self._step(s, row)
+        if acc.pop(w, 0) != 1 << width * top:
+            raise InternalCheckError(
+                f"the T_w coefficient of c_s c_w' is not 1 at w={w!r}")
         limit = 1 << (width - 1)
-        mass = 1  # sum of ||p_{y,w}||_1 over the y pushed so far
-        if scale >= limit:
-            return None
-        # acc[x] = sum_y bar(p_{y,w}) R_{x,y} v^{L(w)}, packed
-        acc = dict(rows(w))
-        get = acc.get
+        bound = 2 * mass  # on every digit of acc, raised by each mu subtracted
+        if bound >= limit:
+            raise _Overflow
+        equal = weight.is_equal_parameters
+        below_tail: Optional[set[Element]] = None
         p: Terms = {w: ONE}
-        for x in reversed(interval[:-1]):  # interval[-1] is w, the unique top
-            packed = acc.pop(x, 0)
-            if not packed:
-                continue
-            # digits[k] is the coefficient of v^(k - top) of the right-hand
-            # side q; bar(q) = -q reads digits[top + e] == -digits[top - e]
-            digits = unpack(packed, width, scale * mass)
-            digits += [0] * (2 * top + 1 - len(digits))
-            if len(digits) > 2 * top + 1 or digits[top:] != [
-                    -d for d in reversed(digits[:top + 1])]:
+        out = {w: 1 << width * top}
+        new_mass = 1
+        for z in reversed(system.bruhat_interval_below(w)[:-1]):
+            r = acc.pop(z, 0)
+            # digits[k] is the coefficient of v^(low + k) in R[z]; the zero
+            # digits below the lowest set bit are skipped, not decoded
+            low = ((r & -r).bit_length() - 1) // width if r else 0
+            digits = unpack(r >> width * low, width, bound)
+            n_mu = low + len(digits) - top
+            if n_mu > 0:  # c_s c_w' holds mu_z c_z, mu_z of degree n_mu - 1
+                if below_tail is None:
+                    below_tail = set(system.bruhat_interval_below(tail))
+                if (n_mu > L or z == tail or z not in below_tail
+                        or system.left_mul_gen(s, z)[1] > 0):
+                    raise InternalCheckError(
+                        f"mu of degree {n_mu - 1} at z={z!r} in c_s c_w' for "
+                        f"w={w!r} is off the shape of Lusztig's Thm 6.6")
+                # restore the skipped digits: the mirror image of mu_z may
+                # reach below them
+                digits[:0] = [0] * low
+                low = 0
+                mu = digits[top:]
+                del digits[top:]
+                for k in range(1, n_mu):
+                    digits[top - k] -= mu[k]
+                if z not in packed:
+                    yield z
+                zrow, zmass = packed[z]
+                # mu_z v^{L(w)-L(z)}, a polynomial in v
+                m = pack(mu[:0:-1] + mu, width) << width * (
+                    top - weight(z) - n_mu + 1)
+                for y, q in zrow.items():
+                    if y is not z:
+                        acc[y] = acc.get(y, 0) - m * q
+                bound += (2 * sum(map(abs, mu)) - abs(mu[0])) * zmass
+                if bound >= limit:
+                    raise _Overflow
+            if equal and (not any(digits) or min(digits) < 0
+                          or any(digits[(z.length + 1 - low) % 2::2])):
                 raise InternalCheckError(
-                    f"KL solve lost bar-antisymmetry at x={x!r}, w={w!r}")
-            px = LaurentPoly(-top, digits[:top])
-            if not px:
-                continue
-            p[x] = px
-            mass += sum(map(abs, px.coeffs))
-            if scale * mass >= limit:
-                return None
-            # bar(p_{x,w}) v^{L(w)-L(x)}, a polynomial in v, packed
-            c = pack(px.coeffs[::-1], width) << width * (
-                top - weight(x) - px.degree)
-            for z, r in rows(x).items():
-                acc[z] = get(z, 0) + c * r
-        return p
+                    f"p_(y,w) = {LaurentPoly(low - top, digits)} at y={z!r}, "
+                    f"w={w!r} breaks Kazhdan-Lusztig positivity")
+            if any(digits):
+                p[z] = LaurentPoly(low - top, digits)
+                out[z] = pack(digits, width) << width * low
+                new_mass += sum(map(abs, digits))
+        if any(acc.values()):
+            raise InternalCheckError(
+                f"c_w has support outside [e, w] at w={w!r}")
+        packed[w] = (out, new_mass)
+        self._coords.setdefault(w, p)
 
     def element(self, w: Element) -> HeckeElement:
         """The basis element c_w in T-coordinates."""

@@ -1,12 +1,15 @@
-"""Reference implementation of the KL solve, kept as the oracle for the
-packed-integer rows and solve in ``hx.hecke`` and ``hx.klbasis``.
+"""Reference implementation of bar(T_w) and of the KL basis, kept as the
+oracle for the packed bar(T_y) rows in ``hx.hecke`` and the packed c_s
+recursion in ``hx.klbasis``.
 
 These are the ``LaurentPoly`` recursions that ``HeckeAlgebra._bar_basis``
-and ``KLBasis.coords`` ran before the packed kernel replaced them,
+and ``KLBasis.coords`` ran before the packed kernels replaced them,
 unchanged apart from living on a class of their own with their own memos.
-They share no arithmetic with the kernel: bar(T_w) is built from
-``HeckeAlgebra`` generator steps over Laurent coefficients, and the solve
-pulls sum_{y > x} bar(p_{y,w}) R_{x,y} per x instead of pushing packed rows.
+They share no arithmetic with the kernels: bar(T_w) is built from
+``HeckeAlgebra`` generator steps over Laurent coefficients, and c_w by the
+bar-expansion triangular solve over [e, w], which pulls
+sum_{y > x} bar(p_{y,w}) R_{x,y} per x; the kernel builds c_w from
+c_s c_{w'} and never reads a bar(T_y) row.
 """
 
 from __future__ import annotations

@@ -122,6 +122,14 @@ def test_committed_h_scan_reports_recompute(name, args):
     assert code == 0 and out == (REPORTS_DIR / f"{name}.json").read_text()
 
 
+def test_committed_kl_basis_report_recomputes():
+    # made by the bar-expansion solve over [e, w]; the c_s recursion must
+    # reproduce it byte for byte
+    code, out, _ = run_cli("kl", "basis", "--type", "B3", "--weights", "1,1,2",
+                           "--json")
+    assert code == 0 and out == (REPORTS_DIR / "klbasis_B3_112.json").read_text()
+
+
 def test_criterion_04_elliptic_regular_spot_checks(positivity_tables):
     with criterion(4, "Coxeter and central-w0 classes are positive"):
         for label in ["A2", "A3", "A4", "B2", "B3", "B4", "D4"]:

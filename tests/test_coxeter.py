@@ -97,6 +97,19 @@ def test_normal_form_index_out_of_range():
         system("A2").normal_form([0, 2])
 
 
+def test_generator_step_index_out_of_range():
+    # the memos are indexed by generator, so a negative index must be
+    # rejected rather than read another generator's memo
+    W = system("A2")
+    w = W.normal_form([0, 1])
+    W.left_mul_gen(1, w), W.right_mul_gen(w, 0)  # fill the memos first
+    for i in (-1, W.rank):
+        with pytest.raises(ValueError, match="out of range"):
+            W.left_mul_gen(i, w)
+        with pytest.raises(ValueError, match="out of range"):
+            W.right_mul_gen(w, i)
+
+
 def _random_word_with_rewrites(rng, W, length):
     """A word plus the same word mangled by quadratic/braid rewrites."""
     word = [rng.randrange(W.rank) for _ in range(length)]

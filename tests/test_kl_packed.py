@@ -1,5 +1,9 @@
-"""The packed-integer bar(T_y) rows and KL solve against the Laurent oracle
-in ``kl_oracle``, and the digit-width guard."""
+"""The packed-integer bar(T_y) rows and the packed c_s recursion of the KL
+basis against the Laurent oracle in ``kl_oracle``, the digit-width guards,
+and the hard checks of the recursion."""
+
+import inspect
+import sys
 
 import pytest
 
@@ -8,6 +12,7 @@ import hx.klbasis
 from hx.coxeter import InternalCheckError
 from hx.hecke import HeckeAlgebra, WeightFunction, pack, unpack
 from hx.klbasis import KLBasis
+from hx.laurent import LaurentPoly
 from kl_oracle import LaurentKL
 from support import run_cli, system
 
@@ -60,11 +65,24 @@ def test_pack_unpack_round_trip():
 
 
 @pytest.mark.parametrize("label,weights", [("A3", None), ("B3", (1, 1, 2))])
-def test_tiny_width_widens_and_matches_oracle(label, weights):
+def test_tiny_width_widens_and_matches_oracle(monkeypatch, label, weights):
+    decode = hx.klbasis.unpack
+
+    def checked(packed, width, bound):
+        # the recursion widens before its digit bound stops fitting
+        assert bound < 1 << (width - 1)
+        return decode(packed, width, bound)
+
+    monkeypatch.setattr(hx.klbasis, "unpack", checked)
     H = fresh(label, weights)
     H._width = 2
-    assert_matches_oracle(H, system(label).enumerate_elements())
-    assert H._width > 2
+    k, oracle = KLBasis(H), LaurentKL(fresh(label, weights))
+    elements = system(label).enumerate_elements()
+    for w in elements:
+        assert k.coords(w) == oracle.coords(w), w
+    # the KL recursion widened on its own: no bar(T_y) row was built
+    assert H._width > 2 and len(H._bar_t) == 1
+    assert_matches_oracle(H, elements)
 
 
 def test_tiny_width_bar_widens():
@@ -75,17 +93,6 @@ def test_tiny_width_bar_widens():
     assert H._width > 2
 
 
-def test_out_of_bound_digit_exits_3(monkeypatch):
-    # a bound of 0 never asks for a wider digit, and any nonzero digit of
-    # the solve then lies outside it
-    monkeypatch.setattr(hx.klbasis, "row_bound", lambda length: 0)
-    W = system("A2")
-    with pytest.raises(InternalCheckError, match="overflowed"):
-        KLBasis(fresh("A2")).coords(W.longest_element())
-    code, out, err = run_cli("kl", "basis", "--type", "A2")
-    assert code == 3 and "INTERNAL" in err and not out
-
-
 def test_out_of_bound_row_digit_raises(monkeypatch):
     monkeypatch.setattr(hx.hecke, "row_bound", lambda length: 0)
     H = fresh("A2")
@@ -93,21 +100,67 @@ def test_out_of_bound_row_digit_raises(monkeypatch):
         H.bar(H.t(system("A2").generator(0)))
 
 
-@pytest.mark.parametrize("digit", [0, 3, 7])  # v^-3, v^0 and beyond v^3
-def test_bar_antisymmetry_violation_exits_3(monkeypatch, digit):
-    # one extra unit in the packed row of w0 = s0 s1 s0 at x = e puts a
-    # digit into acc[e] that no mirror digit cancels
-    genuine = HeckeAlgebra._bar_basis
+def test_long_affine_word_needs_no_recursion():
+    # ~A1 is the infinite dihedral group: c_w = sum_{y <= w} v^(l(y)-l(w)) T_y
+    W = system("~A1")
+    H = fresh("~A1")
+    w = W.normal_form((0, 1) * 50)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)  # below l(w) = 100 frames
+    try:
+        coords = KLBasis(H).coords(w)
+        bar = H.bar(H.t(w))
+    finally:
+        sys.setrecursionlimit(limit)
+    below = W.bruhat_interval_below(w)
+    assert coords == {y: LaurentPoly.monomial(y.length - w.length) for y in below}
+    assert bar.terms == LaurentKL(fresh("~A1")).bar_basis(w)
 
-    def tampered(self, y):
-        row = genuine(self, y)
-        if y.word != (0, 1, 0):
-            return row
-        e = self.system.identity
-        return {**row, e: row[e] + (1 << self._width * digit)}
 
-    monkeypatch.setattr(HeckeAlgebra, "_bar_basis", tampered)
-    with pytest.raises(InternalCheckError, match="antisymmetry at x=Element"):
-        KLBasis(fresh("A2")).coords(system("A2").longest_element())
+# Tamperings of one packed step v^L(w) c_s c_w' (a dict y -> packed int),
+# applied while c_w is built for the A2 element `target`: (target word,
+# expected message, tampering(step, system, width)).
+def _bump(y_word, exponent, by=1):
+    def tamper(step, W, width):
+        y = W.normal_form(y_word)
+        step[y] = step.get(y, 0) + by * (1 << width * exponent)
+    return tamper
+
+
+KERNEL_CHECKS = {
+    # the T_w coefficient of c_s c_w' must be 1
+    "tw_coefficient": ((0, 1, 0), "T_w coefficient", _bump((0, 1, 0), 3)),
+    # a digit outside the proven bound 2 mass(w') + ... (the width is 32)
+    "digit_out_of_bound": ((0, 1, 0), "overflowed", _bump((), 0, 1 << 29)),
+    # mu_z at z = w', at an ascent z = e, and of degree 1 >= L(s) at z = s0
+    "mu_at_tail": ((0, 1, 0), "Thm 6.6", _bump((1, 0), 3)),
+    "mu_at_ascent": ((0, 1, 0), "Thm 6.6", _bump((), 3)),
+    "mu_degree": ((0, 1, 0), "Thm 6.6", _bump((0,), 4)),
+    # support of c_{s0 s1} outside [e, s0 s1]
+    "support_outside_interval": ((0, 1), "outside", _bump((1, 0), 0)),
+    # at equal parameters p_(e,w0) = v^-3: drop it, make it negative, or
+    # add v^-2, of the wrong parity
+    "support_not_all_of_interval": ((0, 1, 0), "positivity", _bump((), 0, -1)),
+    "negative_coefficient": ((0, 1, 0), "positivity", _bump((), 0, -2)),
+    "parity": ((0, 1, 0), "positivity", _bump((), 1)),
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CHECKS))
+def test_kernel_check_violation_exits_3(monkeypatch, case):
+    target, message, tamper = KERNEL_CHECKS[case]
+    genuine = KLBasis._step
+
+    def tampered(self, s, row):
+        step = genuine(self, s, row)
+        # the step's support is [e, w] with w its unique longest element
+        if max(step, key=lambda y: y.sort_key).word == target:
+            tamper(step, self.system, self._width)
+        return step
+
+    monkeypatch.setattr(KLBasis, "_step", tampered)
+    W = system("A2")
+    with pytest.raises(InternalCheckError, match=message):
+        KLBasis(fresh("A2")).coords(W.normal_form(target))
     code, out, err = run_cli("kl", "basis", "--type", "A2")
-    assert code == 3 and "antisymmetry" in err and not out
+    assert code == 3 and message in err and not out
