@@ -21,7 +21,6 @@ byte-identically afterwards by the same ``hx`` version and report schema.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -211,8 +210,49 @@ def _make_weight(system: CoxeterSystem, args) -> WeightFunction:
     return WeightFunction(system, _word_arg(raw))
 
 
+_quote = json.encoder.encode_basestring_ascii
+_scalar = json.JSONEncoder().encode  # no indent, so json's C encoder
+_INT = {int}
+
+
 def _dumps(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for
+    byte, for dicts with str keys, lists, tuples, str, int, float, bool and
+    None; anything else raises TypeError. json indents in pure Python, so
+    this walks the containers itself and leaves every scalar to C."""
+    out = []
+    _write(report, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, put: Callable[[str], object]) -> None:
+    inner = newline + "  "
+    if isinstance(value, dict):
+        sep = "{" + inner
+        for key in sorted(value):
+            put(sep + _quote(key) + ": ")  # TypeError unless key is a str
+            _write(value[key], inner, put)
+            sep = "," + inner
+        put(newline + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+        elif type(value[0]) is int and set(map(type, value)) == _INT:
+            # only ints (json writes a bool as true/false): one join
+            put("[" + inner + ("," + inner).join(map(int.__repr__, value))
+                + newline + "]")
+        else:
+            sep = "[" + inner
+            for item in value:
+                put(sep)
+                _write(item, inner, put)
+                sep = "," + inner
+            put(newline + "]")
+    elif type(value) is int:
+        put(int.__repr__(value))
+    else:
+        put(_scalar(value))
 
 
 def _header(system: CoxeterSystem, weight: Optional[WeightFunction]) -> dict:
@@ -253,6 +293,7 @@ def _cache_lookup(key_obj: dict) -> tuple[Optional[tuple[dict, str]], Optional[s
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as e:
         raise UsageError(f"cannot use HX_CACHE_DIR {cache_dir}: {e}")
+    import hashlib  # here: only cached commands with HX_CACHE_DIR need it
     key = {"hx": __version__, "schema": REPORT_SCHEMA, "report": key_obj}
     digest = hashlib.sha256(
         json.dumps(key, sort_keys=True).encode()).hexdigest()[:32]

@@ -37,10 +37,9 @@ the same theorem, and g = e.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 __all__ = [
     "INFINITE",
@@ -125,8 +124,7 @@ class Element:
         return f"Element{list(self.word)}"
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(NamedTuple):
     """A conjugacy class of a finite system, with its C_min data."""
 
     representative: Element          # (length, ShortLex)-least member
@@ -147,8 +145,7 @@ class ConjugacyClass:
                 f"min_length={self.min_length})")
 
 
-@dataclass(frozen=True)
-class DenseTables:
+class DenseTables(NamedTuple):
     """A finite group as dense integer ids, for kernels that loop over W.
 
     Ids follow (length, ShortLex) order, so the identity is 0 and each

@@ -38,10 +38,9 @@ way, with its own bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .coxeter import (CoxeterSystem, Element, GatingError, InfiniteGroupError,
                       InternalCheckError)
@@ -243,8 +242,7 @@ class HeckeElement:
         return " + ".join(bits)
 
 
-@dataclass(frozen=True)
-class FBoundProbe:
+class FBoundProbe(NamedTuple):
     """Empirical bound for the degrees of the T-basis structure constants."""
 
     radius: Optional[int]          # None means the whole (finite) group

@@ -76,10 +76,9 @@ checks raises ``InternalCheckError``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .coxeter import (CoxeterSystem, Element, InfiniteGroupError,
                       InternalCheckError)
@@ -268,8 +267,7 @@ class KLBasis:
             algebra, add_into(algebra._lmul_gen(s, cw), cw, low)))
 
 
-@dataclass(frozen=True)
-class AFunction:
+class AFunction(NamedTuple):
     """a(z) = max degree of h_{x,y,z} over all pairs, plus attaining pairs."""
 
     values: dict[Element, int]
@@ -394,8 +392,7 @@ def a_function(kl: KLBasis,
     return _h_scan(kl, progress)[0]
 
 
-@dataclass(frozen=True)
-class JRing:
+class JRing(NamedTuple):
     """The asymptotic ring J on the basis {t_w} of a finite system.
 
     ``table[(x, y)]`` maps z to the t_z-coefficient of t_x * t_y, which by
@@ -443,8 +440,7 @@ def j_table(kl: KLBasis, afn: Optional[AFunction] = None,
                  a=scanned if afn is None else afn, table=table)
 
 
-@dataclass(frozen=True)
-class JAssociativityReport:
+class JAssociativityReport(NamedTuple):
     """Outcome of checking (t_x t_y) t_z = t_x (t_y t_z)."""
 
     passed: bool

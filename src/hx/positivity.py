@@ -62,12 +62,10 @@ T-basis computation this replaced is kept in the tests as the oracle.
 
 from __future__ import annotations
 
-import multiprocessing
 from bisect import bisect_left
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .coxeter import (ConjugacyClass, CoxeterSystem, Element,
                       InfiniteGroupError, InternalCheckError)
@@ -78,8 +76,7 @@ __all__ = ["TraceChecks", "TraceReport", "n_trace", "class_report",
            "classify_positive"]
 
 
-@dataclass(frozen=True)
-class TraceChecks:
+class TraceChecks(NamedTuple):
     """Self-check flags recorded on every report (all True on emission)."""
 
     constant_over_min: bool
@@ -87,8 +84,7 @@ class TraceChecks:
     centralizer_at_v1: bool
 
 
-@dataclass(frozen=True)
-class TraceReport:
+class TraceReport(NamedTuple):
     """Per-class positivity data."""
 
     class_id: int
@@ -282,7 +278,8 @@ def classify_positive(source: Union[CoxeterSystem, HeckeAlgebra], *,
                       ) -> list[TraceReport]:
     """One TraceReport per conjugacy class, in the deterministic class order.
 
-    jobs > 1 distributes whole classes over a fork pool, each task carrying
+    jobs > 1 distributes whole classes over a process pool, started by fork
+    where the platform offers it and by spawn elsewhere, each task carrying
     the algebra and options as its arguments and returning its report as
     JSON; results come back in class order, so the output is
     schedule-independent. Without a pool the reports are built in place.
@@ -295,10 +292,13 @@ def classify_positive(source: Union[CoxeterSystem, HeckeAlgebra], *,
     system.dense_tables()  # once here, not in every worker or class
     pool = None
     if jobs > 1 and total > 1:
+        import multiprocessing  # here: most runs never start a pool
+        method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+                  else "spawn")
         try:
-            pool = multiprocessing.get_context("fork").Pool(min(jobs, total))
-        except (OSError, ValueError):
-            pass  # pools unavailable: degrade to the serial loop
+            pool = multiprocessing.get_context(method).Pool(min(jobs, total))
+        except OSError:
+            pass  # no pool on this host (no shared semaphores): the serial loop
     with pool or nullcontext():
         if pool is None:
             results = (class_report(algebra, cls, i, max_cmin=max_cmin)

@@ -2,10 +2,18 @@
 
 import json
 import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hx.cli as cli
 from support import run_cli, run_cli_json, validate_schema
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_group_a3():
@@ -389,3 +397,58 @@ def test_cache_store_never_leaves_a_partial_entry(tmp_path, monkeypatch):
     code, _, err = run_cli(*command)
     assert code == 0 and "cache hit" not in err
     assert [p.suffix for p in cache.iterdir()] == [".json"]
+
+
+# -- the report writer --------------------------------------------------------
+
+# keys and strings that stress the escaping: quotes, backslashes, control
+# and non-ASCII characters, beside whatever hypothesis draws
+_TEXT = st.text(st.sampled_from('a"\\\x00\x1f\x7f\n é€\U0001f600') | st.characters(),
+                max_size=6)
+_INTS = (st.integers() | st.integers(min_value=2**64)
+         | st.integers(max_value=-2**64))
+_SCALARS = (st.none() | st.booleans() | _INTS | _TEXT
+            | st.floats(allow_nan=False, allow_infinity=False))
+# lists of plain ints take the writer's fast path; bools must not
+_INT_LISTS = st.lists(_INTS | st.booleans(), max_size=4)
+_VALUES = st.recursive(
+    _SCALARS | _INT_LISTS,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_writer_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    {1: "int key"}, {None: 0}, {(0, 1): 0}, {"a": 1, 2: 3}, {"x": {2.5: 0}},
+    [set()], {"b": b"bytes"}, [1, 1j], Fraction(1, 2), {"k": [0, object()]},
+])
+def test_writer_refuses_what_no_report_holds(value):
+    # json.dumps would write some of these (it turns int keys into strings
+    # after sorting them); no report has them, so the writer refuses them all
+    with pytest.raises(TypeError):
+        cli._dumps(value)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "reports").glob("*.json")),
+                         ids=lambda p: p.name)
+def test_writer_reproduces_committed_reports(path):
+    text = path.read_text()
+    written = cli._dumps(json.loads(text))
+    same = written == text  # outside the assert, which would diff every line
+    assert same, f"{len(written)} bytes written, {len(text)} committed"
+
+
+def test_import_leaves_pool_cache_and_dataclass_modules_out():
+    # -S: no site hooks, so only what hx imports is counted
+    probe = ("import sys, hx, hx.cli; print(sorted({'multiprocessing', "
+             "'hashlib', 'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -111,6 +111,20 @@ def test_pool_reports_progress_per_class():
     assert [r.to_jsonable() for r in pooled] == [r.to_jsonable() for r in serial]
 
 
+def test_pool_spawns_where_fork_is_missing(monkeypatch):
+    import multiprocessing
+
+    real = multiprocessing.get_context
+    methods = []
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn", "forkserver"])
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method=None: methods.append(method) or real(method))
+    pooled = classify_positive(system("D4"), jobs=2)
+    assert methods == ["spawn"]
+    assert pooled == classify_positive(system("D4"), jobs=1)
+
+
 def test_type_a_positive_set_is_identity_and_coxeter():
     for label in ["A2", "A3"]:
         reports = classify_positive(system(label))
