@@ -17,23 +17,14 @@ a zero value, so equal elements are equal dicts and ``not terms`` tests
 for zero. Every sum here and in ``klbasis`` goes through ``add_into``,
 which keeps that invariant.
 
-The bar involution rests on the rows $bar(T_y) = \\sum_x R_{x,y} T_x$,
-which serve ``bar`` only: the KL basis in ``klbasis`` is built without
-them, and ``bar`` is the independent test that each $c_w$ is
-bar-invariant. They are kept packed: row y maps x to $R_{x,y} v^{L(y)}$,
-a polynomial with exponents in $[0, 2L(y)]$, evaluated at $v = 2^B$
-(Kronecker substitution), one Python int per x. A row is built from the
-row of its canonical-word tail $y'$ ($y = s y'$) by shifts alone: the term
-p at x moves to $sx$ as $p \\cdot 2^{B L(s)}$, and when $sx > x$ it also leaves
-$p - p \\cdot 2^{2 B L(s)}$ at x (at a descent, the $\\xi p$ of $T_s$ and
-the $-\\xi p$ of $bar(T_s)$ cancel). Packed values are exact at any B; a
-width only matters when a value is decoded into signed base-$2^B$ digits
-(``unpack``), which needs every digit below $2^{B-1}$ in absolute value.
-A step at most triples the l1 norm of a row, so every digit of row y lies
-within ``row_bound(y.length)`` $= 3^{\\ell(y)}$; ``bar`` widens B (doubling
-it and dropping the rows) until that bound fits before it decodes a row.
-The KL recursion in ``klbasis`` packs at the same B and widens it the same
-way, with its own bound.
+The bar involution is computed along the canonical word: bar is a ring
+map, so $bar(T_w) = bar(T_{s_1}) \\cdots bar(T_{s_k})$ with
+$bar(T_s) = T_s - (v^{L(s)} - v^{-L(s)})$, one pass over the terms per
+letter. It serves ``bar`` only: the KL basis in ``klbasis`` is built
+without it, and ``bar`` is the independent test that each $c_w$ is
+bar-invariant. ``pack`` and ``unpack`` are the Kronecker substitution
+(a polynomial in v evaluated at $v = 2^B$, one Python int) that the
+packed kernels of ``klbasis`` and ``positivity`` run in.
 """
 
 from __future__ import annotations
@@ -172,16 +163,6 @@ def unpack(packed: int, width: int, bound: int) -> list[int]:
     return digits
 
 
-def row_bound(length: int) -> int:
-    """Bound on every coefficient of R_{x,y}, over all x, for l(y) = length:
-    a generator step at most triples the l1 norm of a row."""
-    return 3 ** length
-
-
-# digit width of freshly packed bar(T_y) rows; doubled on demand
-INITIAL_WIDTH = 32
-
-
 class HeckeElement:
     """A finite A-linear combination of T-basis elements."""
 
@@ -252,13 +233,7 @@ class FBoundProbe(NamedTuple):
 
 
 class HeckeAlgebra:
-    """$H$ for a fixed system and weight function.
-
-    The packed bar(T_y) rows are a write-once memo at the current digit
-    width, and entries are inserted fully built. Widening replaces the
-    whole memo, so a caller holding rows must be done with them before it
-    widens.
-    """
+    """$H$ for a fixed system and weight function."""
 
     def __init__(self, system: CoxeterSystem,
                  weight: Optional[WeightFunction] = None):
@@ -270,9 +245,6 @@ class HeckeAlgebra:
         self._xi = tuple(
             LaurentPoly.monomial(L) - LaurentPoly.monomial(-L)
             for L in self.weight.values)
-        self._width = INITIAL_WIDTH
-        self._bar_t: dict[Element, dict[Element, int]] = {
-            system.identity: {system.identity: 1}}
 
     # -- building blocks -----------------------------------------------------
 
@@ -331,54 +303,31 @@ class HeckeAlgebra:
 
     # -- the bar involution -------------------------------------------------------
 
-    def _bar_basis(self, w: Element) -> dict[Element, int]:
-        """The packed row of bar(T_w): x -> R_{x,w} v^{L(w)} at
-        v = 2^width, memoized per element.
+    def _bar_basis(self, w: Element) -> Terms:
+        """bar(T_w) in T-coordinates.
 
-        bar(T_s) = T_s - (v^{L(s)} - v^{-L(s)}) T_e is T_s^{-1}; for longer
-        words bar is multiplicative along the canonical word, so
-        bar(T_w) = (T_s - xi_s) bar(T_{w'}) with w = s w', built forward
-        from the longest tail that has a row, without recursion."""
-        rows = self._bar_t
-        chain = []
-        while w not in rows:  # walk the tail chain down to a known row
-            chain.append(w)
-            w = self.system._elem(w.word[1:])
-        rest = rows[w]
-        for w in reversed(chain):
-            i = w.word[0]
-            up = self._width * self.weight.values[i]
-            out: dict[Element, int] = {}
-            stay: dict[Element, int] = {}
+        bar(T_s) = T_s - xi_s is T_s^{-1}, and bar is multiplicative along
+        the canonical word, so the factors are applied from the right, one
+        pass per letter: (T_s - xi_s) T_x is T_{sx} - xi_s T_x when sx > x,
+        and T_{sx} alone at a descent, where the xi_s T_x of T_s T_x and of
+        -xi_s T_x cancel."""
+        terms: Terms = {self.system.identity: ONE}
+        for i in reversed(w.word):
+            out: Terms = {}
+            up: Terms = {}
             for (x, p), (sx, sign) in zip(
-                    rest.items(), map(self.system.left_mul_gen, repeat(i), rest)):
-                out[sx] = p << up
+                    terms.items(), map(self.system.left_mul_gen, repeat(i), terms)):
+                out[sx] = p
                 if sign > 0:
-                    stay[x] = p - (p << 2 * up)
-            rest = rows[w] = add_into(out, stay)
-        return rest
-
-    def _widen(self) -> None:
-        """Double the digit width and drop the rows packed at the old one."""
-        self._width *= 2
-        e = self.system.identity
-        self._bar_t = {e: {e: 1}}
-
-    def _bar_terms(self, w: Element) -> Terms:
-        """bar(T_w) in T-coordinates, decoded from its packed row."""
-        bound = row_bound(w.length)
-        while bound >= 1 << (self._width - 1):
-            self._widen()
-        row, width = self._bar_basis(w), self._width
-        val = -self.weight(w)
-        return {x: LaurentPoly(val, unpack(r, width, bound))
-                for x, r in row.items()}
+                    up[x] = p
+            terms = add_into(out, up, -self._xi[i])
+        return terms
 
     def bar(self, h: HeckeElement) -> HeckeElement:
         """The bar involution: v -> v^{-1}, T_w -> (T_{w^{-1}})^{-1}."""
         acc: Terms = {}
         for w, p in h.terms.items():
-            add_into(acc, self._bar_terms(w), p.bar())
+            add_into(acc, self._bar_basis(w), p.bar())
         return HeckeElement(self, acc)
 
     # -- structure constants and probes ----------------------------------------------

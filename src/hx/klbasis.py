@@ -33,8 +33,8 @@ explicit stack that it suspends while a $P$ it needs is built.
 
 Width guard: with $mass(u) = \\sum_y \\|p_{y,u}\\|_1$, every digit of R lies
 within $2\\,mass(w') + \\sum_z \\|\\mu_z\\|_1 mass(z)$ over the $\\mu_z$
-subtracted so far. When that bound needs more than B - 1 bits, the algebra
-doubles B, the packed memo is dropped and the build starts again. Hard
+subtracted so far. When that bound needs more than B - 1 bits, ``KLBasis``
+doubles its B, drops its packed memo and starts the build again. Hard
 checks, each an ``InternalCheckError``: a digit outside the bound; a
 $T_w$ coefficient of R other than $v^{L(w)}$; a $\\mu_z \\ne 0$ with z
 outside $[e, w'] \\setminus \\{w'\\}$, with $sz > z$ or of degree $\\ge L(s)$;
@@ -99,7 +99,7 @@ __all__ = [
 
 
 class _Overflow(Exception):
-    """A build's digit bound outgrew the algebra's digit width."""
+    """A build's digit bound outgrew the basis's digit width."""
 
 
 class KLBasis:
@@ -107,8 +107,8 @@ class KLBasis:
 
     All computed coordinates are cached per element (write-once memo,
     idempotent under concurrent fills). The packed rows P_w the recursion
-    builds from are a second memo, valid at one digit width and dropped
-    when the algebra widens.
+    builds from are a second memo, valid at the basis's own digit width
+    and dropped when that width doubles.
     """
 
     def __init__(self, algebra: HeckeAlgebra):
@@ -117,8 +117,9 @@ class KLBasis:
         e = self.system.identity
         self._coords: dict[Element, Terms] = {e: {e: ONE}}
         # w -> (P_w as y -> v^{L(w)} p_{y,w} at v = 2^_width, mass(w))
-        self._packed: dict[Element, tuple[dict[Element, int], int]] = {}
-        self._width = 0
+        self._packed: dict[Element, tuple[dict[Element, int], int]] = {
+            e: ({e: 1}, 1)}
+        self._width = 32  # the digit width B, doubled on overflow
 
     def coords(self, w: Element) -> Terms:
         """The map y -> p_{y,w} with c_w = sum_y p_{y,w} T_y."""
@@ -126,10 +127,6 @@ class KLBasis:
         if hit is not None:
             return hit
         while True:
-            if self._width != self.algebra._width:
-                self._width = self.algebra._width
-                e = self.system.identity
-                self._packed = {e: ({e: 1}, 1)}
             stack = [self._build(w)]
             try:
                 while stack:
@@ -139,7 +136,9 @@ class KLBasis:
                     else:
                         stack.append(self._build(need))
             except _Overflow:
-                self.algebra._widen()
+                self._width *= 2
+                e = self.system.identity
+                self._packed = {e: ({e: 1}, 1)}
                 continue
             return self._coords[w]
 

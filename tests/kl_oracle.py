@@ -1,15 +1,16 @@
 """Reference implementation of bar(T_w) and of the KL basis, kept as the
-oracle for the packed bar(T_y) rows in ``hx.hecke`` and the packed c_s
-recursion in ``hx.klbasis``.
+oracle for ``HeckeAlgebra.bar`` and the packed c_s recursion in
+``hx.klbasis``.
 
 These are the ``LaurentPoly`` recursions that ``HeckeAlgebra._bar_basis``
 and ``KLBasis.coords`` ran before the packed kernels replaced them,
 unchanged apart from living on a class of their own with their own memos.
-They share no arithmetic with the kernels: bar(T_w) is built from
-``HeckeAlgebra`` generator steps over Laurent coefficients, and c_w by the
-bar-expansion triangular solve over [e, w], which pulls
-sum_{y > x} bar(p_{y,w}) R_{x,y} per x; the kernel builds c_w from
-c_s c_{w'} and never reads a bar(T_y) row.
+bar(T_w) is built here memoized along canonical-word tails, from
+``HeckeAlgebra`` generator steps: (T_s - xi_s) bar(T_{w'}) as T_s times
+it minus xi_s times it, where ``HeckeAlgebra.bar`` makes one pass per
+letter with no memo. c_w comes from the bar-expansion triangular solve
+over [e, w], which pulls sum_{y > x} bar(p_{y,w}) R_{x,y} per x; the
+kernel builds c_w from c_s c_{w'} and never reads a bar(T_y) row.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
-"""The packed-integer bar(T_y) rows and the packed c_s recursion of the KL
-basis against the Laurent oracle in ``kl_oracle``, the digit-width guards,
-and the hard checks of the recursion."""
+"""The packed c_s recursion of the KL basis and the word-product bar(T_w)
+against the Laurent oracle in ``kl_oracle``, the recursion's digit-width
+guard and hard checks, and bar on long affine words."""
 
 import inspect
 import sys
+import tracemalloc
 
 import pytest
 
-import hx.hecke
 import hx.klbasis
 from hx.coxeter import InternalCheckError
 from hx.hecke import HeckeAlgebra, WeightFunction, pack, unpack
@@ -30,7 +30,7 @@ AFFINE_CASES = [
 
 
 def fresh(label, weights=None):
-    """A new algebra, so no memo or width is shared with other tests."""
+    """A new algebra, so no memo is shared with other tests."""
     W = system(label)
     return HeckeAlgebra(W, WeightFunction(W, weights) if weights else None)
 
@@ -75,29 +75,37 @@ def test_tiny_width_widens_and_matches_oracle(monkeypatch, label, weights):
 
     monkeypatch.setattr(hx.klbasis, "unpack", checked)
     H = fresh(label, weights)
-    H._width = 2
     k, oracle = KLBasis(H), LaurentKL(fresh(label, weights))
+    k._width = 2
     elements = system(label).enumerate_elements()
     for w in elements:
         assert k.coords(w) == oracle.coords(w), w
-    # the KL recursion widened on its own: no bar(T_y) row was built
-    assert H._width > 2 and len(H._bar_t) == 1
+    assert k._width > 2
     assert_matches_oracle(H, elements)
 
 
-def test_tiny_width_bar_widens():
-    H, oracle = fresh("~G2", (3, 3, 1)), LaurentKL(fresh("~G2", (3, 3, 1)))
-    H._width = 2
-    for w in system("~G2").enumerate_elements(max_length=4):
-        assert H.bar(H.t(w)).terms == oracle.bar_basis(w), w
-    assert H._width > 2
+def test_long_affine_bar_inverts_t():
+    # bar(T_y) = T_{y^-1}^-1, so T_w bar(T_{w^-1}) = 1; ~A1 at length 200
+    W = system("~A1")
+    H = fresh("~A1")
+    w = W.normal_form((0, 1) * 100)
+    assert H.mul(H.t(w), H.bar(H.t(W.inverse(w)))) == H.one
 
 
-def test_out_of_bound_row_digit_raises(monkeypatch):
-    monkeypatch.setattr(hx.hecke, "row_bound", lambda length: 0)
-    H = fresh("A2")
-    with pytest.raises(InternalCheckError, match="overflowed"):
-        H.bar(H.t(system("A2").generator(0)))
+def test_long_affine_bar_memory():
+    # bar(T_w) has 2 l(w) terms with small coefficients here, so its build
+    # needs only a few copies of it: no memo of its tails, no digits sized
+    # for the worst case
+    W = system("~A1")
+    H = fresh("~A1")
+    w = W.normal_form((0, 1) * 50)
+    tracemalloc.start()
+    try:
+        H.bar(H.t(w))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_long_affine_word_needs_no_recursion():
