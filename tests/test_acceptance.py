@@ -114,6 +114,9 @@ def test_committed_f4_classes_recompute():
     ("afunction_B3", ("kl", "afunction", "--type", "B3")),
     ("afunction_A4", ("kl", "afunction", "--type", "A4")),
     ("jring_B3", ("jring", "table", "--type", "B3")),
+    ("afunction_D4", ("kl", "afunction", "--type", "D4")),
+    ("jring_D4", ("jring", "table", "--type", "D4")),
+    ("afunction_B4", ("kl", "afunction", "--type", "B4")),
 ])
 def test_committed_h_scan_reports_recompute(name, args):
     # made by the per-pair T-basis products; the c-basis recursion must
