@@ -294,11 +294,33 @@ class HeckeAlgebra:
         return terms
 
     def mul(self, h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
+        """h1 h2 from T_w h2 for each w of h1's support, each one generator
+        step from its canonical tail's product: the tails form a tree, walked
+        depth first, so products of a shared tail are made once."""
         if h1.algebra is not self or h2.algebra is not self:
             raise ValueError("operands live in different Hecke algebras")
+        system = self.system
+        e = system.identity
+        built_from: dict[Element, list[Element]] = {}  # tail -> its extensions
+        linked = set()
+        for w in h1.terms:
+            while w.word and w not in linked:
+                linked.add(w)
+                tail = system.left_mul_gen(w.word[0], w)[0]
+                built_from.setdefault(tail, []).append(w)
+                w = tail
         acc: Terms = {}
-        for w, p in h1.terms.items():
-            add_into(acc, self._t_word_mul(w.word, h2.terms), p)
+        # (w, T_w' h2 for the tail w' of w): each product is made when popped
+        stack = [(e, h2.terms)]
+        while stack:
+            w, terms = stack.pop()
+            if w.word:
+                terms = self._lmul_gen(w.word[0], terms)
+            p = h1.terms.get(w)
+            if p is not None:
+                add_into(acc, terms, p)
+            for u in built_from.get(w, ()):
+                stack.append((u, terms))
         return HeckeElement(self, acc)
 
     # -- the bar involution -------------------------------------------------------

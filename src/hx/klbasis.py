@@ -55,22 +55,42 @@ $c_s = T_s + v^{-L(s)}$ that the same theorem gives: for every w,
     c_s c_w = (v^{L(s)} + v^{-L(s)}) c_w                        if sw < w,
     c_s c_w = c_{sw} + sum_{z < w, sz < z} mu^s_{z,w} c_z        if sw > w,
 
-with every $\\mu^s_{z,w}$ bar-invariant. Once per algebra the scan
-computes the action rows $A_s[w]$, the c-coordinates of $c_s c_w$, for
-every s and w, each by one generator step on $c_w$ and ``to_c_basis``, and
-checks that each has exactly this shape. Then, for one y at a time, it
+with every $\\mu^s_{z,w}$ bar-invariant of degree below L(s). Once per
+algebra the scan computes the action rows $A_s[w]$, the c-coordinates of
+$c_s c_w$, for every s and w: one packed step $R = v^{L(s)} c_s P_w$, then
+a packed ``to_c_basis`` that walks $[e, sw]$ downward and subtracts
+$R[z] v^{-L(z)} P_z$, where the R[z] it meets is $\\mu_z v^{L(sw)}$
+exactly. Each row must have the theorem's shape: $R = (v^{2L(s)} + 1) P_w$
+at a descent; at an ascent a $T_{sw}$ coefficient of 1, every other z in
+$[e, w] \\setminus \\{w\\}$ with sz < z and a palindromic $\\mu_z$ of
+degree below L(s), and nothing left over. Then, for one y at a time, it
 walks x in length order with x = s x' (x' the canonical tail):
 
     h_{x,y,.} = sum_u h_{x',y,u} A_s[u] - sum_{z != x} A_s[x'][z] h_{z,y,.},
 
 starting from $h_{e,y,.} = \\{y: 1\\}$; the z of the second sum are
-shorter than x', so their entries are already in the column. That is one
-generator step per (s, w) instead of a T-basis product per pair, and one
-column of entries alive at a time. Every $h_{x,y,z}$ must be
-bar-invariant, and on a seeded sample of pairs the scan must agree with
-``KLBasis.h_constants``, the T-basis product that stays behind
-``hx kl hconst`` (and serves infinite W); a failure of any of these
-checks raises ``InternalCheckError``.
+shorter than x', so their entries are already in the column.
+
+The scan runs on the dense ids of ``CoxeterSystem.dense_tables`` and in
+the digit width B of ``KLBasis``. Each $h_{x,y,z}$ is one int, $h v^D$ at
+$v = 2^B$ with D = L(w_0), which bounds the degree of every h; each row
+coefficient a is one int, $a v^{L(s)}$. A column update is then packed
+multiplies, and one exact shift back by L(s) B per entry: a set bit below
+it is an ``InternalCheckError``. Width guard: with the l1 norms of the
+entries of the tail and of the z subtracted known exactly, the largest row
+norm times their sum bounds the l1 norm of the new entries; when that
+needs B bits, the scan widens B and starts again, and entries above it
+raise. The entries are checked at C speed: at equal parameters, one mask
+finds a negative digit or a degree above D (positivity of the
+$h_{x,y,z}$, Elias-Williamson 2014), the l1 norm is the digit sum, the
+value mod $2^B - 1$, and bar-invariance is one comparison per x of the
+joined ``int.to_bytes`` digits against their reversal; other weights read
+each entry's digits the same way. On a seeded sample of 8 pairs the entries
+must satisfy $c_x c_y = \\sum_z h_{x,y,z} c_z$ in packed T-coordinates,
+$v^{L(w)} T_w P_y$ built along the tail tree of $[e, x]$ by generator
+steps, independently of the action rows. ``h_constants``, the Laurent
+T-basis product, stays behind ``hx kl hconst`` and serves infinite W. A
+failure of any of these checks raises ``InternalCheckError``.
 """
 
 from __future__ import annotations
@@ -78,7 +98,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import repeat
-from typing import Callable, Iterator, NamedTuple, Optional
+from operator import sub
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .coxeter import (CoxeterSystem, Element, InfiniteGroupError,
                       InternalCheckError)
@@ -124,9 +145,17 @@ class KLBasis:
     def coords(self, w: Element) -> Terms:
         """The map y -> p_{y,w} with c_w = sum_y p_{y,w} T_y."""
         hit = self._coords.get(w)
-        if hit is not None:
-            return hit
+        if hit is None:
+            self._packed_row(w)
+            hit = self._coords[w]
+        return hit
+
+    def _packed_row(self, w: Element) -> tuple[dict[Element, int], int]:
+        """(P_w, mass(w)) at the current digit width, built if missing."""
         while True:
+            hit = self._packed.get(w)
+            if hit is not None:
+                return hit
             stack = [self._build(w)]
             try:
                 while stack:
@@ -136,11 +165,13 @@ class KLBasis:
                     else:
                         stack.append(self._build(need))
             except _Overflow:
-                self._width *= 2
-                e = self.system.identity
-                self._packed = {e: ({e: 1}, 1)}
-                continue
-            return self._coords[w]
+                self._widen()
+
+    def _widen(self) -> None:
+        """Double the digit width and drop the packed rows built at the old one."""
+        self._width *= 2
+        e = self.system.identity
+        self._packed = {e: ({e: 1}, 1)}
 
     def _step(self, s: int, row: dict[Element, int]) -> dict[Element, int]:
         """v^{L(s)} c_s times the packed element row, term by term:
@@ -257,14 +288,6 @@ class KLBasis:
         the T-basis product (any W; the oracle of the finite h-scan)."""
         return self.to_c_basis(self.algebra.mul(self.element(x), self.element(y)))
 
-    def gen_product(self, s: int, w: Element) -> Terms:
-        """The c-coordinates of c_s c_w for the generator s (an index):
-        (T_s + v^{-L(s)}) c_w in one generator step, then ``to_c_basis``."""
-        algebra, cw = self.algebra, self.coords(w)
-        low = LaurentPoly.monomial(-algebra.weight.values[s])
-        return self.to_c_basis(HeckeElement(
-            algebra, add_into(algebra._lmul_gen(s, cw), cw, low)))
-
 
 class AFunction(NamedTuple):
     """a(z) = max degree of h_{x,y,z} over all pairs, plus attaining pairs."""
@@ -276,59 +299,326 @@ class AFunction(NamedTuple):
         return self.values[z]
 
 
-def _action_rows(kl: KLBasis) -> list[dict[Element, Terms]]:
-    """rows[s][w] = kl.gen_product(s, w) for every generator s and every w
-    of a finite W, each checked against the shape Thm 6.6 gives it."""
+def _thm66(s: int, w: Element, what: str) -> InternalCheckError:
+    return InternalCheckError(
+        f"c_s c_w at s={s}, w={w!r} is not of the shape of Lusztig's Thm 6.6: "
+        f"{what}")
+
+
+def _packed_action_rows(kl: KLBasis) -> tuple[list[list[dict[int, int]]], list[int]]:
+    """rows[s][u] maps z to the coefficient of c_z in c_s c_u times v^{L(s)},
+    at v = 2^B, for every generator s and every u of a finite W (dense ids);
+    also, per s, the largest l1 norm of a row, its coefficients summed.
+
+    Each row is R = v^{L(s)} c_s P_u from one packed step, split into packed
+    P_z by a walk down [e, su]; it must have the shape of Thm 6.6."""
     system = kl.system
-    elements = system.enumerate_elements()
-    rows = []
-    for s, L in enumerate(kl.algebra.weight.values):
-        twice = LaurentPoly.monomial(L) + LaurentPoly.monomial(-L)
-        row: dict[Element, Terms] = {}
-        for w in elements:
-            a = row[w] = kl.gen_product(s, w)
-            sw, sign = system.left_mul_gen(s, w)
-            if sign < 0:
-                ok = a == {w: twice}
-            else:
-                below = set(system.bruhat_interval_below(w))
-                ok = a.get(sw) == ONE and all(
-                    z == sw or (z in below and z != w and m.bar() == m
-                                and system.left_mul_gen(s, z)[1] < 0)
-                    for z, m in a.items())
-            if not ok:
-                raise InternalCheckError(
-                    f"c_s c_w at s={s}, w={w!r} is not of the shape of "
-                    f"Lusztig's Thm 6.6: {a}")
+    dense = system.dense_tables()
+    elements, index = dense.elements, dense.index
+    weight = kl.algebra.weight
+    while True:  # every P_u at one width
+        width = kl._width
+        for u in elements:
+            kl._packed_row(u)
+        if kl._width == width:
+            break
+    packed, limit = kl._packed, 1 << (width - 1)
+    rows, norms = [], []
+    for s, L in enumerate(weight.values):
+        up = width * L
+        twice = (1 << 2 * up) + 1  # (v^L + v^-L) v^L
+        left = dense.left[s]
+        row: list[dict[int, int]] = []
+        norm = 2
+        for k, u in enumerate(elements):
+            P, mass = packed[u]
+            R = kl._step(s, P)
+            j = left[k]
+            if j < 0:  # c_s c_u = (v^L + v^-L) c_u
+                if R != {y: twice * p for y, p in P.items()}:
+                    raise _thm66(s, u, "not (v^L + v^-L) c_w at a descent")
+                row.append({k: twice})
+                continue
+            su = elements[j]
+            top = weight(su)
+            if R.pop(su, 0) != 1 << width * top:
+                raise _thm66(s, u, "the T_sw coefficient is not 1")
+            Psu, su_mass = packed[su]
+            for y, p in Psu.items():
+                if y is not su:
+                    R[y] = R.get(y, 0) - p
+            # on every digit of R, raised by each mu_z P_z subtracted
+            bound = 2 * mass + su_mass
+            entry = {j: 1 << up}
+            size = 1  # the l1 norm of the row
+            below: Optional[set[Element]] = None
+            for z in reversed(system.bruhat_interval_below(su)[:-1]):
+                r = R.pop(z, 0)
+                if not r:
+                    continue
+                # r = mu_z v^{L(su)}, mu_z bar-invariant of degree below L
+                if bound >= limit:
+                    raise _Overflow
+                digits = unpack(r, width, bound)
+                mu = digits[top - L + 1:]
+                mu += [0] * (2 * L - 1 - len(mu))
+                if below is None:
+                    below = set(system.bruhat_interval_below(u))
+                if (len(mu) != 2 * L - 1 or mu != mu[::-1]
+                        or any(digits[:top - L + 1]) or z is u
+                        or z not in below or left[index[z]] >= 0):
+                    raise _thm66(s, u, f"mu = {digits} v^-{top} at z={z!r}")
+                entry[index[z]] = r >> width * weight(u)
+                m = sum(map(abs, mu))
+                size += m
+                Pz, zmass = packed[z]
+                r >>= width * weight(z)  # mu_z v^{L(su)} c_z = r P_z
+                for y, q in Pz.items():
+                    if y is not z:
+                        R[y] = R.get(y, 0) - r * q
+                bound += m * zmass
+            if any(R.values()):
+                raise _thm66(s, u, "terms are left over")
+            row.append(entry)
+            norm = max(norm, size)
         rows.append(row)
-    return rows
+        norms.append(norm)
+    return rows, norms
 
 
-def _h_columns(kl: KLBasis) -> Iterator[tuple[Element, dict[Element, Terms]]]:
-    """(y, x -> (z -> h_{x,y,z})) for each y of a finite W in length order,
-    one column at a time, by the recursion on x = s x' in the module
-    docstring: c_x = c_s c_x' - sum_{z != x} A_s[x'][z] c_z, and each such
-    z is shorter than x', so its entry is already in the column."""
-    system = kl.system
-    elements = system.enumerate_elements()
-    rows = _action_rows(kl)
-    tails = [(x.word[0], system.left_mul_gen(x.word[0], x)[0])
-             for x in elements[1:]]
-    for y in elements:
-        column = {elements[0]: {y: ONE}}
-        for x, (s, tail) in zip(elements[1:], tails):
+def _typecode(width: int) -> Optional[str]:
+    """The ``array`` typecode of unsigned width-bit ints, if there is one."""
+    from array import array  # here: no other command needs it
+
+    return next((c for c in "BHIQ" if array(c).itemsize * 8 == width), None)
+
+
+def _digit_reader(width: int, count: int) -> Callable[[int], Sequence[int]]:
+    """A map from an int to its signed base-2^width digits at positions 0 to
+    count - 1, each plus 2^(width - 1), which makes them all >= 0.
+
+    An int with a digit beyond those positions raises OverflowError. With
+    an array typecode for the width this runs at C speed, by
+    ``int.to_bytes``; other widths are read digit by digit."""
+    bias = pack([1 << (width - 1)] * count, width)
+    code = _typecode(width)
+    if code is not None:
+        from array import array
+
+        size = width // 8 * count
+
+        def read(h: int) -> Sequence[int]:
+            return array(code, (h + bias).to_bytes(size, "little"))
+        return read
+    mask = (1 << width) - 1
+
+    def read_slowly(h: int) -> Sequence[int]:
+        h += bias
+        if h < 0 or h >> width * count:
+            raise OverflowError
+        return [h >> width * k & mask for k in range(count)]
+    return read_slowly
+
+
+def _palindrome_test(width: int) -> Callable[[list[bytes]], bool]:
+    """A test of whether each block, little-endian base-2^width digits,
+    reads the same reversed digit by digit. With an array typecode for the
+    width it runs at C speed over all blocks at once: the digits of the
+    joined blocks, reversed, are the reversed blocks joined, each reversed."""
+    code = _typecode(width)
+    if code is not None:
+        from array import array
+
+        def mirrored(blocks: list[bytes]) -> bool:
+            digits = array(code, b"".join(blocks))
+            digits.reverse()
+            return digits.tobytes() == b"".join(reversed(blocks))
+        return mirrored
+    step = width // 8
+
+    def mirrored_slowly(blocks: list[bytes]) -> bool:
+        return all(d == d[::-1] for d in (
+            [block[k:k + step] for k in range(0, len(block), step)]
+            for block in blocks))
+    return mirrored_slowly
+
+
+def _packed_columns(kl: KLBasis, rows: list[list[dict[int, int]]],
+                    norms: list[int]) -> Iterator[tuple[int, list[dict[int, int]]]]:
+    """(y, column) for each y of a finite W in dense-id order, where
+    column[x] maps z to h_{x,y,z} v^D at v = 2^B, with D = L(w0).
+
+    One column at a time, by the recursion on x = s x' in the module
+    docstring. Each new entry is shifted back by L(s) B exactly, and must
+    be bar-invariant, of degree at most D, positive at equal parameters,
+    and within the digit bound. The bound on the l1 norm of the entries of
+    one x comes from the l1 norms of the entries they are built from; when
+    it stops fitting the width, _Overflow."""
+    dense = kl.system.dense_tables()
+    elements, first, tail = dense.elements, dense.first, dense.tail
+    weight = kl.algebra.weight
+    equal = weight.is_equal_parameters
+    width = kl._width
+    if width % 8:
+        raise _Overflow  # the checks read whole bytes
+    offset = weight(kl.system.longest_element())
+    count = 2 * offset + 1
+    size = width // 8 * count
+    read = _digit_reader(width, count)
+    mirrored = _palindrome_test(width)
+    half = 1 << (width - 1)
+    # set in a nonnegative h iff a digit is >= 2^(B-1) or beyond position 2D
+    outside = pack([half] * count, width) | -1 << width * count
+    # at equal parameters the l1 norm is the digit sum, the value mod 2^B - 1
+    modulus = (1 << width) - 1
+
+    def fault(x: int, y: int, z: int, what: str) -> InternalCheckError:
+        return InternalCheckError(
+            f"h_(x,y,z) at x={elements[x]!r}, y={elements[y]!r}, "
+            f"z={elements[z]!r} {what}")
+
+    for y in range(len(elements)):
+        column = [{y: 1 << width * offset}]
+        masses = [1]  # the l1 norm of the entries of each x
+        for x in range(1, len(elements)):
+            s, t = first[x], tail[x]
             act = rows[s]
-            acc: Terms = {}
-            for u, h in column[tail].items():
-                add_into(acc, act[u], h)
-            for z, m in act[tail].items():
+            acc: dict[int, int] = {}
+            get = acc.get
+            for u, h in column[t].items():
+                for z, a in act[u].items():
+                    acc[z] = get(z, 0) + h * a
+            bound = masses[t]
+            for z, a in act[t].items():
                 if z != x:
-                    add_into(acc, column[z], -m)
-            column[x] = acc
+                    bound += masses[z]
+                    for w, h in column[z].items():
+                        acc[w] = get(w, 0) - a * h
+            bound *= norms[s]  # on the l1 norm of the new entries
+            if bound >= half:
+                raise _Overflow
+            shift = width * weight.values[s]
+            low = (1 << shift) - 1
+            entry: dict[int, int] = {}
+            for z, r in acc.items():
+                if r:
+                    if r & low:
+                        raise fault(x, y, z, f"times v^{offset} is not a "
+                                    f"polynomial: inexact shift")
+                    entry[z] = r >> shift
+            mass = 0
+            for z, h in entry.items():
+                if equal and not h & outside:
+                    continue
+                try:
+                    digits = read(h)
+                except OverflowError:
+                    raise fault(x, y, z, f"has degree above L(w0) = "
+                                f"{offset}") from None
+                if equal:
+                    raise fault(x, y, z, "has a negative coefficient: "
+                                "positivity fails")
+                if digits != digits[::-1]:
+                    raise fault(x, y, z, "is not bar-invariant")
+                mass += sum(map(abs, map(sub, digits, repeat(half))))
+            if equal:
+                mass = sum(entry.values()) % modulus
+            if mass > bound:
+                raise InternalCheckError(
+                    f"the l1 norm {mass} of c_x c_y at x={elements[x]!r}, "
+                    f"y={elements[y]!r} exceeds its proven bound {bound}: "
+                    f"digit width {width} overflowed")
+            if equal and not mirrored([h.to_bytes(size, "little")
+                                       for h in entry.values()]):
+                z = next(z for z, h in entry.items()
+                         if not mirrored([h.to_bytes(size, "little")]))
+                raise fault(x, y, z, "is not bar-invariant")
+            column.append(entry)
+            masses.append(mass)
         yield y, column
 
 
-# pairs per scan whose column entries are recomputed by ``h_constants``
+def _t_step(left: tuple[int, ...], terms: dict[int, int], up: int) -> dict[int, int]:
+    """v^{L(s)} T_s times a packed T-basis element (dense ids), with left the
+    generator's row of the left action table and up = L(s) B:
+    v^L T_{su} + (v^{2L} - 1) T_u at a descent, v^L T_{su} otherwise."""
+    out: dict[int, int] = {}
+    get = out.get
+    for u, p in terms.items():
+        j = left[u]
+        if j >= 0:
+            out[j] = get(j, 0) + (p << up)
+        else:
+            j = ~j
+            out[j] = get(j, 0) + (p << up)
+            out[u] = get(u, 0) + (p << 2 * up) - p
+    return out
+
+
+def _check_pair(kl: KLBasis, x: int, y: int, hs: dict[int, int]) -> None:
+    """c_x c_y = sum_z h_{x,y,z} c_z, in packed T-coordinates (dense ids).
+
+    Left: sum_w v^{L(x)-L(w)} p_{w,x} (v^{L(w)} T_w P_y), each
+    v^{L(w)} T_w P_y one v^{L(s)} T_s step from its canonical tail's, walked
+    depth first over the tail tree of [e, x]; times v^D. Right: sum_z
+    h_{x,y,z} v^D P_z v^{L(x)+L(y)-L(z)}. Both sides are exact values at
+    v = 2^B, so equal ints are equal polynomials while every coefficient of
+    either side stays below 2^(B-1). The c_z are a basis, so this is the
+    identity that defines the h_{x,y,z}, and it does not use the action
+    rows."""
+    system, width = kl.system, kl._width
+    dense = system.dense_tables()
+    elements, index, first, tail = dense.elements, dense.index, dense.first, dense.tail
+    weight = kl.algebra.weight
+    packed = kl._packed
+    ex, ey = elements[x], elements[y]
+    offset = weight(system.longest_element())
+    below: dict[int, list[int]] = {}
+    for w in system.bruhat_interval_below(ex)[1:]:
+        below.setdefault(tail[index[w]], []).append(index[w])
+    px = packed[ex][0]
+    lhs: dict[int, int] = {}
+    # (w, v^{L(w')} T_w' P_y for the tail w' of w): each product is made
+    # when popped, so only those on the path to the root stay alive
+    stack = [(0, {index[u]: p for u, p in packed[ey][0].items()})]
+    while stack:
+        w, terms = stack.pop()
+        if w:
+            s = first[w]
+            terms = _t_step(dense.left[s], terms, width * weight.values[s])
+        ew = elements[w]
+        p = px.get(ew)
+        if p:
+            shift = width * weight(ew)
+            if p & ((1 << shift) - 1):
+                raise InternalCheckError(
+                    f"v^L(w) does not divide P_x[w] at x={ex!r}, w={ew!r}: "
+                    f"inexact shift")
+            p >>= shift
+            for u, q in terms.items():
+                lhs[u] = lhs.get(u, 0) + p * q
+        for c in below.get(w, ()):
+            stack.append((c, terms))
+    rhs: dict[int, int] = {}
+    for z, h in hs.items():
+        ez = elements[z]
+        shift = weight(ex) + weight(ey) - weight(ez)
+        if shift < 0:
+            raise InternalCheckError(
+                f"c_{ez!r} is longer than c_x c_y allows at x={ex!r}, y={ey!r}")
+        h <<= width * shift
+        for u, q in packed[ez][0].items():
+            k = index[u]
+            rhs[k] = rhs.get(k, 0) + h * q
+    shift = width * offset
+    if ({u: q << shift for u, q in lhs.items() if q}
+            != {u: q for u, q in rhs.items() if q}):
+        raise InternalCheckError(
+            f"the h-scan disagrees with h_constants at x={ex!r}, y={ey!r}: "
+            f"c_x c_y is not sum_z h_(x,y,z) c_z in the T-basis")
+
+
+# pairs per scan whose column entries are checked against the T-basis product
 CROSS_CHECK_PAIRS = 8
 
 
@@ -339,47 +629,63 @@ def _h_scan(kl: KLBasis, progress: Optional[Callable[[int, int], None]]
     For each z it keeps the largest degree of h_{x,y,z}, and the leading
     coefficients of every pair that attains it; those coefficients are
     the J table, and the witness is the first such pair in x-major
-    order. h_{e,z,z} = 1 puts every z in the table with a(z) >= 0.
-    Every h_{x,y,z} must be bar-invariant, and on a seeded sample of
-    CROSS_CHECK_PAIRS pairs equal to ``h_constants``."""
-    elements = kl.system.enumerate_elements()
+    order. h_{e,z,z} = 1 puts every z in the table with a(z) >= 0. On a
+    seeded sample of CROSS_CHECK_PAIRS pairs the column entries must
+    satisfy the T-basis identity of ``_check_pair``. When a digit bound
+    outgrows the width, the scan widens it and starts again."""
+    while True:
+        try:
+            return _scan_once(kl, progress)
+        except _Overflow:
+            kl._widen()
+
+
+def _scan_once(kl: KLBasis, progress: Optional[Callable[[int, int], None]]
+               ) -> tuple[AFunction, dict[tuple[Element, Element], dict[Element, int]]]:
+    elements = kl.system.dense_tables().elements
     n = len(elements)
-    # pair (x, y) is number x_index * n + y_index
-    sample = set(random.Random(0).sample(range(n * n), min(CROSS_CHECK_PAIRS, n * n)))
-    values: dict[Element, int] = {}
-    # z -> [(x index, y index, leading coefficient)] for the pairs at a(z)
-    leading: dict[Element, list[tuple[int, int, int]]] = {}
-    for yi, (y, column) in enumerate(_h_columns(kl)):
-        for xi, x in enumerate(elements):
-            hs = column[x]
+    rows, norms = _packed_action_rows(kl)
+    width = kl._width
+    offset = kl.algebra.weight(kl.system.longest_element())
+    # pair (x, y) is number x * n + y
+    sample: dict[int, list[int]] = {}
+    for pair in sorted(random.Random(0).sample(range(n * n),
+                                               min(CROSS_CHECK_PAIRS, n * n))):
+        sample.setdefault(pair % n, []).append(pair // n)
+    top = [0] * n  # the top digit of the entries of h_{.,.,z} at v = 2^B
+    # an int h, digits below 2^(B-1), has its top digit at k or above iff
+    # |h| > 2^(Bk-1); floor[z] is that bound for k = top[z]
+    floor = [0] * n
+    # z -> [(x, y, leading coefficient)] for the pairs at a(z)
+    leading: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for y, column in _packed_columns(kl, rows, norms):
+        for x, hs in enumerate(column):
             for z, h in hs.items():
-                if h.bar() != h:
-                    raise InternalCheckError(
-                        f"h_(x,y,z) is not bar-invariant at x={x!r}, y={y!r}, "
-                        f"z={z!r}: {h}")
-                d = h.degree
-                best = values.get(z)
-                if best is None or d > best:
-                    values[z] = best = d
-                    leading[z] = []
-                if d == best:
-                    leading[z].append((xi, yi, h.coeffs[-1]))
-            if xi * n + yi in sample and hs != kl.h_constants(x, y):
-                raise InternalCheckError(
-                    f"the h-scan disagrees with h_constants at x={x!r}, y={y!r}")
+                if abs(h) > floor[z]:
+                    k = abs(h).bit_length() // width
+                    if k > top[z]:
+                        top[z] = k
+                        floor[z] = 1 << width * k >> 1
+                        leading[z] = []
+                    shift = width * k
+                    leading[z].append(
+                        (x, y, (h + (1 << shift >> 1)) >> shift))
+        for x in sample.get(y, ()):
+            _check_pair(kl, x, y, column[x])
         if progress is not None:
-            progress((yi + 1) * n, n * n)
-    index = {z: k for k, z in enumerate(elements)}
-    witnesses = {z: tuple(elements[k] for k in min(leading[z])[:2])
-                 for z in elements}
+            progress((y + 1) * n, n * n)
+    witnesses = {}
+    for z, entries in enumerate(leading):
+        x, y, _ = min(entries)
+        witnesses[elements[z]] = (elements[x], elements[y])
     # rows in x-major pair order, each z-map in descending z, as h_constants
     # lists it
     table: dict[tuple[Element, Element], dict[Element, int]] = {}
-    for xi, yi, minus_zi, g in sorted((xi, yi, -index[z], g)
-                                      for z, entries in leading.items()
-                                      for xi, yi, g in entries):
-        table.setdefault((elements[xi], elements[yi]), {})[elements[-minus_zi]] = g
-    afn = AFunction(values={z: values[z] for z in elements}, witnesses=witnesses)
+    for x, y, minus_z, g in sorted((x, y, -z, g) for z, entries in enumerate(leading)
+                                   for x, y, g in entries):
+        table.setdefault((elements[x], elements[y]), {})[elements[-minus_z]] = g
+    afn = AFunction(values={elements[z]: top[z] - offset for z in range(n)},
+                    witnesses=witnesses)
     return afn, table
 
 
@@ -456,7 +762,9 @@ def j_associativity_check(ring: JRing, *, exhaustive_limit: int = 400,
     """Associativity check on basis triples.
 
     Exhaustive for |W| <= exhaustive_limit (or when forced); otherwise a
-    deterministic seeded sample of sample_size triples."""
+    deterministic seeded sample of sample_size triples. A triple with
+    t_x t_y = 0 and t_y t_z = 0 counts as checked without a product: both
+    sides are zero."""
     elements = ring.elements
     n = len(elements)
     total = n ** 3
@@ -475,10 +783,14 @@ def j_associativity_check(ring: JRing, *, exhaustive_limit: int = 400,
                        elements[rng.randrange(n)])
 
     checked = 0
+    table = ring.table
     for x, y, z in triples():
         checked += 1
-        left = ring.product(ring.table.get((x, y), {}), {z: 1})
-        right = ring.product({x: 1}, ring.table.get((y, z), {}))
+        xy, yz = table.get((x, y)), table.get((y, z))
+        if not (xy or yz):
+            continue  # t_x t_y = 0 = t_y t_z: both sides are zero
+        left = ring.product(xy or {}, {z: 1})
+        right = ring.product({x: 1}, yz or {})
         if left != right:
             return JAssociativityReport(
                 passed=False, triples_checked=checked, triples_total=total,

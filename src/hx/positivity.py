@@ -64,7 +64,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from contextlib import nullcontext
-from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
 
 from .coxeter import (ConjugacyClass, CoxeterSystem, Element,
@@ -248,8 +247,17 @@ def class_report(algebra: HeckeAlgebra, cls: ConjugacyClass, class_id: int,
     )
 
 
-def _pool_job(algebra: HeckeAlgebra, max_cmin: Optional[int],
-              class_id: int) -> dict:
+# (algebra, max_cmin) of a pool worker, set once by _pool_init
+_worker_args: Optional[tuple[HeckeAlgebra, Optional[int]]] = None
+
+
+def _pool_init(algebra: HeckeAlgebra, max_cmin: Optional[int]) -> None:
+    global _worker_args
+    _worker_args = (algebra, max_cmin)
+
+
+def _pool_job(class_id: int) -> dict:
+    algebra, max_cmin = _worker_args
     cls = algebra.system.conjugacy_classes()[class_id]
     return class_report(algebra, cls, class_id,
                         max_cmin=max_cmin).to_jsonable()
@@ -279,9 +287,10 @@ def classify_positive(source: Union[CoxeterSystem, HeckeAlgebra], *,
     """One TraceReport per conjugacy class, in the deterministic class order.
 
     jobs > 1 distributes whole classes over a process pool, started by fork
-    where the platform offers it and by spawn elsewhere, each task carrying
-    the algebra and options as its arguments and returning its report as
-    JSON; results come back in class order, so the output is
+    where the platform offers it and by spawn elsewhere. Each worker gets
+    the algebra and options once, through the pool initializer, and keeps
+    its memos across classes; a task carries a class number and returns
+    its report as JSON. Results come back in class order, so the output is
     schedule-independent. Without a pool the reports are built in place.
     Either way, progress(i + 1, total) is called as each class arrives."""
     algebra = source if isinstance(source, HeckeAlgebra) else HeckeAlgebra(source)
@@ -296,7 +305,8 @@ def classify_positive(source: Union[CoxeterSystem, HeckeAlgebra], *,
         method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
                   else "spawn")
         try:
-            pool = multiprocessing.get_context(method).Pool(min(jobs, total))
+            pool = multiprocessing.get_context(method).Pool(
+                min(jobs, total), _pool_init, (algebra, max_cmin))
         except OSError:
             pass  # no pool on this host (no shared semaphores): the serial loop
     with pool or nullcontext():
@@ -305,8 +315,7 @@ def classify_positive(source: Union[CoxeterSystem, HeckeAlgebra], *,
                        for i, cls in enumerate(classes))
         else:
             # chunksize 1: class costs are very uneven
-            payloads = pool.imap(partial(_pool_job, algebra, max_cmin),
-                                 range(total), chunksize=1)
+            payloads = pool.imap(_pool_job, range(total), chunksize=1)
             results = (_report_from_jsonable(system, p) for p in payloads)
         reports = []
         for i, report in enumerate(results):

@@ -11,13 +11,22 @@ it minus xi_s times it, where ``HeckeAlgebra.bar`` makes one pass per
 letter with no memo. c_w comes from the bar-expansion triangular solve
 over [e, w], which pulls sum_{y > x} bar(p_{y,w}) R_{x,y} per x; the
 kernel builds c_w from c_s c_{w'} and never reads a bar(T_y) row.
+
+``gen_product``, ``_action_rows`` and ``_h_columns`` are the Laurent h-scan
+that ``hx.klbasis`` ran before the packed dense-id scan replaced it, moved
+here unchanged (``gen_product`` was a ``KLBasis`` method): the c-coordinates
+of c_s c_w by one generator step and ``to_c_basis``, and the column
+recursion on x = s x' over ``Element``-keyed dicts of ``LaurentPoly``.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from hx.coxeter import Element, InternalCheckError
-from hx.hecke import HeckeAlgebra, Terms, add_into
-from hx.laurent import ONE, ZERO
+from hx.hecke import HeckeAlgebra, HeckeElement, Terms, add_into
+from hx.klbasis import KLBasis
+from hx.laurent import ONE, ZERO, LaurentPoly
 
 
 class LaurentKL:
@@ -73,3 +82,64 @@ class LaurentKL:
                     pbar[x] = px.bar()
         self._coords[w] = p
         return p
+
+
+def gen_product(kl: KLBasis, s: int, w: Element) -> Terms:
+    """The c-coordinates of c_s c_w for the generator s (an index):
+    (T_s + v^{-L(s)}) c_w in one generator step, then ``to_c_basis``."""
+    algebra, cw = kl.algebra, kl.coords(w)
+    low = LaurentPoly.monomial(-algebra.weight.values[s])
+    return kl.to_c_basis(HeckeElement(
+        algebra, add_into(algebra._lmul_gen(s, cw), cw, low)))
+
+
+def _action_rows(kl: KLBasis) -> list[dict[Element, Terms]]:
+    """rows[s][w] = gen_product(kl, s, w) for every generator s and every w
+    of a finite W, each checked against the shape Thm 6.6 gives it."""
+    system = kl.system
+    elements = system.enumerate_elements()
+    rows = []
+    for s, L in enumerate(kl.algebra.weight.values):
+        twice = LaurentPoly.monomial(L) + LaurentPoly.monomial(-L)
+        row: dict[Element, Terms] = {}
+        for w in elements:
+            a = row[w] = gen_product(kl, s, w)
+            sw, sign = system.left_mul_gen(s, w)
+            if sign < 0:
+                ok = a == {w: twice}
+            else:
+                below = set(system.bruhat_interval_below(w))
+                ok = a.get(sw) == ONE and all(
+                    z == sw or (z in below and z != w and m.bar() == m
+                                and system.left_mul_gen(s, z)[1] < 0)
+                    for z, m in a.items())
+            if not ok:
+                raise InternalCheckError(
+                    f"c_s c_w at s={s}, w={w!r} is not of the shape of "
+                    f"Lusztig's Thm 6.6: {a}")
+        rows.append(row)
+    return rows
+
+
+def _h_columns(kl: KLBasis) -> Iterator[tuple[Element, dict[Element, Terms]]]:
+    """(y, x -> (z -> h_{x,y,z})) for each y of a finite W in length order,
+    one column at a time, by the recursion on x = s x' in the module
+    docstring: c_x = c_s c_x' - sum_{z != x} A_s[x'][z] c_z, and each such
+    z is shorter than x', so its entry is already in the column."""
+    system = kl.system
+    elements = system.enumerate_elements()
+    rows = _action_rows(kl)
+    tails = [(x.word[0], system.left_mul_gen(x.word[0], x)[0])
+             for x in elements[1:]]
+    for y in elements:
+        column = {elements[0]: {y: ONE}}
+        for x, (s, tail) in zip(elements[1:], tails):
+            act = rows[s]
+            acc: Terms = {}
+            for u, h in column[tail].items():
+                add_into(acc, act[u], h)
+            for z, m in act[tail].items():
+                if z != x:
+                    add_into(acc, column[z], -m)
+            column[x] = acc
+        yield y, column

@@ -232,47 +232,89 @@ def test_internal_invariant_violation_exits_3(monkeypatch):
 @pytest.mark.parametrize("at_descent", [True, False])
 def test_action_row_off_the_theorem_exits_3(monkeypatch, at_descent):
     from hx.klbasis import KLBasis
-    from hx.laurent import ONE
 
-    real = KLBasis.gen_product
+    real = KLBasis._step
 
-    def skewed(self, s, w):
-        row = dict(real(self, s, w))
-        if (self.system.left_mul_gen(s, w)[1] < 0) == at_descent:
-            row[w] = row.get(w, 0) + ONE
-        return row
+    def skewed(self, s, row):
+        # add 1 at T_u to v^L(s) c_s P_u, at a descent of u, or at an ascent
+        # whose s is not the first letter of su; the KL build steps only
+        # from the canonical tail of su, so these steps are the scan's alone
+        out = real(self, s, row)
+        u = max(row, key=lambda el: el.sort_key)
+        su, sign = self.system.left_mul_gen(s, u)
+        if (sign < 0) == at_descent and (sign < 0 or su.word[0] != s):
+            out[u] = out.get(u, 0) + 1
+        return out
 
-    monkeypatch.setattr(KLBasis, "gen_product", skewed)
+    monkeypatch.setattr(KLBasis, "_step", skewed)
     code, out, err = run_cli("kl", "afunction", "--type", "A2")
     assert code == 3 and "Thm 6.6" in err and "Traceback" not in err and not out
 
 
-def _skew_h_scan(monkeypatch, shift):
-    """Add shift to every h_{x,y,z} the scan sees."""
+def _skew_action_rows(monkeypatch, change, norms=lambda n: n):
+    """Replace every packed action-row coefficient a by change(a, width),
+    and each row-norm bound n by norms(n)."""
     from hx import klbasis
 
-    real = klbasis._h_columns
+    real = klbasis._packed_action_rows
 
     def skewed(kl):
-        for y, column in real(kl):
-            yield y, {x: {z: h + shift for z, h in hs.items()}
-                      for x, hs in column.items()}
+        rows, bounds = real(kl)
+        return ([[{z: change(a, kl._width) for z, a in row.items()} for row in by_s]
+                 for by_s in rows], [norms(n) for n in bounds])
 
-    monkeypatch.setattr(klbasis, "_h_columns", skewed)
+    monkeypatch.setattr(klbasis, "_packed_action_rows", skewed)
 
 
 def test_h_value_not_bar_invariant_exits_3(monkeypatch):
-    from hx.laurent import V
-
-    _skew_h_scan(monkeypatch, V)
+    # a -> (1 + v) a: the rows, and so the h_{x,y,z}, lose bar-invariance
+    _skew_action_rows(monkeypatch, lambda a, width: a + (a << width),
+                      lambda n: 2 * n)
     code, out, err = run_cli("jring", "table", "--type", "A2")
     assert code == 3 and "bar-invariant" in err and "Traceback" not in err and not out
 
 
-def test_h_scan_off_h_constants_exits_3(monkeypatch):
-    from hx.laurent import LaurentPoly, V
+def test_h_value_negative_exits_3(monkeypatch):
+    # a -> -a keeps bar-invariance and breaks positivity at equal parameters
+    _skew_action_rows(monkeypatch, lambda a, width: -a)
+    code, out, err = run_cli("kl", "afunction", "--type", "A2")
+    assert code == 3 and "positivity" in err and "Traceback" not in err and not out
 
-    _skew_h_scan(monkeypatch, V + LaurentPoly.monomial(-1))  # bar-invariant
+
+def test_h_scan_l1_beyond_its_bound_exits_3(monkeypatch):
+    # a row-norm bound of 1 is below the norm 2 of v^L + v^-L at a descent,
+    # so c_s c_y there has l1 norm 2 against a bound of 1
+    _skew_action_rows(monkeypatch, lambda a, width: a, lambda n: 1)
+    code, out, err = run_cli("kl", "afunction", "--type", "A2")
+    assert code == 3 and "proven bound" in err and "Traceback" not in err and not out
+
+
+def test_h_scan_inexact_shift_exits_3(monkeypatch):
+    # an offset D one below L(w0) leaves h_{w0,w0,w0} v^D with a v^-1 term
+    from hx.coxeter import CoxeterSystem
+
+    real = CoxeterSystem.longest_element
+    monkeypatch.setattr(CoxeterSystem, "longest_element",
+                        lambda self: self.left_mul_gen(0, real(self))[0])
+    code, out, err = run_cli("kl", "afunction", "--type", "A2")
+    assert code == 3 and "inexact shift" in err and "Traceback" not in err and not out
+
+
+def test_h_scan_off_h_constants_exits_3(monkeypatch):
+    # add v + v^-1, bar-invariant and positive, to every h_{x,y,z} the
+    # checks have passed: only the T-basis cross-check can see it
+    from hx import klbasis
+
+    real = klbasis._packed_columns
+
+    def skewed(kl, rows, norms):
+        width = kl._width
+        offset = kl.algebra.weight(kl.system.longest_element())
+        shift = (1 << width * (offset + 1)) + (1 << width * (offset - 1))
+        for y, column in real(kl, rows, norms):
+            yield y, [{z: h + shift for z, h in hs.items()} for hs in column]
+
+    monkeypatch.setattr(klbasis, "_packed_columns", skewed)
     code, out, err = run_cli("kl", "afunction", "--type", "A2")
     assert code == 3 and "h_constants" in err and "Traceback" not in err and not out
 

@@ -1,8 +1,10 @@
 """The packed c_s recursion of the KL basis and the word-product bar(T_w)
 against the Laurent oracle in ``kl_oracle``, the recursion's digit-width
-guard and hard checks, and bar on long affine words."""
+guard and hard checks, and bar on long affine words; the packed dense-id
+h-scan against the Laurent column recursion there, and its width guard."""
 
 import inspect
+import random
 import sys
 import tracemalloc
 
@@ -11,9 +13,10 @@ import pytest
 import hx.klbasis
 from hx.coxeter import InternalCheckError
 from hx.hecke import HeckeAlgebra, WeightFunction, pack, unpack
-from hx.klbasis import KLBasis
+from hx.klbasis import (KLBasis, _digit_reader, _h_scan, _packed_action_rows,
+                        _packed_columns, _palindrome_test)
 from hx.laurent import LaurentPoly
-from kl_oracle import LaurentKL
+from kl_oracle import LaurentKL, _h_columns
 from support import run_cli, system
 
 FINITE_CASES = [
@@ -172,3 +175,80 @@ def test_kernel_check_violation_exits_3(monkeypatch, case):
         KLBasis(fresh("A2")).coords(W.normal_form(target))
     code, out, err = run_cli("kl", "basis", "--type", "A2")
     assert code == 3 and message in err and not out
+
+
+def laurent_columns(kl):
+    """The packed scan's columns, each (y, x -> (z -> h_{x,y,z})) over
+    elements and Laurent polynomials, as the oracle's ``_h_columns`` gives
+    them."""
+    elements = kl.system.dense_tables().elements
+    offset = kl.algebra.weight(kl.system.longest_element())
+    rows, norms = _packed_action_rows(kl)
+    width = kl._width
+    for y, column in _packed_columns(kl, rows, norms):
+        yield elements[y], {
+            elements[x]: {elements[z]: LaurentPoly(-offset,
+                                                   unpack(h, width, 1 << width))
+                          for z, h in hs.items()}
+            for x, hs in enumerate(column)}
+
+
+SCAN_CASES = [
+    ("A1", None), ("A2", None), ("A3", None), ("A4", None), ("D4", None),
+    ("B2", None), ("B3", None), ("B3", (1, 1, 2)), ("B3", (2, 2, 1)),
+    ("G2", (2, 1)),
+]
+
+
+@pytest.mark.parametrize("label,weights", SCAN_CASES)
+def test_packed_scan_matches_oracle(label, weights):
+    packed = laurent_columns(KLBasis(fresh(label, weights)))
+    oracle = _h_columns(KLBasis(fresh(label, weights)))
+    columns = 0
+    for (y, column), (oy, ocolumn) in zip(packed, oracle, strict=True):
+        assert y == oy and column == ocolumn, y
+        columns += 1
+    assert columns == system(label).order()
+
+
+def test_tiny_scan_width_widens_and_matches_oracle():
+    # G2 at weights 2,1 is a case whose KL rows fit 8-bit digits and whose
+    # h_{x,y,z} do not
+    k = KLBasis(fresh("G2", (2, 1)))
+    k._width = 8
+    for w in system("G2").enumerate_elements():
+        k._packed_row(w)
+    assert k._width == 8
+    scanned = _h_scan(k, None)
+    assert k._width > 8
+    assert scanned == _h_scan(KLBasis(fresh("G2", (2, 1))), None)
+    oracle = dict(_h_columns(KLBasis(fresh("G2", (2, 1)))))
+    assert dict(laurent_columns(k)) == oracle
+
+
+@pytest.mark.parametrize("width", [8, 16, 24, 32, 64, 128])
+def test_palindromes_at_every_width(width):
+    rng = random.Random(width)
+    for _ in range(50):
+        blocks, expected = [], True
+        for _ in range(rng.randrange(1, 5)):
+            digits = [rng.randrange(1 << width) for _ in range(rng.randrange(1, 8))]
+            if rng.random() < 0.7:
+                digits[len(digits) // 2 + 1:] = digits[:(len(digits) - 1) // 2][::-1]
+            expected &= digits == digits[::-1]
+            blocks.append(pack(digits, width).to_bytes(width // 8 * len(digits),
+                                                       "little"))
+        assert _palindrome_test(width)(blocks) == expected
+
+
+@pytest.mark.parametrize("width", [8, 16, 24, 32, 64, 128])
+def test_digit_reader_at_every_width(width):
+    rng, half = random.Random(width), 1 << (width - 1)
+    read = _digit_reader(width, 5)
+    for _ in range(50):
+        digits = [rng.randrange(-half + 1, half) for _ in range(5)]
+        assert list(read(pack(digits, width))) == [d + half for d in digits]
+    with pytest.raises(OverflowError):
+        read(pack([0] * 5 + [1], width))
+    with pytest.raises(OverflowError):
+        read(pack([0] * 5 + [-1], width))

@@ -13,9 +13,9 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from coxeter_oracle import assert_matches_word_walk  # noqa: E402
 from hx.coxeter import CoxeterSystem, build_system  # noqa: E402
 from hx.hecke import HeckeAlgebra, WeightFunction  # noqa: E402
-from hx.klbasis import KLBasis, _h_columns  # noqa: E402
+from hx.klbasis import KLBasis  # noqa: E402
 from hx.laurent import ONE, ZERO, LaurentPoly  # noqa: E402
-from kl_oracle import LaurentKL  # noqa: E402
+from kl_oracle import LaurentKL, _h_columns  # noqa: E402
 
 BONDS = (2, 3, 4, 6, None)  # None is an infinite bond
 
