@@ -16,6 +16,8 @@ never bad input).
 expensive tables (``kl basis``, ``kl afunction``, ``jring table``): a
 report is computed once per (matrix, weights, options) and replayed
 byte-identically afterwards by the same ``hx`` version and report schema.
+Each entry carries a sha256 digest of its key and payload; an entry that
+fails it is computed again and overwritten.
 """
 
 from __future__ import annotations
@@ -219,34 +221,41 @@ def _dumps(report: dict) -> str:
     """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for
     byte, for dicts with str keys, lists, tuples, str, int, float, bool and
     None; anything else raises TypeError. json indents in pure Python, so
-    this walks the containers itself and leaves every scalar to C."""
+    this walks the containers itself and leaves every scalar to C. A list of
+    plain ints is formatted once per indentation and its text reused."""
     out = []
-    _write(report, "\n", out.append)
+    _write(report, "\n", out.append, {})
     out.append("\n")
     return "".join(out)
 
 
-def _write(value, newline: str, put: Callable[[str], object]) -> None:
+def _write(value, newline: str, put: Callable[[str], object],
+           leaves: dict[tuple, str]) -> None:
     inner = newline + "  "
     if isinstance(value, dict):
         sep = "{" + inner
         for key in sorted(value):
             put(sep + _quote(key) + ": ")  # TypeError unless key is a str
-            _write(value[key], inner, put)
+            _write(value[key], inner, put, leaves)
             sep = "," + inner
         put(newline + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
         if not value:
             put("[]")
         elif type(value[0]) is int and set(map(type, value)) == _INT:
-            # only ints (json writes a bool as true/false): one join
-            put("[" + inner + ("," + inner).join(map(int.__repr__, value))
-                + newline + "]")
+            # only ints (json writes a bool as true/false), so the key, in
+            # which True == 1, never meets a bool
+            key = (newline, *value)
+            text = leaves.get(key)
+            if text is None:
+                text = leaves[key] = ("[" + inner + ("," + inner).join(
+                    map(int.__repr__, value)) + newline + "]")
+            put(text)
         else:
             sep = "[" + inner
             for item in value:
                 put(sep)
-                _write(item, inner, put)
+                _write(item, inner, put, leaves)
                 sep = "," + inner
             put(newline + "]")
     elif type(value) is int:
@@ -280,12 +289,21 @@ def _progress(message: str) -> None:
 # Raised whenever a cached report's layout or content changes. With
 # ``__version__`` it is part of every cache key, so an entry written by other
 # code is never replayed.
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 
-def _cache_lookup(key_obj: dict) -> tuple[Optional[tuple[dict, str]], Optional[str]]:
-    """((report, its JSON text) on a hit or None, the entry's path or None
-    without HX_CACHE_DIR)."""
+_Entry = tuple[str, bytes]  # a cache entry's path, and its key as bytes
+
+
+def _cache_lookup(key_obj: dict, need_report: bool
+                  ) -> tuple[Optional[tuple[Optional[dict], str]], Optional[_Entry]]:
+    """((the report, or None unless need_report; its JSON text) on a hit or
+    None, the entry or None without HX_CACHE_DIR).
+
+    An entry file holds the sha256 of its key and payload, a newline, then
+    the payload. An entry whose digest does not match is a miss, and the
+    report is computed again. The payload is parsed only when the report
+    itself is needed."""
     cache_dir = os.environ.get("HX_CACHE_DIR")
     if not cache_dir:
         return None, None
@@ -293,30 +311,40 @@ def _cache_lookup(key_obj: dict) -> tuple[Optional[tuple[dict, str]], Optional[s
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as e:
         raise UsageError(f"cannot use HX_CACHE_DIR {cache_dir}: {e}")
+    key = json.dumps({"hx": __version__, "schema": REPORT_SCHEMA,
+                      "report": key_obj}, sort_keys=True).encode()
+    entry = (os.path.join(cache_dir, f"{_sha256(key)[:32]}.json"), key)
+    try:
+        with open(entry[0], "rb") as fh:
+            digest, _, body = fh.read().partition(b"\n")
+    except OSError:
+        return None, entry  # no entry yet
+    if digest != _sha256(key, body).encode():
+        return None, entry  # truncated, edited or not ours: recompute below
+    payload = body.decode("ascii")
+    return (json.loads(payload) if need_report else None, payload), entry
+
+
+def _sha256(*parts: bytes) -> str:
     import hashlib  # here: only cached commands with HX_CACHE_DIR need it
-    key = {"hx": __version__, "schema": REPORT_SCHEMA, "report": key_obj}
-    digest = hashlib.sha256(
-        json.dumps(key, sort_keys=True).encode()).hexdigest()[:32]
-    path = os.path.join(cache_dir, f"{digest}.json")
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                text = fh.read()
-            return (json.loads(text), text), path
-        except (OSError, json.JSONDecodeError):
-            pass  # stale cache entry: recompute below
-    return None, path
+
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()
 
 
-def _cache_store(path: Optional[str], payload: str) -> None:
+def _cache_store(entry: Optional[_Entry], payload: str) -> None:
     """Write the entry to a temp file beside it, then os.replace it into
     place, so a killed run never leaves a half-written entry to replay."""
-    if not path:
+    if not entry:
         return
+    path, key = entry
+    body = payload.encode("ascii")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write(payload)
+        with open(tmp, "wb") as fh:
+            fh.write(_sha256(key, body).encode("ascii") + b"\n" + body)
         os.replace(tmp, path)
     except OSError as e:
         raise UsageError(f"cannot write to HX_CACHE_DIR: {e}")
@@ -325,24 +353,27 @@ def _cache_store(path: Optional[str], payload: str) -> None:
             os.unlink(tmp)
 
 
-def _cached_report(key: dict, build: Callable[[], dict]) -> tuple[dict, str]:
+def _cached_report(key: dict, build: Callable[[], dict], need_report: bool
+                   ) -> tuple[Optional[dict], str]:
     """A report and its JSON text, serialized once: replayed byte for byte
-    from HX_CACHE_DIR when the entry parses, else built and stored."""
-    hit, path = _cache_lookup(key)
+    from HX_CACHE_DIR when the entry is intact, else built and stored. On a
+    hit the report is None unless need_report."""
+    hit, entry = _cache_lookup(key, need_report)
     if hit is not None:
         _progress(f"{key['command']}: cache hit")
         return hit
     report = build()
     payload = _dumps(report)
-    _cache_store(path, payload)
+    _cache_store(entry, payload)
     return report, payload
 
 
 # -- commands -----------------------------------------------------------------
 
 # (report, text lines, the report's JSON text when the command already has
-# it); the lines may be a generator, formatted only when text is printed
-_Result = tuple[dict, Iterable[str], Optional[str]]
+# it); the lines may be a generator, formatted only when text is printed. A
+# cache hit under --json gives the text alone, and no report.
+_Result = tuple[Optional[dict], Iterable[str], Optional[str]]
 
 
 def _cmd_group(args) -> _Result:
@@ -438,13 +469,11 @@ def _cmd_kl_basis(args) -> _Result:
         report = _header(system, weight)
         report["elements"] = [{
             "w": _word(w),
-            "coords": [[_word(y), p.to_pairs()]
-                       for y, p in sorted(kl.coords(w).items(),
-                                          key=lambda kv: kv[0].sort_key)],
+            "coords": [[_word(y), pairs] for y, pairs in kl.coord_pairs(w)],
         } for w in targets]
         return report
 
-    report, payload = _cached_report(key, build)
+    report, payload = _cached_report(key, build, not args.json)
 
     def text() -> Iterator[str]:
         for entry in report["elements"]:
@@ -490,9 +519,13 @@ def _cmd_kl_afunction(args) -> _Result:
                                 _word(afn.witnesses[z][1])] for z in order]
         return report
 
-    report, payload = _cached_report(key, build)
-    text = [f"a({zw}) = {a}" for zw, a in report["values"]]
-    return report, text, payload
+    report, payload = _cached_report(key, build, not args.json)
+
+    def text() -> Iterator[str]:
+        for zw, a in report["values"]:
+            yield f"a({zw}) = {a}"
+
+    return report, text(), payload
 
 
 def _j_ring(system: CoxeterSystem, weight: WeightFunction):
@@ -520,9 +553,12 @@ def _cmd_jring_table(args) -> _Result:
         report["triples"] = triples
         return report
 
-    report, payload = _cached_report(key, build)
-    text = [f"{len(report['triples'])} nonzero structure constants"]
-    return report, text, payload
+    report, payload = _cached_report(key, build, not args.json)
+
+    def text() -> Iterator[str]:
+        yield f"{len(report['triples'])} nonzero structure constants"
+
+    return report, text(), payload
 
 
 def _cmd_jring_check(args) -> _Result:

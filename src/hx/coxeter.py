@@ -583,11 +583,15 @@ class CoxeterSystem:
             left.append(tuple(row))
         first = tuple(w.word[0] if w.word else -1 for w in elements)
         tail = tuple(~left[i][k] if i >= 0 else -1 for k, i in enumerate(first))
+        # w = s t gives w^-1 = t^-1 s, and t comes before w
+        inverse = [0] * len(elements)
+        for k in range(1, len(elements)):
+            inverse[k] = index[self.right_mul_gen(
+                elements[inverse[tail[k]]], first[k])[0]]
         self._dense = DenseTables(
             elements=elements, index=index,
             lengths=tuple(w.length for w in elements),
-            left=tuple(left), first=first, tail=tail,
-            inverse=tuple(index[self.inverse(w)] for w in elements))
+            left=tuple(left), first=first, tail=tail, inverse=tuple(inverse))
         return self._dense
 
     # -- Bruhat order -----------------------------------------------------------

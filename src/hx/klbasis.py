@@ -24,12 +24,26 @@ Python int per y. The generator step
     v^{L(s)} (T_s + v^{-L(s)}) T_y = v^{L(s)} T_{sy} + (v^{2L(s)} if sy < y else 1) T_y
 
 is shifts and adds only, and gives $R = v^{L(w)} c_s c_{w'}$ from
-$P_{w'}$. The build then walks $[e, w]$ downward and decodes each R[z]
-once into signed base-$2^B$ digits: the digits at exponents $\\ge L(w)$
-give $\\mu_z$, and $\\mu_z v^{L(w)-L(z)} P_z$ is subtracted from R; what
-remains is $P_w$. The build is lazy: it makes $c_{w'}$ and the $c_z$ with
-$\\mu_z \\ne 0$ only, and it is iterative, each build a generator on an
-explicit stack that it suspends while a $P$ it needs is built.
+$P_{w'}$. The build then walks $[e, w]$ downward. At equal parameters it
+first tests each R[z] = r with int masks, at C speed: 0 < r < 2^{B L(w)}
+(no $\\mu_z$), no digit with its top bit set (every digit >= 0), every
+digit at most the digit bound of the width guard below (one SWAR
+add-and-mask: adding 2^{B-1} - 1 - bound to every digit sets a top bit
+exactly where a digit exceeds the bound, and carries nowhere), and zero
+digits at the exponents of the wrong parity. These accept exactly the r
+that the decode path would accept with no $\\mu_z$, and such an r is
+stored as it is. The masks serve while L(w) times the bound stays below
+2^B - 1, so that the digit sum of r, its share of mass(w), is
+r mod 2^B - 1. Every other R[z], and every
+R[z] at unequal weights, is decoded once into signed base-$2^B$ digits:
+the digits at exponents $\\ge L(w)$ give $\\mu_z$,
+$\\mu_z v^{L(w)-L(z)} P_z$ is subtracted from R, and the checks below run
+on the digits; what remains is $P_w$. The packed rows are the only memo
+of the build: ``coords`` decodes Laurent coordinates from them on demand,
+and ``coord_pairs`` the serialized pairs. The build is lazy: it makes
+$c_{w'}$ and the $c_z$ with $\\mu_z \\ne 0$ only, and it is iterative, each
+build a generator on an explicit stack that it suspends while a $P$ it
+needs is built.
 
 Width guard: with $mass(u) = \\sum_y \\|p_{y,u}\\|_1$, every digit of R lies
 within $2\\,mass(w') + \\sum_z \\|\\mu_z\\|_1 mass(z)$ over the $\\mu_z$
@@ -105,7 +119,7 @@ from .coxeter import (CoxeterSystem, Element, InfiniteGroupError,
                       InternalCheckError)
 from .hecke import (HeckeAlgebra, HeckeElement, Terms, WeightFunction, add_into,
                     pack, unpack)
-from .laurent import ONE, LaurentPoly
+from .laurent import LaurentPoly
 
 __all__ = [
     "KLBasis",
@@ -123,6 +137,18 @@ class _Overflow(Exception):
     """A build's digit bound outgrew the basis's digit width."""
 
 
+def _masks(width: int, top: int) -> tuple[int, int, int, tuple[int, int]]:
+    """The masks of ``KLBasis._build`` for a w with L(w) = top, at digit
+    width B: 2^{B top}; a 1 in each digit below top; the top bit of each
+    such digit; and, by the parity of l(z), all bits of the digits at the
+    exponents where R[z] must be 0 at equal parameters."""
+    ones = pack([1] * top, width)
+    full = (1 << width) - 1
+    wrong = tuple(pack([full if (k + parity) % 2 else 0 for k in range(top)],
+                       width) for parity in (0, 1))
+    return 1 << width * top, ones, ones << (width - 1), wrong
+
+
 class KLBasis:
     """The c-basis of a Hecke algebra, with the {T} <-> {c} conversions.
 
@@ -136,19 +162,48 @@ class KLBasis:
         self.algebra = algebra
         self.system = algebra.system
         e = self.system.identity
-        self._coords: dict[Element, Terms] = {e: {e: ONE}}
+        self._coords: dict[Element, Terms] = {}  # decoded from _packed on demand
         # w -> (P_w as y -> v^{L(w)} p_{y,w} at v = 2^_width, mass(w))
         self._packed: dict[Element, tuple[dict[Element, int], int]] = {
             e: ({e: 1}, 1)}
         self._width = 32  # the digit width B, doubled on overflow
+        self._pairs: dict[tuple[int, int], list[list[int]]] = {}
 
     def coords(self, w: Element) -> Terms:
         """The map y -> p_{y,w} with c_w = sum_y p_{y,w} T_y."""
         hit = self._coords.get(w)
         if hit is None:
-            self._packed_row(w)
-            hit = self._coords[w]
+            row = self._packed_row(w)[0]
+            top = self.algebra.weight(w)
+            read = self._reader(top + 1)
+            hit = self._coords[w] = {y: LaurentPoly(-top, read(P))
+                                     for y, P in row.items()}
         return hit
+
+    def coord_pairs(self, w: Element) -> list[tuple[Element, list[list[int]]]]:
+        """(y, the [exponent, coefficient] pairs of p_{y,w}, exponents
+        ascending) for each y of the support of c_w, in
+        ``bruhat_interval_below(w)`` order: ``coords`` as ``to_pairs``
+        writes it, read off the packed row with no Laurent polynomial made.
+        Equal (P_w[y], L(w)) share one list."""
+        row = self._packed_row(w)[0]
+        top = self.algebra.weight(w)
+        read = self._reader(top + 1)
+        memo = self._pairs
+        out = []
+        for y, P in reversed(row.items()):  # see _build: w, then z descending
+            pairs = memo.get((P, top))
+            if pairs is None:
+                pairs = memo[P, top] = [[k - top, d] for k, d in
+                                        enumerate(read(P)) if d]
+            out.append((y, pairs))
+        return out
+
+    def _reader(self, count: int) -> Callable[[int], list[int]]:
+        """A map from a packed int to its signed digits at positions 0 to
+        count - 1, at the current width."""
+        biased, half = _digit_reader(self._width, count), 1 << (self._width - 1)
+        return lambda P: [d - half for d in biased(P)]
 
     def _packed_row(self, w: Element) -> tuple[dict[Element, int], int]:
         """(P_w, mass(w)) at the current digit width, built if missing."""
@@ -168,10 +223,11 @@ class KLBasis:
                 self._widen()
 
     def _widen(self) -> None:
-        """Double the digit width and drop the packed rows built at the old one."""
+        """Double the digit width and drop what was packed at the old one."""
         self._width *= 2
         e = self.system.identity
         self._packed = {e: ({e: 1}, 1)}
+        self._pairs = {}
 
     def _step(self, s: int, row: dict[Element, int]) -> dict[Element, int]:
         """v^{L(s)} c_s times the packed element row, term by term:
@@ -186,7 +242,7 @@ class KLBasis:
         return add_into(out, stay)
 
     def _build(self, w: Element) -> Iterator[Element]:
-        """Build P_w and c_w by the recursion in the module docstring.
+        """Build P_w by the recursion in the module docstring.
 
         A generator: it yields each u whose packed row it needs and the
         memo lacks, and resumes once the caller has built it."""
@@ -207,12 +263,24 @@ class KLBasis:
         if bound >= limit:
             raise _Overflow
         equal = weight.is_equal_parameters
+        cap, ones, high, wrong = _masks(width, top)
+        modulus = (1 << width) - 1
+        # the masks check digits <= bound; the digit sum is r mod 2^B - 1
+        # while it stays below 2^B - 1
+        fast = equal and top * bound < modulus
+        lift = (limit - 1 - bound) * ones
         below_tail: Optional[set[Element]] = None
-        p: Terms = {w: ONE}
+        # w, then the z below it in descending (length, ShortLex) order, so
+        # that reversed it is in bruhat_interval_below(w) order
         out = {w: 1 << width * top}
         new_mass = 1
         for z in reversed(system.bruhat_interval_below(w)[:-1]):
             r = acc.pop(z, 0)
+            if (fast and 0 < r < cap and not r & high and not (r + lift) & high
+                    and not r & wrong[z.length & 1]):
+                out[z] = r  # digits in [0, bound], of the parity of l(z)
+                new_mass += r % modulus
+                continue
             # digits[k] is the coefficient of v^(low + k) in R[z]; the zero
             # digits below the lowest set bit are skipped, not decoded
             low = ((r & -r).bit_length() - 1) // width if r else 0
@@ -246,20 +314,21 @@ class KLBasis:
                 bound += (2 * sum(map(abs, mu)) - abs(mu[0])) * zmass
                 if bound >= limit:
                     raise _Overflow
+                fast = equal and top * bound < modulus
+                lift = (limit - 1 - bound) * ones
+                r = pack(digits, width)
             if equal and (not any(digits) or min(digits) < 0
                           or any(digits[(z.length + 1 - low) % 2::2])):
                 raise InternalCheckError(
                     f"p_(y,w) = {LaurentPoly(low - top, digits)} at y={z!r}, "
                     f"w={w!r} breaks Kazhdan-Lusztig positivity")
-            if any(digits):
-                p[z] = LaurentPoly(low - top, digits)
-                out[z] = pack(digits, width) << width * low
+            if r:
+                out[z] = r
                 new_mass += sum(map(abs, digits))
         if any(acc.values()):
             raise InternalCheckError(
                 f"c_w has support outside [e, w] at w={w!r}")
         packed[w] = (out, new_mass)
-        self._coords.setdefault(w, p)
 
     def element(self, w: Element) -> HeckeElement:
         """The basis element c_w in T-coordinates."""
@@ -763,43 +832,54 @@ def j_associativity_check(ring: JRing, *, exhaustive_limit: int = 400,
 
     Exhaustive for |W| <= exhaustive_limit (or when forced); otherwise a
     deterministic seeded sample of sample_size triples. A triple with
-    t_x t_y = 0 and t_y t_z = 0 counts as checked without a product: both
-    sides are zero."""
+    t_x t_y = 0 and t_y t_z = 0 passes without a product: both sides are
+    zero. The exhaustive walk visits every z only for the (x, y) with
+    t_x t_y != 0, and otherwise only the z with t_y t_z != 0; it counts
+    every triple as checked, and a counterexample is the first in
+    (x, y, z) order, with its place in that order as triples_checked."""
     elements = ring.elements
     n = len(elements)
     total = n ** 3
     exhaustive = force_exhaustive or n <= exhaustive_limit
-
-    def triples():
-        if exhaustive:
-            for x in elements:
-                for y in elements:
-                    for z in elements:
-                        yield x, y, z
-        else:
-            rng = random.Random(seed)
-            for _ in range(sample_size):
-                yield (elements[rng.randrange(n)], elements[rng.randrange(n)],
-                       elements[rng.randrange(n)])
-
-    checked = 0
     table = ring.table
-    for x, y, z in triples():
-        checked += 1
+
+    def fails(x: Element, y: Element, z: Element) -> bool:
         xy, yz = table.get((x, y)), table.get((y, z))
         if not (xy or yz):
-            continue  # t_x t_y = 0 = t_y t_z: both sides are zero
-        left = ring.product(xy or {}, {z: 1})
-        right = ring.product({x: 1}, yz or {})
-        if left != right:
-            return JAssociativityReport(
-                passed=False, triples_checked=checked, triples_total=total,
-                exhaustive=exhaustive, seed=None if exhaustive else seed,
-                counterexample=(x, y, z))
-    return JAssociativityReport(
-        passed=True, triples_checked=checked, triples_total=total,
-        exhaustive=exhaustive, seed=None if exhaustive else seed,
-        counterexample=None)
+            return False  # t_x t_y = 0 = t_y t_z: both sides are zero
+        return (ring.product(xy or {}, {z: 1})
+                != ring.product({x: 1}, yz or {}))
+
+    def report(checked: int, counterexample=None) -> JAssociativityReport:
+        return JAssociativityReport(
+            passed=counterexample is None, triples_checked=checked,
+            triples_total=total, exhaustive=exhaustive,
+            seed=None if exhaustive else seed, counterexample=counterexample)
+
+    if not exhaustive:
+        rng = random.Random(seed)
+        for checked in range(1, sample_size + 1):
+            x, y, z = (elements[rng.randrange(n)], elements[rng.randrange(n)],
+                       elements[rng.randrange(n)])
+            if fails(x, y, z):
+                return report(checked, (x, y, z))
+        return report(sample_size)
+    index = {w: k for k, w in enumerate(elements)}
+    # y -> the ids of the z with t_y t_z != 0, ascending
+    right: dict[Element, list[int]] = {}
+    for (y, z), row in table.items():
+        if row:
+            right.setdefault(y, []).append(index[z])
+    for zs in right.values():
+        zs.sort()
+    everything = range(n)
+    for i, x in enumerate(elements):
+        for j, y in enumerate(elements):
+            for k in everything if table.get((x, y)) else right.get(y, ()):
+                if fails(x, y, elements[k]):
+                    return report((i * n + j) * n + k + 1,
+                                  (x, y, elements[k]))
+    return report(total)
 
 
 def j_find_unit(ring: JRing) -> Optional[dict[Element, int]]:

@@ -210,6 +210,59 @@ def test_cache_entry_from_other_code_misses(tmp_path, monkeypatch, name, other):
     assert "cache hit" in err
 
 
+CACHE_DAMAGE = {
+    "truncated": lambda data, key: data[:len(data) // 2],
+    "emptied": lambda data, key: b"",
+    "edited": lambda data, key: data.replace(b'"A2"', b'"A3"', 1),
+    "digest_edited": lambda data, key: data[:10] + b"0" + data[11:],
+    "not_utf8": lambda data, key: data[:-3] + b"\xff" + data[-3:],
+    "not_ascii": lambda data, key: data.replace(b'"A2"', '"\u00c42"'.encode(), 1),
+    "old_format": lambda data, key: data.partition(b"\n")[2],
+    "not_a_report": lambda data, key: b"[1,2]",
+}
+
+
+@pytest.mark.parametrize("damage", list(CACHE_DAMAGE))
+@pytest.mark.parametrize("mode", ["--json", "text"])
+def test_damaged_cache_entry_is_recomputed(tmp_path, monkeypatch, damage, mode):
+    monkeypatch.setenv("HX_CACHE_DIR", str(tmp_path / "cache"))
+    command = ["kl", "afunction", "--type", "A2"] + ([mode] if mode != "text" else [])
+    keys = []
+    store = cli._cache_store
+    monkeypatch.setattr(cli, "_cache_store", lambda entry, payload: (
+        keys.append(entry[1]), store(entry, payload)))
+    code, cold, err = run_cli(*command)
+    assert code == 0 and "cache hit" not in err
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    intact = entry.read_bytes()
+    damaged = CACHE_DAMAGE[damage](intact, keys[0])
+    assert damaged != intact
+    entry.write_bytes(damaged)
+    code, out, err = run_cli(*command)
+    assert code == 0 and "cache hit" not in err and "Traceback" not in err
+    assert out == cold
+    assert entry.read_bytes() == intact  # overwritten by the recomputed one
+    code, out, err = run_cli(*command)
+    assert code == 0 and "cache hit" in err and out == cold
+
+
+def test_cache_hit_under_json_is_not_parsed(tmp_path, monkeypatch):
+    monkeypatch.setenv("HX_CACHE_DIR", str(tmp_path / "cache"))
+    command = ("kl", "basis", "--type", "A3", "--json")
+    code, cold, _ = run_cli(*command)
+    assert code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a --json cache hit was parsed")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cli.json, "loads", refuse)
+        code, warm, err = run_cli(*command)
+    assert code == 0 and "cache hit" in err and warm == cold
+    code, text, err = run_cli(*command[:-1])  # text output parses the entry
+    assert code == 0 and "cache hit" in err and text.startswith("c_[]:\n")
+
+
 def test_progress_goes_to_stderr_not_stdout():
     code, out, err = run_cli("positivity", "--type", "A2", "--json")
     assert code == 0
@@ -378,7 +431,8 @@ def test_cached_report_serialized_once(tmp_path, monkeypatch, command):
     assert "cache hit" in err
     assert len(dumps) == 1  # the cold run's, shared by cache, --out and --json
     (cache_file,) = (tmp_path / "cache").glob("*.json")
-    assert payloads[0] == payloads[1] == cache_file.read_text()
+    digest, _, cached = cache_file.read_text().partition("\n")
+    assert payloads[0] == payloads[1] == cached and len(digest) == 64
 
 
 def test_every_command_has_one_handler():
@@ -484,6 +538,14 @@ def test_writer_reproduces_committed_reports(path):
     written = cli._dumps(json.loads(text))
     same = written == text  # outside the assert, which would diff every line
     assert same, f"{len(written)} bytes written, {len(text)} committed"
+
+
+def test_writer_memo_tells_bools_from_ints():
+    # (1,) == (True,): a memo of int lists that let a bool list in would
+    # write [true] as [1], or the reverse
+    value = {"a": [[1], [True], [1, 1], [True, 1], [1], [[1]], [[True]]],
+             "b": [1], "c": [True], "d": [[1, 2], [1, 2]], "e": (1, 2)}
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 def test_import_leaves_pool_cache_and_dataclass_modules_out():

@@ -272,6 +272,18 @@ def test_dense_tables_agree_with_element_arithmetic(label):
     with pytest.raises(InfiniteGroupError):
         system("~A2").dense_tables()
 
+
+@pytest.mark.parametrize("label", ["A4", "D4", "B4", "F4"])
+def test_dense_inverse_table_is_an_involution(label):
+    # built along the tail tree (w = s t, w^-1 = t^-1 s); checked against
+    # the element of the reversed word
+    W = build_system(label)
+    dense = W.dense_tables()
+    for k, w in enumerate(dense.elements):
+        assert dense.elements[dense.inverse[k]] is W.inverse(w)
+        assert dense.inverse[dense.inverse[k]] == k
+
+
 def _bruhat_oracle(W):
     """Downset closure of 'drop one letter from any reduced word'."""
     def all_reduced_words(w):

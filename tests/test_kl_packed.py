@@ -177,6 +177,130 @@ def test_kernel_check_violation_exits_3(monkeypatch, case):
     assert code == 3 and message in err and not out
 
 
+# While c_{s0 s1 s0} of A2 is built, R[e] = 1 is decoded last, under the
+# digit bound 2 mass(s1 s0) + |mu| mass(s0) = 2 * 4 + 1 * 2 for the mu = 1
+# at z = s0.
+BOUND_AT_E = 10
+
+
+def _add_to_e(monkeypatch, target, digits):
+    """Add the packed digits to R[e] while c_target is built."""
+    genuine = KLBasis._step
+
+    def tampered(self, s, row):
+        step = genuine(self, s, row)
+        if max(step, key=lambda y: y.sort_key).word == target:
+            step[self.system.identity] += pack(digits, self._width)
+        return step
+
+    monkeypatch.setattr(KLBasis, "_step", tampered)
+
+
+def _set_e_digit(monkeypatch, digit):
+    """Make the v^0 digit of R[e] `digit` while c_{s0 s1 s0} of A2 is built."""
+    _add_to_e(monkeypatch, (0, 1, 0), [digit - 1])
+
+
+def test_digit_one_above_the_bound_exits_3(monkeypatch):
+    # the masks refuse it, and the decode path reports it
+    W = system("A2")
+    _set_e_digit(monkeypatch, BOUND_AT_E + 1)
+    with pytest.raises(InternalCheckError, match="overflowed"):
+        KLBasis(fresh("A2")).coords(W.normal_form((0, 1, 0)))
+    code, out, err = run_cli("kl", "basis", "--type", "A2")
+    assert code == 3 and "overflowed" in err and not out
+
+
+def test_digit_at_the_bound_passes_the_masks(monkeypatch):
+    # accepted by the masks alone: the decode path runs exactly as often as
+    # on the genuine build (once, for the mu at z = s0)
+    W = system("A2")
+    w = W.normal_form((0, 1, 0))
+    decode = hx.klbasis.unpack
+    decoded = []
+
+    def counted(packed, width, bound):
+        decoded.append(bound)
+        return decode(packed, width, bound)
+
+    monkeypatch.setattr(hx.klbasis, "unpack", counted)
+    assert KLBasis(fresh("A2"))._packed_row(w)[0][W.identity] == 1
+    genuine = list(decoded)
+    decoded.clear()
+    _set_e_digit(monkeypatch, BOUND_AT_E)
+    assert KLBasis(fresh("A2"))._packed_row(w)[0][W.identity] == BOUND_AT_E
+    assert decoded == genuine == [8]
+
+
+def test_negative_digit_inside_a_positive_int_exits_3(monkeypatch):
+    # R[e] = 2^B - 1 is positive and below 2^{B L(w)}, but its signed
+    # digits are -1 at v^0 and 1 at v^1: the top-bit mask refuses it
+    W = system("A2")
+    _add_to_e(monkeypatch, (0, 1, 0), [-2, 1])
+    with pytest.raises(InternalCheckError, match="positivity"):
+        KLBasis(fresh("A2")).coords(W.normal_form((0, 1, 0)))
+
+
+def test_mask_path_mass_is_exact_past_2b_minus_1(monkeypatch):
+    # at width 6, add 21 to R[e] at v^0, v^2 and v^4 while c_w of A3 is
+    # built, w = s0 s1 s2 s1 s0: every digit stays within the bound (at
+    # least 2 mass(w') = 24), but the digit sum passes 2^6 - 1, where
+    # r mod 2^6 - 1 is no longer the digit sum, so the row must be decoded
+    W = system("A3")
+    w = W.normal_form((0, 1, 2, 1, 0))
+    _add_to_e(monkeypatch, w.word, [21, 0, 21, 0, 21])
+    k = KLBasis(fresh("A3"))
+    k._width = 6
+    row, mass = k._packed_row(w)
+    assert k._width == 6
+    digits = {y: unpack(P, 6, 31) for y, P in row.items()}
+    assert sum(digits[W.identity]) > 63
+    assert mass == sum(sum(map(abs, d)) for d in digits.values())
+
+
+@pytest.mark.parametrize("label,width", [("D4", 8), ("A4", 8), ("B3", 4)])
+def test_narrow_width_near_its_bound_widens_and_matches_oracle(
+        monkeypatch, label, width):
+    # at these widths some digit bound lies in [2^(B-2), 2^(B-1)): the lift
+    # of the SWAR test is small and the digit sums do not fit 2^B - 1, so
+    # the build takes both paths before it must widen
+    fills = []
+    masks = hx.klbasis._masks
+
+    def spied(width, top):
+        fills.append(width)
+        return masks(width, top)
+
+    decode = hx.klbasis.unpack
+    near = []
+
+    def checked(packed, width, bound):
+        assert bound < 1 << (width - 1)
+        near.append(bound >= 1 << (width - 2))
+        return decode(packed, width, bound)
+
+    monkeypatch.setattr(hx.klbasis, "_masks", spied)
+    monkeypatch.setattr(hx.klbasis, "unpack", checked)
+    k = KLBasis(fresh(label))
+    k._width = width
+    oracle = LaurentKL(fresh(label))
+    for w in system(label).enumerate_elements():
+        assert k.coords(w) == oracle.coords(w), w
+        assert k.coord_pairs(w) == [(y, p.to_pairs()) for y, p in sorted(
+            oracle.coords(w).items(), key=lambda kv: kv[0].sort_key)], w
+        assert k._packed_row(w)[1] == sum(  # mass(w), exactly
+            sum(map(abs, p.coeffs)) for p in oracle.coords(w).values()), w
+    assert k._width > width and width in fills and any(near)
+
+
+@pytest.mark.parametrize("label,weights", FINITE_CASES)
+def test_coord_pairs_read_the_packed_rows(label, weights):
+    k = KLBasis(fresh(label, weights))
+    for w in system(label).enumerate_elements():
+        assert k.coord_pairs(w) == [(y, p.to_pairs()) for y, p in sorted(
+            k.coords(w).items(), key=lambda kv: kv[0].sort_key)], w
+
+
 def laurent_columns(kl):
     """The packed scan's columns, each (y, x -> (z -> h_{x,y,z})) over
     elements and Laurent polynomials, as the oracle's ``_h_columns`` gives

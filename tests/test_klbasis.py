@@ -270,6 +270,43 @@ def test_j_associativity_sampling_is_seeded():
     assert forced.exhaustive and forced.triples_checked == 216
 
 
+def _walk_every_triple(ring):
+    """The (x, y, z) walk over all |W|^3 triples: (checked, counterexample)."""
+    checked = 0
+    for x in ring.elements:
+        for y in ring.elements:
+            for z in ring.elements:
+                checked += 1
+                xy, yz = ring.table.get((x, y)), ring.table.get((y, z))
+                if (xy or yz) and (ring.product(xy or {}, {z: 1})
+                                   != ring.product({x: 1}, yz or {})):
+                    return checked, (x, y, z)
+    return checked, None
+
+
+@pytest.mark.parametrize("tamper", ["scale", "add", "drop"])
+def test_j_associativity_walk_finds_the_first_counterexample(tamper):
+    ring = j_table(kl("A3"))
+    rng = random.Random(tamper)
+    table = {pair: dict(row) for pair, row in ring.table.items()}
+    pair = rng.choice(sorted(table, key=lambda p: (p[0].sort_key, p[1].sort_key)))
+    z = next(iter(table[pair]))
+    if tamper == "scale":  # a J entry off by one
+        table[pair][z] += 1
+    elif tamper == "add":  # an entry where t_x t_y = 0
+        x = ring.elements[rng.randrange(len(ring.elements))]
+        table.setdefault((x, ring.elements[-1]), {})[x] = 1
+    else:  # a row lost
+        del table[pair]
+    tampered = ring._replace(table=table)
+    checked, counterexample = _walk_every_triple(tampered)
+    assert counterexample is not None
+    rep = j_associativity_check(tampered)
+    assert not rep.passed and rep.exhaustive
+    assert (rep.triples_checked, rep.counterexample) == (checked, counterexample)
+    assert rep.triples_total == 24 ** 3
+
+
 def test_j_unit_a2_and_rank0():
     ring = j_table(kl("A2"))
     unit = j_find_unit(ring)
