@@ -5,8 +5,8 @@ either way). All tolerances are exact; runtime budgets are asserted.
 The B4/D4 positivity tables produced by criterion 3 are the main data
 deliverable; they are compared against the committed copies under
 reports/ to certify reproducibility. The committed F4 table is
-spot-checked on three classes, and the committed a-function (B3, A4) and
-J (B3) tables are recomputed byte for byte.
+spot-checked on three classes, and the committed a-function (B3, A4), J
+(B3) and F4 group tables are recomputed byte for byte.
 """
 
 import json
@@ -131,6 +131,13 @@ def test_committed_kl_basis_report_recomputes():
     code, out, _ = run_cli("kl", "basis", "--type", "B3", "--weights", "1,1,2",
                            "--json")
     assert code == 0 and out == (REPORTS_DIR / "klbasis_B3_112.json").read_text()
+
+
+def test_committed_group_report_recomputes():
+    # made by the Element-keyed level sort and class orbits; the dense-id
+    # kernel must reproduce it byte for byte (E6 is compared in CI)
+    code, out, _ = run_cli("group", "--type", "F4", "--json")
+    assert code == 0 and out == (REPORTS_DIR / "group_F4.json").read_text()
 
 
 def test_criterion_04_elliptic_regular_spot_checks(positivity_tables):
