@@ -295,15 +295,13 @@ REPORT_SCHEMA = 2
 _Entry = tuple[str, bytes]  # a cache entry's path, and its key as bytes
 
 
-def _cache_lookup(key_obj: dict, need_report: bool
-                  ) -> tuple[Optional[tuple[Optional[dict], str]], Optional[_Entry]]:
-    """((the report, or None unless need_report; its JSON text) on a hit or
-    None, the entry or None without HX_CACHE_DIR).
+def _cache_lookup(key_obj: dict) -> tuple[Optional[bytes], Optional[_Entry]]:
+    """(the payload of an intact entry or None, the entry or None without
+    HX_CACHE_DIR).
 
     An entry file holds the sha256 of its key and payload, a newline, then
     the payload. An entry whose digest does not match is a miss, and the
-    report is computed again. The payload is parsed only when the report
-    itself is needed."""
+    report is computed again."""
     cache_dir = os.environ.get("HX_CACHE_DIR")
     if not cache_dir:
         return None, None
@@ -321,8 +319,7 @@ def _cache_lookup(key_obj: dict, need_report: bool
         return None, entry  # no entry yet
     if digest != _sha256(key, body).encode():
         return None, entry  # truncated, edited or not ours: recompute below
-    payload = body.decode("ascii")
-    return (json.loads(payload) if need_report else None, payload), entry
+    return body, entry
 
 
 def _sha256(*parts: bytes) -> str:
@@ -353,26 +350,36 @@ def _cache_store(entry: Optional[_Entry], payload: str) -> None:
             os.unlink(tmp)
 
 
-def _cached_report(key: dict, build: Callable[[], dict], need_report: bool
-                   ) -> tuple[Optional[dict], str]:
-    """A report and its JSON text, serialized once: replayed byte for byte
-    from HX_CACHE_DIR when the entry is intact, else built and stored. On a
-    hit the report is None unless need_report."""
-    hit, entry = _cache_lookup(key, need_report)
-    if hit is not None:
-        _progress(f"{key['command']}: cache hit")
-        return hit
+def _cached_report(key: dict, build: Callable[[], dict],
+                   lines: Callable[[dict], Iterable[str]], need_report: bool
+                   ) -> _Result:
+    """A report, its text lines and its JSON text, serialized once: replayed
+    byte for byte from HX_CACHE_DIR when the entry is intact, else built and
+    stored. A hit is parsed and its lines formatted only if need_report; a
+    hit that then proves not to be a report of this command is damaged, and
+    is built and stored again."""
+    body, entry = _cache_lookup(key)
+    if body is not None:
+        try:
+            payload = body.decode("ascii")
+            report = json.loads(payload) if need_report else None
+            text = list(lines(report)) if need_report else ()
+        except (ValueError, LookupError, TypeError):
+            pass  # the digest matches a payload that is not such a report
+        else:
+            _progress(f"{key['command']}: cache hit")
+            return report, text, payload
     report = build()
     payload = _dumps(report)
     _cache_store(entry, payload)
-    return report, payload
+    return report, lines(report), payload
 
 
 # -- commands -----------------------------------------------------------------
 
 # (report, text lines, the report's JSON text when the command already has
 # it); the lines may be a generator, formatted only when text is printed. A
-# cache hit under --json gives the text alone, and no report.
+# cache hit under --json gives the JSON text alone, and no report or lines.
 _Result = tuple[Optional[dict], Iterable[str], Optional[str]]
 
 
@@ -473,15 +480,13 @@ def _cmd_kl_basis(args) -> _Result:
         } for w in targets]
         return report
 
-    report, payload = _cached_report(key, build, not args.json)
-
-    def text() -> Iterator[str]:
+    def text(report: dict) -> Iterator[str]:
         for entry in report["elements"]:
             yield f"c_{entry['w']}:"
             for yword, pairs in entry["coords"]:
                 yield f"  {yword}: {pairs}"
 
-    return report, text(), payload
+    return _cached_report(key, build, text, not args.json)
 
 
 def _cmd_kl_hconst(args) -> _Result:
@@ -519,13 +524,11 @@ def _cmd_kl_afunction(args) -> _Result:
                                 _word(afn.witnesses[z][1])] for z in order]
         return report
 
-    report, payload = _cached_report(key, build, not args.json)
-
-    def text() -> Iterator[str]:
+    def text(report: dict) -> Iterator[str]:
         for zw, a in report["values"]:
             yield f"a({zw}) = {a}"
 
-    return report, text(), payload
+    return _cached_report(key, build, text, not args.json)
 
 
 def _j_ring(system: CoxeterSystem, weight: WeightFunction):
@@ -553,12 +556,10 @@ def _cmd_jring_table(args) -> _Result:
         report["triples"] = triples
         return report
 
-    report, payload = _cached_report(key, build, not args.json)
-
-    def text() -> Iterator[str]:
+    def text(report: dict) -> Iterator[str]:
         yield f"{len(report['triples'])} nonzero structure constants"
 
-    return report, text(), payload
+    return _cached_report(key, build, text, not args.json)
 
 
 def _cmd_jring_check(args) -> _Result:
@@ -660,6 +661,12 @@ def main(argv=None) -> int:
                     fh.write(_positivity_csv(report) if use_csv else payload)
             except OSError as e:
                 raise UsageError(f"cannot write {args.out}: {e}")
+        if args.json:
+            stdout = payload
+        elif use_csv:
+            stdout = _positivity_csv(report)
+        else:
+            stdout = "".join(f"{line}\n" for line in text)
     except UsageError as e:
         print(f"hx: error: {e}", file=sys.stderr)
         return 1
@@ -673,12 +680,7 @@ def main(argv=None) -> int:
         print(f"hx: INTERNAL INVARIANT VIOLATION: {e}", file=sys.stderr)
         return 3
 
-    if args.json:
-        sys.stdout.write(payload)
-    elif use_csv:
-        sys.stdout.write(_positivity_csv(report))
-    else:
-        sys.stdout.write("".join(f"{line}\n" for line in text))
+    sys.stdout.write(stdout)
     return 0
 
 

@@ -32,6 +32,28 @@ elements u, v with the same data act on the root lattice by the same
 linear map, and g = u v^{-1} fixes every simple root. Then
 ``g^{-1}(alpha_j) = alpha_j > 0`` for all j, g has no left descent by
 the same theorem, and g = e.
+
+Enumeration. The length levels grow one generator at a time: for each i
+in turn, every u of the last level, in order, takes its left step s_i u
+when that is an ascent. The first pass to reach an element w is the pass
+of its least left descent, so ``(i,) + u.word`` is w's canonical word and
+each level comes out in (length, ShortLex) order with no sort (the order
+of du Cloux's Coxeter3). Each step fills the left-step memo both ways, so
+the descents of a level were all filled while the level below was
+processed, and only ascents cost a root-data step.
+
+Dense ids. A finite group's elements are numbered in that order, and the
+left table holds every generator step as an int. Inverses follow the
+prefix tree: w = p s_r with r its last letter, and its prefix p = s_f q
+is one left step from q, the prefix of w's tail, so ``w^{-1} = s_r
+p^{-1}`` is one more. Conjugacy classes are the orbits of w -> s w s over
+the ids, with s w s the inverse of s (s w)^{-1}. Seeds go in id order, so
+each class is found from its representative and the classes come out in
+order; they give the centralizer orders and the C_min sets of Geck and
+Pfeiffer, ch. 3. Three checks raise InternalCheckError: an element newly
+reached by s_i has no left descent below i, a level's descent pairs are
+all filled before it is processed, and every prefix and inverse lookup is
+an ascent.
 """
 
 from __future__ import annotations
@@ -387,7 +409,7 @@ class CoxeterSystem:
         self._levels: list[list[Element]] = [[self.identity]]
         self._levels_complete = False
         self._classes: Optional[list[ConjugacyClass]] = None
-        self._class_index: dict[Element, int] = {}
+        self._class_ids: list[int] = []  # by dense id
         self._dense: Optional[DenseTables] = None
 
     # -- construction -------------------------------------------------------
@@ -537,17 +559,48 @@ class CoxeterSystem:
     # -- enumeration ----------------------------------------------------------
 
     def _extend_levels(self, upto: Optional[int]) -> None:
+        """Add length levels up to ``upto``, or to the top of a finite group.
+
+        Generator i is the outer loop and the last level, in order, the
+        inner one. The first pass to reach an element w is the pass of its
+        least left descent i, so ``(i,) + u.word`` is its canonical word and
+        the level comes out in (length, ShortLex) order. Only ascents cost a
+        root-data step: each new pair fills both ``_lmul`` entries, so every
+        descent of a level was filled while the level below was processed."""
+        negative, by_roots = self._negative, self._by_roots
         while not self._levels_complete and (upto is None or len(self._levels) <= upto):
-            nxt = set()
-            for w in self._levels[-1]:
-                for i in range(self.rank):
-                    up, sign = self.left_mul_gen(i, w)
-                    if sign > 0:
-                        nxt.add(up)
+            nxt: list[Element] = []
+            reached: set[Element] = set()
+            for i, memo in enumerate(self._lmul):
+                for u in self._levels[-1]:
+                    hit = memo.get(u)
+                    if hit is None:
+                        if negative(u.roots, i):
+                            raise InternalCheckError(
+                                f"the descent s{i} of {u} was not filled "
+                                f"with the level below it")
+                        roots = self._act(u.roots, i, True)
+                        w = by_roots.get(roots)
+                        if w is None:
+                            w = by_roots[roots] = Element(self, (i,) + u.word, roots)
+                            self._interned[w.word] = w
+                        memo[u] = (w, +1)
+                    elif hit[1] < 0:
+                        continue
+                    else:  # an ascent filled by an earlier left_mul_gen
+                        w = hit[0]
+                    memo[w] = (u, -1)
+                    if w not in reached:
+                        if any(negative(w.roots, j) for j in range(i)):
+                            raise InternalCheckError(
+                                f"{w} was first reached by s{i}, "
+                                f"not by its least left descent")
+                        reached.add(w)
+                        nxt.append(w)
             if not nxt:
                 self._levels_complete = True
                 return
-            self._levels.append(sorted(nxt, key=lambda el: el.word))
+            self._levels.append(nxt)
 
     def enumerate_elements(self, max_length: Optional[int] = None) -> list[Element]:
         """All elements of length <= max_length, sorted by (length, ShortLex).
@@ -569,29 +622,33 @@ class CoxeterSystem:
 
     def dense_tables(self) -> DenseTables:
         """Ids, the left generator-action table and the inverses of a finite
-        group, built on first use from ``left_mul_gen`` and then kept."""
+        group, built on first use from the ``left_mul_gen`` memo that
+        enumeration fills, and then kept."""
         if self._dense is not None:
             return self._dense
         elements = tuple(self.enumerate_elements())
         index = {w: k for k, w in enumerate(elements)}
-        left = []
-        for i in range(self.rank):
-            row = []
-            for w in elements:
-                u, sign = self.left_mul_gen(i, w)
-                row.append(index[u] if sign > 0 else ~index[u])
-            left.append(tuple(row))
+        left = tuple(tuple(index[u] if sign > 0 else ~index[u]
+                           for u, sign in map(memo.__getitem__, elements))
+                     for memo in self._lmul)
         first = tuple(w.word[0] if w.word else -1 for w in elements)
         tail = tuple(~left[i][k] if i >= 0 else -1 for k, i in enumerate(first))
-        # w = s t gives w^-1 = t^-1 s, and t comes before w
+        # along the prefix tree: w = s t and t = q r (r the last letter) give
+        # w = p r with prefix p = s q, and w^-1 = r p^-1; p and p^-1 come
+        # before w, and both lookups are ascents
+        prefix = [0] * len(elements)
         inverse = [0] * len(elements)
         for k in range(1, len(elements)):
-            inverse[k] = index[self.right_mul_gen(
-                elements[inverse[tail[k]]], first[k])[0]]
+            t = tail[k]
+            p = prefix[k] = left[first[k]][prefix[t]] if t else 0
+            inv = inverse[k] = left[elements[k].word[-1]][inverse[p]]
+            if p < 0 or inv < 0:
+                raise InternalCheckError(
+                    f"a prefix or inverse lookup of {elements[k]} is not an ascent")
         self._dense = DenseTables(
             elements=elements, index=index,
             lengths=tuple(w.length for w in elements),
-            left=tuple(left), first=first, tail=tail, inverse=tuple(inverse))
+            left=left, first=first, tail=tail, inverse=tuple(inverse))
         return self._dense
 
     # -- Bruhat order -----------------------------------------------------------
@@ -639,32 +696,33 @@ class CoxeterSystem:
     # -- conjugacy classes -------------------------------------------------------
 
     def conjugacy_classes(self) -> list[ConjugacyClass]:
-        """Orbit closure under conjugation by generators; finite systems only.
+        """Orbits of w -> s w s over the dense ids; finite systems only.
 
-        Classes are sorted by (min length, ShortLex of the representative)."""
+        Seeds go in id order, so each seed is its class's representative and
+        the classes come out sorted by (min length, ShortLex of it)."""
         if not self.is_finite:
             raise InfiniteGroupError("conjugacy classes need a finite system")
         if self._classes is not None:
             return self._classes
-        elements = self.enumerate_elements()
+        dense = self.dense_tables()
+        elements, inverse = dense.elements, dense.inverse
         total = len(elements)
-        assigned: set[Element] = set()
+        steps = [tuple(k if k >= 0 else ~k for k in row) for row in dense.left]
+        class_ids = [-1] * total
         classes: list[ConjugacyClass] = []
-        for seed in elements:
-            if seed in assigned:
+        for seed in range(total):
+            if class_ids[seed] >= 0:
                 continue
-            orbit = {seed}
-            queue = [seed]
-            while queue:
-                g = queue.pop()
-                for i in range(self.rank):
-                    sg = self.left_mul_gen(i, g)[0]
-                    sgs = self.right_mul_gen(sg, i)[0]
-                    if sgs not in orbit:
-                        orbit.add(sgs)
-                        queue.append(sgs)
-            members = tuple(sorted(orbit, key=lambda el: el.sort_key))
-            assigned.update(members)
+            c = class_ids[seed] = len(classes)
+            orbit = [seed]
+            for k in orbit:  # grows as the orbit is found
+                for step in steps:
+                    j = inverse[step[inverse[step[k]]]]  # s w s = (s (s w)^-1)^-1
+                    if class_ids[j] < 0:
+                        class_ids[j] = c
+                        orbit.append(j)
+            orbit.sort()
+            members = tuple(map(elements.__getitem__, orbit))
             min_len = members[0].length
             cmin = tuple(w for w in members if w.length == min_len)
             classes.append(ConjugacyClass(
@@ -672,17 +730,14 @@ class CoxeterSystem:
                 members=members,
                 min_length_set=cmin,
                 centralizer_order=total // len(members)))
-        classes.sort(key=lambda c: c.representative.sort_key)
         self._classes = classes
-        for idx, cls in enumerate(classes):
-            for w in cls.members:
-                self._class_index[w] = idx
+        self._class_ids = class_ids
         return classes
 
     def class_of(self, w: Element) -> int:
         """Index of w's class in conjugacy_classes()."""
         self.conjugacy_classes()
-        return self._class_index[w]
+        return self._class_ids[self._dense.index[w]]
 
     # -- distinguished elements ----------------------------------------------------
 

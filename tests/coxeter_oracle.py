@@ -1,17 +1,28 @@
-"""Reference implementation of Coxeter element arithmetic, kept as the
-oracle for the root-data kernel in ``hx.coxeter``.
+"""Reference implementations of Coxeter element arithmetic, enumeration
+and conjugacy classes, kept as oracles for the kernel in ``hx.coxeter``.
 
-These are the word walks that ``CoxeterSystem`` ran before each element
-carried its root data: descents by reflecting a unit vector along the
-whole word, the exchange condition by walking it again, and the canonical
-word by repeated exchanges. The methods are unchanged apart from living on
-a class of their own. They share no state with the kernel: they work on
-plain words and read only the system's rank and Cartan matrix.
+``WordWalk`` holds the word walks that ``CoxeterSystem`` ran before each
+element carried its root data: descents by reflecting a unit vector along
+the whole word, the exchange condition by walking it again, and the
+canonical word by repeated exchanges. They share no state with the kernel:
+they work on plain words and read only the system's rank and Cartan matrix.
+
+``sorted_levels`` and ``orbit_classes`` are the length-level BFS and the
+class orbit closure that ``CoxeterSystem`` ran before its dense-id kernel:
+every left ascent of the last level collected in a set and sorted by word,
+and orbits of ``Element``s under w -> s w s by one left and one right
+generator step. They use only ``left_mul_gen`` and ``right_mul_gen``, so
+run them on a system of their own to keep them apart from the kernel's
+enumeration.
+
+The methods and functions are unchanged apart from where they live.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
+
+from hx.coxeter import ConjugacyClass, Element
 
 
 class WordWalk:
@@ -119,3 +130,51 @@ def assert_matches_word_walk(W, words) -> None:
             assert (u.word, sign) == walk.left_mul_gen(i, word), (i, word)
             u, sign = W.right_mul_gen(w, i)
             assert (u.word, sign) == walk.right_mul_gen(word, i), (word, i)
+
+
+def sorted_levels(W, upto: Optional[int] = None) -> list[list[Element]]:
+    """The length levels of W up to length ``upto``, or all of a finite W."""
+    levels = [[W.identity]]
+    while upto is None or len(levels) <= upto:
+        nxt = set()
+        for w in levels[-1]:
+            for i in range(W.rank):
+                up, sign = W.left_mul_gen(i, w)
+                if sign > 0:
+                    nxt.add(up)
+        if not nxt:
+            break
+        levels.append(sorted(nxt, key=lambda el: el.word))
+    return levels
+
+
+def orbit_classes(W) -> list[ConjugacyClass]:
+    """The conjugacy classes of a finite W, sorted by representative."""
+    elements = [w for level in sorted_levels(W) for w in level]
+    total = len(elements)
+    assigned: set[Element] = set()
+    classes: list[ConjugacyClass] = []
+    for seed in elements:
+        if seed in assigned:
+            continue
+        orbit = {seed}
+        queue = [seed]
+        while queue:
+            g = queue.pop()
+            for i in range(W.rank):
+                sg = W.left_mul_gen(i, g)[0]
+                sgs = W.right_mul_gen(sg, i)[0]
+                if sgs not in orbit:
+                    orbit.add(sgs)
+                    queue.append(sgs)
+        members = tuple(sorted(orbit, key=lambda el: el.sort_key))
+        assigned.update(members)
+        min_len = members[0].length
+        cmin = tuple(w for w in members if w.length == min_len)
+        classes.append(ConjugacyClass(
+            representative=members[0],
+            members=members,
+            min_length_set=cmin,
+            centralizer_order=total // len(members)))
+    classes.sort(key=lambda c: c.representative.sort_key)
+    return classes

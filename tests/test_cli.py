@@ -246,6 +246,33 @@ def test_damaged_cache_entry_is_recomputed(tmp_path, monkeypatch, damage, mode):
     assert code == 0 and "cache hit" in err and out == cold
 
 
+@pytest.mark.parametrize("payload", [
+    b"{}", b"[1,2]", b'{"values": 5}', b'{"values": [[[], 0, 1]]}',
+    b"null", b"not json", "{\"\u00c4\": 1}".encode()])
+def test_forged_cache_entry_that_is_not_a_report_is_recomputed(
+        tmp_path, monkeypatch, payload):
+    # a digest that matches a payload which is not the command's report (no
+    # damage makes one; it has to be written so) must not end text output
+    # in a traceback: the entry is recomputed and overwritten
+    monkeypatch.setenv("HX_CACHE_DIR", str(tmp_path / "cache"))
+    keys = []
+    store = cli._cache_store
+    monkeypatch.setattr(cli, "_cache_store", lambda entry, payload: (
+        keys.append(entry[1]), store(entry, payload)))
+    command = ("kl", "afunction", "--type", "A1")
+    code, cold, _ = run_cli(*command)
+    assert code == 0
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    intact = entry.read_bytes()
+    entry.write_bytes(cli._sha256(keys[0], payload).encode() + b"\n" + payload)
+    code, out, err = run_cli(*command)
+    assert code == 0 and "cache hit" not in err and "Traceback" not in err
+    assert out == cold
+    assert entry.read_bytes() == intact
+    code, out, err = run_cli(*command)
+    assert code == 0 and "cache hit" in err and out == cold
+
+
 def test_cache_hit_under_json_is_not_parsed(tmp_path, monkeypatch):
     monkeypatch.setenv("HX_CACHE_DIR", str(tmp_path / "cache"))
     command = ("kl", "basis", "--type", "A3", "--json")
@@ -280,6 +307,20 @@ def test_internal_invariant_violation_exits_3(monkeypatch):
     monkeypatch.setattr(cli, "classify_positive", boom)
     code, _, err = run_cli("positivity", "--type", "A2")
     assert code == 3 and "INTERNAL" in err
+
+
+def test_generator_loop_turned_around_exits_3(monkeypatch):
+    # level passes from the last generator down reach w0 of A2 first by s1,
+    # which is not its least left descent; the check must catch it
+    import builtins
+
+    import hx.coxeter as coxeter
+
+    monkeypatch.setattr(coxeter, "enumerate", lambda items: reversed(
+        list(builtins.enumerate(items))), raising=False)
+    code, out, err = run_cli("group", "--type", "A2")
+    assert code == 3 and "not by its least left descent" in err
+    assert "Traceback" not in err and not out
 
 
 @pytest.mark.parametrize("at_descent", [True, False])

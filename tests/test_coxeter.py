@@ -7,9 +7,9 @@ from collections import Counter
 
 import pytest
 
-from coxeter_oracle import assert_matches_word_walk
+from coxeter_oracle import assert_matches_word_walk, orbit_classes, sorted_levels
 from hx.coxeter import (GatingError, INFINITE, InfiniteGroupError,
-                        build_system)
+                        InternalCheckError, build_system)
 from support import system
 
 CLASSICAL_ORDERS = [
@@ -284,6 +284,76 @@ def test_dense_inverse_table_is_an_involution(label):
         assert dense.inverse[dense.inverse[k]] == k
 
 
+# bond orders 3, 4 and 3: 1/3 + 1/4 + 1/3 < 1, a hyperbolic triangle group
+HYPERBOLIC = [[1, 3, 4], [3, 1, 3], [4, 3, 1]]
+
+
+@pytest.mark.parametrize("source,radius", [
+    ("~A2", 7), ("~C2", 7), ("~G2", 8), (HYPERBOLIC, 7)])
+def test_ball_matches_the_sorted_level_oracle(source, radius):
+    W = build_system(source)
+    oracle = sorted_levels(build_system(source), radius)
+    for bound in (3, radius):  # a partial ball, then extended
+        ball = W.enumerate_elements(max_length=bound)
+        assert [w.word for w in ball] == [
+            w.word for level in oracle[:bound + 1] for w in level]
+
+
+def _memo_words(W):
+    """Each generator's left-step memo, by words."""
+    return [{w.word: (u.word, sign) for w, (u, sign) in memo.items()}
+            for memo in W._lmul]
+
+
+@pytest.mark.parametrize("label,radius", [
+    ("A4", None), ("B3", None), ("D4", None), ("F4", None), ("G2", None),
+    ("~A2", 6), ("~C2", 6), ("~G2", 7)])
+def test_enumeration_over_a_prefilled_memo(label, radius):
+    # generator steps, normal forms and word lookups before enumeration fill
+    # the memo and the interning out of order; the levels, the memo and the
+    # dense tables must come out as on an untouched system
+    untouched = build_system(label)
+    ball = untouched.enumerate_elements(max_length=radius)
+    words = [w.word for w in ball[::7]] + [ball[-1].word, ball[len(ball) // 2].word]
+    W = build_system(label)
+    for word in words:
+        w = W.normal_form(word)
+        W._elem(word[::-1])
+        W.normal_form(word + word[:3])
+        for i in range(W.rank):
+            W.left_mul_gen(i, w)
+    assert W._levels == [[W.identity]]
+    W.enumerate_elements(max_length=3)
+    assert [w.word for w in W.enumerate_elements(max_length=radius)] == [
+        w.word for w in ball]
+    assert [[w.word for w in level] for level in W._levels] == [
+        [w.word for w in level] for level in untouched._levels]
+    for filled, clean in zip(_memo_words(W), _memo_words(untouched)):
+        assert {w: filled[w] for w in clean} == clean
+    if radius is None:
+        assert _memo_words(W) == _memo_words(untouched)
+        dense, clean = W.dense_tables(), untouched.dense_tables()
+        assert [w.word for w in dense.elements] == [w.word for w in clean.elements]
+        assert dense[2:] == clean[2:]  # lengths, left, first, tail, inverse
+
+
+def test_descent_pair_left_unfilled_is_an_internal_error():
+    W = build_system("A2")
+    W.enumerate_elements(max_length=1)
+    del W._lmul[0][W.generator(0)]
+    with pytest.raises(InternalCheckError, match="not filled"):
+        W.enumerate_elements(max_length=2)
+
+
+def test_inverse_lookup_off_an_ascent_is_an_internal_error():
+    W = build_system("A2")
+    W.enumerate_elements()
+    s1 = W.generator(1)
+    W._lmul[0][s1] = (W._lmul[0][s1][0], -1)
+    with pytest.raises(InternalCheckError, match="not an ascent"):
+        W.dense_tables()
+
+
 def _bruhat_oracle(W):
     """Downset closure of 'drop one letter from any reduced word'."""
     def all_reduced_words(w):
@@ -347,6 +417,24 @@ def test_conjugacy_classes():
     assert sorted(c.size for c in system("A3").conjugacy_classes()) == [1, 3, 6, 6, 8]
     with pytest.raises(InfiniteGroupError):
         system("~A1").conjugacy_classes()
+
+
+@pytest.mark.parametrize("source", [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "D4", "D5", "F4",
+    "G2", [[1, 2, 2], [2, 1, 3], [2, 3, 1]]])  # the last is A1 x A2
+def test_classes_match_the_orbit_oracle(source):
+    W = build_system(source)
+    classes = W.conjugacy_classes()
+    oracle = orbit_classes(build_system(source))
+    assert W.order() == sum(c.size for c in oracle)
+    assert len(classes) == len(oracle)
+    words = lambda els: [w.word for w in els]
+    for idx, (c, o) in enumerate(zip(classes, oracle)):
+        assert c.representative.word == o.representative.word
+        assert words(c.members) == words(o.members)
+        assert words(c.min_length_set) == words(o.min_length_set)
+        assert c.centralizer_order == o.centralizer_order
+        assert all(W.class_of(w) == idx for w in c.members)
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "D4"])
