@@ -5,8 +5,9 @@ either way). All tolerances are exact; runtime budgets are asserted.
 The B4/D4 positivity tables produced by criterion 3 are the main data
 deliverable; they are compared against the committed copies under
 reports/ to certify reproducibility. The committed F4 table is
-spot-checked on three classes, and the committed a-function (B3, A4), J
-(B3) and F4 group tables are recomputed byte for byte.
+spot-checked on three classes, and the committed a-function (B3, A4, D4,
+B4, and B3 at weights 1,1,2), J (B3, D4, and G2 at weights 2,1) and F4
+group tables are recomputed byte for byte.
 """
 
 import json
@@ -117,9 +118,12 @@ def test_committed_f4_classes_recompute():
     ("afunction_D4", ("kl", "afunction", "--type", "D4")),
     ("jring_D4", ("jring", "table", "--type", "D4")),
     ("afunction_B4", ("kl", "afunction", "--type", "B4")),
+    ("afunction_B3_112", ("kl", "afunction", "--type", "B3", "--weights", "1,1,2")),
+    ("jring_G2_21", ("jring", "table", "--type", "G2", "--weights", "2,1")),
 ])
 def test_committed_h_scan_reports_recompute(name, args):
-    # made by the per-pair T-basis products; the c-basis recursion must
+    # made by the per-pair T-basis products (the two unequal-weight ones by
+    # the packed scan with its own row split); the c-basis recursion must
     # reproduce them byte for byte
     code, out, _ = run_cli(*args, "--json")
     assert code == 0 and out == (REPORTS_DIR / f"{name}.json").read_text()
