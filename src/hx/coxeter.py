@@ -750,7 +750,9 @@ class CoxeterSystem:
         self._extend_levels(None)
         top = self._levels[-1]
         if len(top) != 1:
-            raise AssertionError("longest element is not unique")
+            raise InternalCheckError(
+                f"longest element is not unique: the top length level holds "
+                f"{len(top)} elements")
         return top[0]
 
     def special_elements(self) -> tuple[ConjugacyClass, Element]:

@@ -71,14 +71,17 @@ $c_s = T_s + v^{-L(s)}$ that the same theorem gives: for every w,
 
 with every $\\mu^s_{z,w}$ bar-invariant of degree below L(s). Once per
 algebra the scan computes the action rows $A_s[w]$, the c-coordinates of
-$c_s c_w$, for every s and w: one packed step $R = v^{L(s)} c_s P_w$, then
-a packed ``to_c_basis`` that walks $[e, sw]$ downward and subtracts
-$R[z] v^{-L(z)} P_z$, where the R[z] it meets is $\\mu_z v^{L(sw)}$
-exactly. Each row must have the theorem's shape: $R = (v^{2L(s)} + 1) P_w$
-at a descent; at an ascent a $T_{sw}$ coefficient of 1, every other z in
-$[e, w] \\setminus \\{w\\}$ with sz < z and a palindromic $\\mu_z$ of
-degree below L(s), and nothing left over. Then, for one y at a time, it
-walks x in length order with x = s x' (x' the canonical tail):
+$c_s c_w$, for every s and w. At a descent one packed step must give
+$v^{L(s)} c_s P_w = (v^{2L(s)} + 1) P_w$. At an ascent the row is 1 at sw
+and the $\\mu_z$ of the split of $c_s c_w$ above, the one place that
+splits it, with all its checks. When s is the first letter of sw, the
+build of $c_{sw}$ made that split already, and the row is the $\\mu_z$ it
+kept: |W| - 1 of the rank |W| / 2 ascent rows. Every other ascent runs
+the split again on rows already built, and the $P_{sw}$ it gives must
+equal the one built from the canonical tail: $c_{sw}$ is unique, so it
+cannot depend on the left ascent that reaches it. Then, for one y at a
+time, the scan walks x in length order with x = s x' (x' the canonical
+tail):
 
     h_{x,y,.} = sum_u h_{x',y,u} A_s[u] - sum_{z != x} A_s[x'][z] h_{z,y,.},
 
@@ -113,7 +116,7 @@ import random
 from fractions import Fraction
 from itertools import repeat
 from operator import sub
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Generator, Iterator, NamedTuple, Optional, Sequence
 
 from .coxeter import (CoxeterSystem, Element, InfiniteGroupError,
                       InternalCheckError)
@@ -131,6 +134,10 @@ __all__ = [
     "j_associativity_check",
     "j_find_unit",
 ]
+
+
+# (P_su, mass(su), z -> the coefficients of mu_z at v^0, v^1, ...)
+_Split = tuple[dict[Element, int], int, dict[Element, list[int]]]
 
 
 class _Overflow(Exception):
@@ -166,6 +173,8 @@ class KLBasis:
         # w -> (P_w as y -> v^{L(w)} p_{y,w} at v = 2^_width, mass(w))
         self._packed: dict[Element, tuple[dict[Element, int], int]] = {
             e: ({e: 1}, 1)}
+        # w -> the mu_z that the build of P_w subtracted, as _split gives them
+        self._mus: dict[Element, dict[Element, list[int]]] = {}
         self._width = 32  # the digit width B, doubled on overflow
         self._pairs: dict[tuple[int, int], list[list[int]]] = {}
 
@@ -227,6 +236,7 @@ class KLBasis:
         self._width *= 2
         e = self.system.identity
         self._packed = {e: ({e: 1}, 1)}
+        self._mus = {}
         self._pairs = {}
 
     def _step(self, s: int, row: dict[Element, int]) -> dict[Element, int]:
@@ -242,17 +252,28 @@ class KLBasis:
         return add_into(out, stay)
 
     def _build(self, w: Element) -> Iterator[Element]:
-        """Build P_w by the recursion in the module docstring.
+        """Build P_w as the split of c_s c_{w'}, s the first letter of w,
+        and keep the mu_z it subtracted. A generator, as ``_split``."""
+        s = w.word[0]
+        row, mass, mus = yield from self._split(
+            s, self.system.left_mul_gen(s, w)[0])
+        self._packed[w] = (row, mass)
+        self._mus[w] = mus
 
-        A generator: it yields each u whose packed row it needs and the
+    def _split(self, s: int, u: Element) -> Generator[Element, None, _Split]:
+        """Split v^{L(su)} c_s c_u, su > u, by the recursion in the module
+        docstring into (P_su, mass(su), mus), where mus maps each z with
+        mu_z != 0 to the coefficients of mu_z at v^0, v^1, ...; mu_z is
+        bar-invariant, so they and their mirror image make all of it.
+
+        A generator: it yields each z whose packed row it needs and the
         memo lacks, and resumes once the caller has built it."""
         system, packed, width = self.system, self._packed, self._width
         weight = self.algebra.weight
-        s = w.word[0]
-        tail = system.left_mul_gen(s, w)[0]
-        if tail not in packed:
-            yield tail
-        row, mass = packed[tail]
+        w = system.left_mul_gen(s, u)[0]
+        if u not in packed:
+            yield u
+        row, mass = packed[u]
         L, top = weight.values[s], weight(w)
         acc = self._step(s, row)
         if acc.pop(w, 0) != 1 << width * top:
@@ -269,11 +290,12 @@ class KLBasis:
         # while it stays below 2^B - 1
         fast = equal and top * bound < modulus
         lift = (limit - 1 - bound) * ones
-        below_tail: Optional[set[Element]] = None
+        below_u: Optional[set[Element]] = None
         # w, then the z below it in descending (length, ShortLex) order, so
         # that reversed it is in bruhat_interval_below(w) order
         out = {w: 1 << width * top}
         new_mass = 1
+        mus: dict[Element, list[int]] = {}
         for z in reversed(system.bruhat_interval_below(w)[:-1]):
             r = acc.pop(z, 0)
             if (fast and 0 < r < cap and not r & high and not (r + lift) & high
@@ -286,19 +308,17 @@ class KLBasis:
             low = ((r & -r).bit_length() - 1) // width if r else 0
             digits = unpack(r >> width * low, width, bound)
             n_mu = low + len(digits) - top
-            if n_mu > 0:  # c_s c_w' holds mu_z c_z, mu_z of degree n_mu - 1
-                if below_tail is None:
-                    below_tail = set(system.bruhat_interval_below(tail))
-                if (n_mu > L or z == tail or z not in below_tail
+            if n_mu > 0:  # c_s c_u holds mu_z c_z, mu_z of degree n_mu - 1
+                if below_u is None:
+                    below_u = set(system.bruhat_interval_below(u))
+                if (n_mu > L or z == u or z not in below_u
                         or system.left_mul_gen(s, z)[1] > 0):
-                    raise InternalCheckError(
-                        f"mu of degree {n_mu - 1} at z={z!r} in c_s c_w' for "
-                        f"w={w!r} is off the shape of Lusztig's Thm 6.6")
+                    raise _thm66(s, u, f"mu of degree {n_mu - 1} at z={z!r}")
                 # restore the skipped digits: the mirror image of mu_z may
                 # reach below them
                 digits[:0] = [0] * low
                 low = 0
-                mu = digits[top:]
+                mu = mus[z] = digits[top:]
                 del digits[top:]
                 for k in range(1, n_mu):
                     digits[top - k] -= mu[k]
@@ -328,7 +348,7 @@ class KLBasis:
         if any(acc.values()):
             raise InternalCheckError(
                 f"c_w has support outside [e, w] at w={w!r}")
-        packed[w] = (out, new_mass)
+        return out, new_mass, mus
 
     def element(self, w: Element) -> HeckeElement:
         """The basis element c_w in T-coordinates."""
@@ -379,75 +399,59 @@ def _packed_action_rows(kl: KLBasis) -> tuple[list[list[dict[int, int]]], list[i
     at v = 2^B, for every generator s and every u of a finite W (dense ids);
     also, per s, the largest l1 norm of a row, its coefficients summed.
 
-    Each row is R = v^{L(s)} c_s P_u from one packed step, split into packed
-    P_z by a walk down [e, su]; it must have the shape of Thm 6.6."""
+    At a descent the row is v^{L(s)} + v^{-L(s)} at u, checked by one packed
+    step. At an ascent it is 1 at su and the mu_z of the split of c_s c_u:
+    the build's own when s is the first letter of su, and otherwise those of
+    ``KLBasis._split`` run again, whose P_su must be the one built."""
     system = kl.system
     dense = system.dense_tables()
-    elements, index = dense.elements, dense.index
-    weight = kl.algebra.weight
+    elements, index, first = dense.elements, dense.index, dense.first
     while True:  # every P_u at one width
         width = kl._width
         for u in elements:
             kl._packed_row(u)
         if kl._width == width:
             break
-    packed, limit = kl._packed, 1 << (width - 1)
+    packed, built = kl._packed, kl._mus
     rows, norms = [], []
-    for s, L in enumerate(weight.values):
+    for s, L in enumerate(kl.algebra.weight.values):
         up = width * L
         twice = (1 << 2 * up) + 1  # (v^L + v^-L) v^L
         left = dense.left[s]
         row: list[dict[int, int]] = []
         norm = 2
         for k, u in enumerate(elements):
-            P, mass = packed[u]
-            R = kl._step(s, P)
             j = left[k]
             if j < 0:  # c_s c_u = (v^L + v^-L) c_u
-                if R != {y: twice * p for y, p in P.items()}:
+                P = packed[u][0]
+                if kl._step(s, P) != {y: twice * p for y, p in P.items()}:
                     raise _thm66(s, u, "not (v^L + v^-L) c_w at a descent")
                 row.append({k: twice})
                 continue
             su = elements[j]
-            top = weight(su)
-            if R.pop(su, 0) != 1 << width * top:
-                raise _thm66(s, u, "the T_sw coefficient is not 1")
-            Psu, su_mass = packed[su]
-            for y, p in Psu.items():
-                if y is not su:
-                    R[y] = R.get(y, 0) - p
-            # on every digit of R, raised by each mu_z P_z subtracted
-            bound = 2 * mass + su_mass
+            if first[j] == s:
+                mus = built[su]
+            else:
+                split = kl._split(s, u)
+                try:
+                    need = next(split)
+                except StopIteration as done:
+                    P, _, mus = done.value
+                else:
+                    raise InternalCheckError(
+                        f"the split of c_s c_u at s={s}, u={u!r} needs c_z at "
+                        f"z={need!r}, which is not built")
+                if P != packed[su][0]:
+                    raise InternalCheckError(
+                        f"c_s c_u at s={s}, u={u!r} does not reproduce P_su at "
+                        f"su={su!r}: c_su is not unique")
             entry = {j: 1 << up}
             size = 1  # the l1 norm of the row
-            below: Optional[set[Element]] = None
-            for z in reversed(system.bruhat_interval_below(su)[:-1]):
-                r = R.pop(z, 0)
-                if not r:
-                    continue
-                # r = mu_z v^{L(su)}, mu_z bar-invariant of degree below L
-                if bound >= limit:
-                    raise _Overflow
-                digits = unpack(r, width, bound)
-                mu = digits[top - L + 1:]
-                mu += [0] * (2 * L - 1 - len(mu))
-                if below is None:
-                    below = set(system.bruhat_interval_below(u))
-                if (len(mu) != 2 * L - 1 or mu != mu[::-1]
-                        or any(digits[:top - L + 1]) or z is u
-                        or z not in below or left[index[z]] >= 0):
-                    raise _thm66(s, u, f"mu = {digits} v^-{top} at z={z!r}")
-                entry[index[z]] = r >> width * weight(u)
-                m = sum(map(abs, mu))
-                size += m
-                Pz, zmass = packed[z]
-                r >>= width * weight(z)  # mu_z v^{L(su)} c_z = r P_z
-                for y, q in Pz.items():
-                    if y is not z:
-                        R[y] = R.get(y, 0) - r * q
-                bound += m * zmass
-            if any(R.values()):
-                raise _thm66(s, u, "terms are left over")
+            for z, mu in mus.items():
+                # mu_z v^{L(s)}, mu_z of degree len(mu) - 1
+                entry[index[z]] = pack(mu[:0:-1] + mu, width) << width * (
+                    L - len(mu) + 1)
+                size += 2 * sum(map(abs, mu)) - abs(mu[0])
             row.append(entry)
             norm = max(norm, size)
         rows.append(row)
@@ -797,21 +801,16 @@ class JRing(NamedTuple):
         return out
 
 
-def j_table(kl: KLBasis, afn: Optional[AFunction] = None,
+def j_table(kl: KLBasis, *,
             progress: Optional[Callable[[int, int], None]] = None) -> JRing:
-    """Tabulate the J multiplication from the h-table leading coefficients.
-
-    The a-function comes from the same scan; an `afn` passed in must agree
-    with it."""
+    """Tabulate the J multiplication from the h-table leading coefficients;
+    the a-function comes from the same scan."""
     system = kl.system
     if not system.is_finite:
         raise InfiniteGroupError("the J ring is only built for finite systems")
-    scanned, table = _h_scan(kl, progress)
-    if afn is not None and afn.values != scanned.values:
-        raise ValueError("afn is not the a-function of this KL basis")
+    afn, table = _h_scan(kl, progress)
     return JRing(system=system, weight=kl.algebra.weight,
-                 elements=tuple(system.enumerate_elements()),
-                 a=scanned if afn is None else afn, table=table)
+                 elements=tuple(system.enumerate_elements()), a=afn, table=table)
 
 
 class JAssociativityReport(NamedTuple):

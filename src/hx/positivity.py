@@ -201,23 +201,22 @@ def n_trace(algebra: HeckeAlgebra, w: Element) -> LaurentPoly:
     return _decode(total, width, bound, drop=top)
 
 
-def class_report(algebra: HeckeAlgebra, cls: ConjugacyClass, class_id: int,
-                 *, max_cmin: Optional[int] = None) -> TraceReport:
-    """Evaluate N^w over C_min and certify the theorem-backed invariants.
-
-    max_cmin caps how many minimal-length members are evaluated (rank-5
-    time budgets); the default evaluates all of C_min. A cap below 1 is
-    rejected with ValueError."""
-    _gate(algebra)
-    system = algebra.system
+def _traces(algebra: HeckeAlgebra, cls: ConjugacyClass,
+            max_cmin: Optional[int]) -> list[LaurentPoly]:
+    """N^w for each of the first max_cmin members of C_min, or all of them."""
     members = cls.min_length_set
     if max_cmin is not None:
         if max_cmin < 1:
             raise ValueError(f"max_cmin must be >= 1, not {max_cmin}")
         members = members[:max_cmin]
-    traces = [n_trace(algebra, w) for w in members]
-    n_poly = traces[0]
+    return [n_trace(algebra, w) for w in members]
 
+
+def _certified(system: CoxeterSystem, cls: ConjugacyClass, class_id: int,
+               traces: list[LaurentPoly]) -> TraceReport:
+    """The report of a class from its traces over C_min, once they satisfy
+    the theorem-backed invariants."""
+    n_poly = traces[0]
     constant = all(t == n_poly for t in traces[1:])
     in_zv2 = in_cone(n_poly, "Zv2")
     cent_ok = n_poly.evaluate(1) == cls.centralizer_order
@@ -241,10 +240,22 @@ def class_report(algebra: HeckeAlgebra, cls: ConjugacyClass, class_id: int,
         checks=TraceChecks(constant_over_min=constant, in_z_v2=in_zv2,
                            centralizer_at_v1=cent_ok),
         cmin_size=len(cls.min_length_set),
-        cmin_evaluated=len(members),
+        cmin_evaluated=len(traces),
         is_identity_class=cls.representative.is_identity(),
         is_coxeter_class=is_cox,
     )
+
+
+def class_report(algebra: HeckeAlgebra, cls: ConjugacyClass, class_id: int,
+                 *, max_cmin: Optional[int] = None) -> TraceReport:
+    """Evaluate N^w over C_min and certify the theorem-backed invariants.
+
+    max_cmin caps how many minimal-length members are evaluated (rank-5
+    time budgets); the default evaluates all of C_min. A cap below 1 is
+    rejected with ValueError."""
+    _gate(algebra)
+    return _certified(algebra.system, cls, class_id,
+                      _traces(algebra, cls, max_cmin))
 
 
 # (algebra, max_cmin) of a pool worker, set once by _pool_init
@@ -256,28 +267,10 @@ def _pool_init(algebra: HeckeAlgebra, max_cmin: Optional[int]) -> None:
     _worker_args = (algebra, max_cmin)
 
 
-def _pool_job(class_id: int) -> dict:
+def _pool_job(class_id: int) -> list[LaurentPoly]:
     algebra, max_cmin = _worker_args
-    cls = algebra.system.conjugacy_classes()[class_id]
-    return class_report(algebra, cls, class_id,
-                        max_cmin=max_cmin).to_jsonable()
-
-
-def _report_from_jsonable(system: CoxeterSystem, payload: dict) -> TraceReport:
-    return TraceReport(
-        class_id=payload["class_id"],
-        representative=system._elem(tuple(payload["representative"])),
-        size=payload["size"],
-        min_length=payload["min_length"],
-        centralizer_order=payload["centralizer_order"],
-        n_poly=LaurentPoly.from_pairs(payload["n_poly"]),
-        positive=payload["positive"],
-        checks=TraceChecks(**payload["checks"]),
-        cmin_size=payload["cmin_size"],
-        cmin_evaluated=payload["cmin_evaluated"],
-        is_identity_class=payload["is_identity_class"],
-        is_coxeter_class=payload["is_coxeter_class"],
-    )
+    return _traces(algebra, algebra.system.conjugacy_classes()[class_id],
+                   max_cmin)
 
 
 def classify_positive(source: Union[CoxeterSystem, HeckeAlgebra], *,
@@ -290,9 +283,11 @@ def classify_positive(source: Union[CoxeterSystem, HeckeAlgebra], *,
     where the platform offers it and by spawn elsewhere. Each worker gets
     the algebra and options once, through the pool initializer, and keeps
     its memos across classes; a task carries a class number and returns
-    its report as JSON. Results come back in class order, so the output is
-    schedule-independent. Without a pool the reports are built in place.
-    Either way, progress(i + 1, total) is called as each class arrives."""
+    the class's N^w over C_min, and the parent certifies them and builds
+    the report as the serial loop does. Results come back in class order,
+    so the output is schedule-independent. Without a pool the reports are
+    built in place. Either way, progress(i + 1, total) is called as each
+    class arrives."""
     algebra = source if isinstance(source, HeckeAlgebra) else HeckeAlgebra(source)
     _gate(algebra)
     system = algebra.system
@@ -315,8 +310,9 @@ def classify_positive(source: Union[CoxeterSystem, HeckeAlgebra], *,
                        for i, cls in enumerate(classes))
         else:
             # chunksize 1: class costs are very uneven
-            payloads = pool.imap(_pool_job, range(total), chunksize=1)
-            results = (_report_from_jsonable(system, p) for p in payloads)
+            traces = pool.imap(_pool_job, range(total), chunksize=1)
+            results = (_certified(system, classes[i], i, found)
+                       for i, found in enumerate(traces))
         reports = []
         for i, report in enumerate(results):
             reports.append(report)

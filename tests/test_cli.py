@@ -323,6 +323,30 @@ def test_generator_loop_turned_around_exits_3(monkeypatch):
     assert "Traceback" not in err and not out
 
 
+def test_second_longest_element_exits_3(monkeypatch):
+    # a second element in the top length level, put there once the dense
+    # tables are built from the levels, is an internal error, not a crash
+    from hx.coxeter import CoxeterSystem, InternalCheckError, build_system
+
+    real = CoxeterSystem.dense_tables
+
+    def crowded(self):
+        dense = real(self)
+        top = self._levels[-1]
+        if len(top) == 1:
+            top.append(self._levels[-2][0])
+        return dense
+
+    monkeypatch.setattr(CoxeterSystem, "dense_tables", crowded)
+    W = build_system("A2")
+    W.dense_tables()
+    with pytest.raises(InternalCheckError, match="longest element is not unique"):
+        W.longest_element()
+    code, out, err = run_cli("group", "--type", "A2")
+    assert code == 3 and "longest element is not unique" in err
+    assert "Traceback" not in err and not out
+
+
 @pytest.mark.parametrize("at_descent", [True, False])
 def test_action_row_off_the_theorem_exits_3(monkeypatch, at_descent):
     from hx.klbasis import KLBasis
@@ -330,19 +354,22 @@ def test_action_row_off_the_theorem_exits_3(monkeypatch, at_descent):
     real = KLBasis._step
 
     def skewed(self, s, row):
-        # add 1 at T_u to v^L(s) c_s P_u, at a descent of u, or at an ascent
-        # whose s is not the first letter of su; the KL build steps only
-        # from the canonical tail of su, so these steps are the scan's alone
+        # double the T_u coefficient of v^L(s) c_s P_u, at a descent of u, or
+        # at an ascent whose s is not the first letter of su; the KL build
+        # steps only from the canonical tail of su, so these steps are the
+        # scan's alone. At the ascent the coefficient is v^L(u), and doubled
+        # it passes every check of the split but gives p_(u,su) = 2 v^-L(s)
         out = real(self, s, row)
         u = max(row, key=lambda el: el.sort_key)
         su, sign = self.system.left_mul_gen(s, u)
         if (sign < 0) == at_descent and (sign < 0 or su.word[0] != s):
-            out[u] = out.get(u, 0) + 1
+            out[u] *= 2
         return out
 
     monkeypatch.setattr(KLBasis, "_step", skewed)
     code, out, err = run_cli("kl", "afunction", "--type", "A2")
-    assert code == 3 and "Thm 6.6" in err and "Traceback" not in err and not out
+    message = "at a descent" if at_descent else "does not reproduce P_su"
+    assert code == 3 and message in err and "Traceback" not in err and not out
 
 
 def _skew_action_rows(monkeypatch, change, norms=lambda n: n):

@@ -1,7 +1,8 @@
 """The packed c_s recursion of the KL basis and the word-product bar(T_w)
 against the Laurent oracle in ``kl_oracle``, the recursion's digit-width
 guard and hard checks, and bar on long affine words; the packed dense-id
-h-scan against the Laurent column recursion there, and its width guard."""
+h-scan and its action rows against the Laurent column recursion and rows
+there, and the scan's width guard."""
 
 import inspect
 import random
@@ -16,7 +17,7 @@ from hx.hecke import HeckeAlgebra, WeightFunction, pack, unpack
 from hx.klbasis import (KLBasis, _digit_reader, _h_scan, _packed_action_rows,
                         _packed_columns, _palindrome_test)
 from hx.laurent import LaurentPoly
-from kl_oracle import LaurentKL, _h_columns
+from kl_oracle import LaurentKL, _action_rows, _h_columns
 from support import run_cli, system
 
 FINITE_CASES = [
@@ -322,6 +323,23 @@ SCAN_CASES = [
     ("B2", None), ("B3", None), ("B3", (1, 1, 2)), ("B3", (2, 2, 1)),
     ("G2", (2, 1)),
 ]
+
+
+@pytest.mark.parametrize("label,weights", SCAN_CASES)
+def test_packed_action_rows_match_oracle(label, weights):
+    # each row entry is a coefficient of c_s c_u times v^L(s); the row norms
+    # are the largest l1 norm of a row of each s
+    kl = KLBasis(fresh(label, weights))
+    rows, norms = _packed_action_rows(kl)
+    elements, width = kl.system.dense_tables().elements, kl._width
+    oracle = _action_rows(KLBasis(fresh(label, weights)))
+    for s, L in enumerate(kl.algebra.weight.values):
+        decoded = {elements[u]: {elements[z]: LaurentPoly(
+            -L, unpack(a, width, 1 << width)) for z, a in row.items()}
+            for u, row in enumerate(rows[s])}
+        assert decoded == oracle[s], s
+        assert norms[s] == max(sum(sum(map(abs, m.coeffs)) for m in row.values())
+                               for row in oracle[s].values()), s
 
 
 @pytest.mark.parametrize("label,weights", SCAN_CASES)
