@@ -73,15 +73,15 @@ with every $\\mu^s_{z,w}$ bar-invariant of degree below L(s). Once per
 algebra the scan computes the action rows $A_s[w]$, the c-coordinates of
 $c_s c_w$, for every s and w. At a descent one packed step must give
 $v^{L(s)} c_s P_w = (v^{2L(s)} + 1) P_w$. At an ascent the row is 1 at sw
-and the $\\mu_z$ of the split of $c_s c_w$ above, the one place that
-splits it, with all its checks. When s is the first letter of sw, the
-build of $c_{sw}$ made that split already, and the row is the $\\mu_z$ it
-kept: |W| - 1 of the rank |W| / 2 ascent rows. Every other ascent runs
-the split again on rows already built, and the $P_{sw}$ it gives must
-equal the one built from the canonical tail: $c_{sw}$ is unique, so it
-cannot depend on the left ascent that reaches it. Then, for one y at a
-time, the scan walks x in length order with x = s x' (x' the canonical
-tail):
+and the $\\mu_z$ of ``KLBasis._split``, the build's split above and the
+one place that splits $c_s c_w$, with all its checks. When s is the
+first letter of sw, the build of $c_{sw}$ made that split already, and
+the row is the $\\mu_z$ it kept: |W| - 1 of the rank |W| / 2 ascent rows.
+Every other ascent runs the split again on rows already built, and the
+$P_{sw}$ it gives must equal the one built from the canonical tail:
+$c_{sw}$ is unique, so it cannot depend on the left ascent that reaches
+it. Then, for one y at a time, the scan walks x in length order with
+x = s x' (x' the canonical tail):
 
     h_{x,y,.} = sum_u h_{x',y,u} A_s[u] - sum_{z != x} A_s[x'][z] h_{z,y,.},
 
@@ -403,8 +403,7 @@ def _packed_action_rows(kl: KLBasis) -> tuple[list[list[dict[int, int]]], list[i
     step. At an ascent it is 1 at su and the mu_z of the split of c_s c_u:
     the build's own when s is the first letter of su, and otherwise those of
     ``KLBasis._split`` run again, whose P_su must be the one built."""
-    system = kl.system
-    dense = system.dense_tables()
+    dense = kl.system.dense_tables()
     elements, index, first = dense.elements, dense.index, dense.first
     while True:  # every P_u at one width
         width = kl._width

@@ -372,6 +372,24 @@ def test_action_row_off_the_theorem_exits_3(monkeypatch, at_descent):
     assert code == 3 and message in err and "Traceback" not in err and not out
 
 
+def test_action_row_split_needing_an_unbuilt_row_exits_3(monkeypatch):
+    # the scan splits c_s c_u only once every row is built; a row dropped
+    # just before such a split must stop the run, not be built there
+    from hx.klbasis import KLBasis
+
+    real = KLBasis._split
+
+    def forgetful(self, s, u):
+        if self.system.left_mul_gen(s, u)[0].word[0] != s:  # not the build's
+            del self._packed[u]
+        return real(self, s, u)
+
+    monkeypatch.setattr(KLBasis, "_split", forgetful)
+    code, out, err = run_cli("kl", "afunction", "--type", "A2")
+    assert code == 3 and "which is not built" in err
+    assert "Traceback" not in err and not out
+
+
 def _skew_action_rows(monkeypatch, change, norms=lambda n: n):
     """Replace every packed action-row coefficient a by change(a, width),
     and each row-norm bound n by norms(n)."""

@@ -111,6 +111,23 @@ def test_pool_reports_progress_per_class():
     assert [r.to_jsonable() for r in pooled] == [r.to_jsonable() for r in serial]
 
 
+def test_pool_traces_are_certified_in_the_parent(monkeypatch):
+    # workers return traces; the parent checks them and builds each report
+    # through the code the serial loop runs
+    import hx.positivity as positivity
+
+    real, certified = positivity._certified, []
+
+    def counted(system, cls, class_id, traces):
+        certified.append(class_id)
+        return real(system, cls, class_id, traces)
+
+    monkeypatch.setattr(positivity, "_certified", counted)
+    pooled = classify_positive(system("A3"), jobs=2)
+    assert certified == list(range(5))
+    assert pooled == classify_positive(system("A3"), jobs=1)
+
+
 def test_pool_spawns_where_fork_is_missing(monkeypatch):
     import multiprocessing
 
