@@ -161,8 +161,9 @@ class KLBasis:
 
     All computed coordinates are cached per element (write-once memo,
     idempotent under concurrent fills). The packed rows P_w the recursion
-    builds from are a second memo, valid at the basis's own digit width
-    and dropped when that width doubles.
+    builds from, with the mu_z each build subtracted, are a second memo,
+    valid at the basis's own digit width and dropped when that width
+    doubles.
     """
 
     def __init__(self, algebra: HeckeAlgebra):
