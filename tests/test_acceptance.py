@@ -120,11 +120,14 @@ def test_committed_f4_classes_recompute():
     ("afunction_B4", ("kl", "afunction", "--type", "B4")),
     ("afunction_B3_112", ("kl", "afunction", "--type", "B3", "--weights", "1,1,2")),
     ("jring_G2_21", ("jring", "table", "--type", "G2", "--weights", "2,1")),
+    ("junit_D4", ("jring", "unit", "--type", "D4")),
+    ("junit_B3_112", ("jring", "unit", "--type", "B3", "--weights", "1,1,2")),
 ])
 def test_committed_h_scan_reports_recompute(name, args):
     # made by the per-pair T-basis products (the two unequal-weight ones by
-    # the packed scan with its own row split); the c-basis recursion must
-    # reproduce them byte for byte
+    # the packed scan with its own row split, the two J units by the solve
+    # over Element-hashed supports); the c-basis recursion must reproduce
+    # them byte for byte
     code, out, _ = run_cli(*args, "--json")
     assert code == 0 and out == (REPORTS_DIR / f"{name}.json").read_text()
 
