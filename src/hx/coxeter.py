@@ -6,32 +6,34 @@ explicit Coxeter matrix with entries in {2, 3, 4, 6, inf} off the
 diagonal (the crystallographic bond orders; m = 5 and finite m >= 7 are
 rejected because they force irrational root coordinates).
 
-Elements are identified with their ShortLex-least reduced word, so
-equality of elements is equality of words. Arithmetic uses the "numbers
-game" on integral root coordinates coming from a Cartan realization C of
-the Coxeter matrix, s_i(alpha_j) = alpha_j - C[i][j] alpha_i: every
-w(alpha_j) is a root, all of whose coordinates share one sign, and
-``|s_i w| < |w|`` iff ``w^{-1}(alpha_i)`` is negative. This works
-uniformly for finite, affine and hyperbolic systems; no group table is
-required.
+Elements are named by their ShortLex-least reduced word. Arithmetic uses
+the "numbers game" on integral root coordinates coming from a Cartan
+realization C of the Coxeter matrix, s_i(alpha_j) = alpha_j - C[i][j]
+alpha_i: every w(alpha_j) is a root, all of whose coordinates share one
+sign, and ``|s_i w| < |w|`` iff ``w^{-1}(alpha_i)`` is negative. This
+works uniformly for finite, affine and hyperbolic systems; no group table
+is required.
 
 Root data. Each element carries, computed once, the coordinates of
 ``w^{-1}(alpha_j)`` for every j, as one flat int tuple of rank^2 entries;
 j is a left descent of w iff ``w^{-1}(alpha_j) < 0``. Writing v_j for
 these vectors, a left step gives ``(s_i w)^{-1}(alpha_j) = v_j - C[i][j]
 v_i`` and a right step ``(w s_i)^{-1}(alpha_j) = s_i(v_j)``, each in
-O(rank^2). Elements are interned by their root data as well as by word,
-so a step looks its result up by data; only on a miss is the canonical
-word built, as the least left descent d followed by the canonical word of
-``s_d u``, itself looked up the same way. The sign of a right step, and so
-a right descent, comes from the lengths of the two interned words.
+O(rank^2). The sign of a right step, and so a right descent, comes from
+the lengths of the two words.
 
-The interning is faithful for every accepted matrix, finite, affine or
-hyperbolic. The data is the linear map w^{-1} on the simple roots, so two
-elements u, v with the same data act on the root lattice by the same
-linear map, and g = u v^{-1} fixes every simple root. Then
-``g^{-1}(alpha_j) = alpha_j > 0`` for all j, g has no left descent by
-the same theorem, and g = e.
+Interning. A system keeps one table, root data -> Element, and makes
+every element through it: a step, a word or an inverse walks the root
+data and looks the result up; only on a miss is the canonical word built,
+as the least left descent d followed by the canonical word of ``s_d u``,
+itself looked up the same way. The table is faithful for every accepted
+matrix, finite, affine or hyperbolic. The data is the linear map w^{-1}
+on the simple roots, so two elements u, v with the same data act on the
+root lattice by the same linear map, and g = u v^{-1} fixes every simple
+root. Then ``g^{-1}(alpha_j) = alpha_j > 0`` for all j, g has no left
+descent by the same theorem, and g = e. So each group element is one
+Element object per system, and object identity, which ``==`` and the
+hash of every dict and set use, is equality of elements.
 
 Enumeration. The length levels grow one generator at a time: for each i
 in turn, every u of the last level, in order, takes its left step s_i u
@@ -95,19 +97,21 @@ class InternalCheckError(Exception):
 
 
 class Element:
-    """A group element, canonically the ShortLex-least reduced word.
+    """A group element: its system's one object for it, with ``word`` its
+    ShortLex-least reduced word and ``roots`` its root data, the
+    coordinates of w^{-1}(alpha_j) for j = 0 .. rank-1, flattened.
 
-    ``roots`` is its root data: the coordinates of w^{-1}(alpha_j) for
-    j = 0 .. rank-1, flattened."""
+    Only ``CoxeterSystem`` makes them, through its intern table, so two
+    Elements are equal iff they are the same object: equality and hash are
+    ``object``'s, and elements of different systems are never equal."""
 
-    __slots__ = ("system", "word", "roots", "_hash")
+    __slots__ = ("system", "word", "roots")
 
     def __init__(self, system: "CoxeterSystem", word: tuple[int, ...],
                  roots: tuple[int, ...]):
         self.system = system
         self.word = word
         self.roots = roots
-        self._hash = hash(word)
 
     @property
     def length(self) -> int:
@@ -128,16 +132,6 @@ class Element:
 
     def __invert__(self) -> "Element":
         return self.system.inverse(self)
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.system is other.system and self.word == other.word
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return "e" if not self.word else "*".join(f"s{i}" for i in self.word)
@@ -395,7 +389,6 @@ class CoxeterSystem:
             tuple((j, c) for j, c in enumerate(row) if c) for row in self.cartan)
         self.identity = Element(self, (), tuple(
             int(j == k) for j in range(rank) for k in range(rank)))
-        self._interned: dict[tuple[int, ...], Element] = {(): self.identity}
         self._by_roots: dict[tuple[int, ...], Element] = {
             self.identity.roots: self.identity}
         # _lmul[i][w] = (s_i w, sign) and _rmul[i][w] = (w s_i, sign)
@@ -473,18 +466,14 @@ class CoxeterSystem:
         for d, roots in reversed(chain):
             el = Element(self, (d,) + el.word, roots)
             self._by_roots[roots] = el
-            self._interned[el.word] = el
         return el
 
     def _elem(self, word: tuple[int, ...]) -> Element:
-        """The element of a word of generators, normally a canonical one."""
-        el = self._interned.get(word)
-        if el is None:
-            roots = self.identity.roots
-            for i in reversed(word):
-                roots = self._act(roots, i, True)
-            el = self._intern(roots)
-        return el
+        """The element of a word of generators, by its root data."""
+        roots = self.identity.roots
+        for i in reversed(word):
+            roots = self._act(roots, i, True)
+        return self._intern(roots)
 
     # -- element arithmetic ---------------------------------------------------
 
@@ -583,7 +572,6 @@ class CoxeterSystem:
                         w = by_roots.get(roots)
                         if w is None:
                             w = by_roots[roots] = Element(self, (i,) + u.word, roots)
-                            self._interned[w.word] = w
                         memo[u] = (w, +1)
                     elif hit[1] < 0:
                         continue
@@ -754,16 +742,6 @@ class CoxeterSystem:
                 f"longest element is not unique: the top length level holds "
                 f"{len(top)} elements")
         return top[0]
-
-    def special_elements(self) -> tuple[ConjugacyClass, Element]:
-        """(class of the Coxeter element, longest element w_0)."""
-        if not self.is_finite:
-            raise InfiniteGroupError("special elements need a finite system")
-        if not self.is_irreducible:
-            raise GatingError("special elements need an irreducible system")
-        classes = self.conjugacy_classes()
-        cox = classes[self.class_of(self.coxeter_element())]
-        return cox, self.longest_element()
 
 
 def build_system(source: Union[str, Sequence[Sequence]]) -> CoxeterSystem:

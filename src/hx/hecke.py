@@ -330,19 +330,10 @@ class HeckeAlgebra:
 
         bar(T_s) = T_s - xi_s is T_s^{-1}, and bar is multiplicative along
         the canonical word, so the factors are applied from the right, one
-        pass per letter: (T_s - xi_s) T_x is T_{sx} - xi_s T_x when sx > x,
-        and T_{sx} alone at a descent, where the xi_s T_x of T_s T_x and of
-        -xi_s T_x cancel."""
+        generator step and one subtraction per letter."""
         terms: Terms = {self.system.identity: ONE}
         for i in reversed(w.word):
-            out: Terms = {}
-            up: Terms = {}
-            for (x, p), (sx, sign) in zip(
-                    terms.items(), map(self.system.left_mul_gen, repeat(i), terms)):
-                out[sx] = p
-                if sign > 0:
-                    up[x] = p
-            terms = add_into(out, up, -self._xi[i])
+            terms = add_into(self._lmul_gen(i, terms), terms, -self._xi[i])
         return terms
 
     def bar(self, h: HeckeElement) -> HeckeElement:

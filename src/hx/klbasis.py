@@ -71,8 +71,10 @@ $c_s = T_s + v^{-L(s)}$ that the same theorem gives: for every w,
 
 with every $\\mu^s_{z,w}$ bar-invariant of degree below L(s). Once per
 algebra the scan computes the action rows $A_s[w]$, the c-coordinates of
-$c_s c_w$, for every s and w. At a descent one packed step must give
-$v^{L(s)} c_s P_w = (v^{2L(s)} + 1) P_w$. At an ascent the row is 1 at sw
+$c_s c_w$, for every s and w. At a descent
+$v^{L(s)} c_s P_w = (v^{2L(s)} + 1) P_w$ must hold, which is
+$P_w[sy] = v^{L(s)} P_w[y]$ for every y < sy, one lookup per y, with the
+support closed under y -> sy. At an ascent the row is 1 at sw
 and the $\\mu_z$ of ``KLBasis._split``, the build's split above and the
 one place that splits $c_s c_w$, with all its checks. When s is the
 first letter of sw, the build of $c_{sw}$ made that split already, and
@@ -115,7 +117,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import repeat
-from operator import sub
 from typing import Callable, Generator, Iterator, NamedTuple, Optional, Sequence
 
 from .coxeter import (CoxeterSystem, Element, InfiniteGroupError,
@@ -185,7 +186,7 @@ class KLBasis:
         if hit is None:
             row = self._packed_row(w)[0]
             top = self.algebra.weight(w)
-            read = self._reader(top + 1)
+            read = _digit_reader(self._width, top + 1)
             hit = self._coords[w] = {y: LaurentPoly(-top, read(P))
                                      for y, P in row.items()}
         return hit
@@ -198,7 +199,7 @@ class KLBasis:
         Equal (P_w[y], L(w)) share one list."""
         row = self._packed_row(w)[0]
         top = self.algebra.weight(w)
-        read = self._reader(top + 1)
+        read = _digit_reader(self._width, top + 1)
         memo = self._pairs
         out = []
         for y, P in reversed(row.items()):  # see _build: w, then z descending
@@ -208,12 +209,6 @@ class KLBasis:
                                         enumerate(read(P)) if d]
             out.append((y, pairs))
         return out
-
-    def _reader(self, count: int) -> Callable[[int], list[int]]:
-        """A map from a packed int to its signed digits at positions 0 to
-        count - 1, at the current width."""
-        biased, half = _digit_reader(self._width, count), 1 << (self._width - 1)
-        return lambda P: [d - half for d in biased(P)]
 
     def _packed_row(self, w: Element) -> tuple[dict[Element, int], int]:
         """(P_w, mass(w)) at the current digit width, built if missing."""
@@ -400,8 +395,9 @@ def _packed_action_rows(kl: KLBasis) -> tuple[list[list[dict[int, int]]], list[i
     at v = 2^B, for every generator s and every u of a finite W (dense ids);
     also, per s, the largest l1 norm of a row, its coefficients summed.
 
-    At a descent the row is v^{L(s)} + v^{-L(s)} at u, checked by one packed
-    step. At an ascent it is 1 at su and the mu_z of the split of c_s c_u:
+    At a descent the row is v^{L(s)} + v^{-L(s)} at u, checked on P_u by
+    lookup: T_s c_u = v^{L(s)} c_u iff P_u[sy] = P_u[y] v^{L(s)} for every
+    y < sy, and the support is closed under y -> sy. At an ascent it is 1 at su and the mu_z of the split of c_s c_u:
     the build's own when s is the first letter of su, and otherwise those of
     ``KLBasis._split`` run again, whose P_su must be the one built."""
     dense = kl.system.dense_tables()
@@ -413,6 +409,7 @@ def _packed_action_rows(kl: KLBasis) -> tuple[list[list[dict[int, int]]], list[i
         if kl._width == width:
             break
     packed, built = kl._packed, kl._mus
+    lmul = kl.system.left_mul_gen
     rows, norms = [], []
     for s, L in enumerate(kl.algebra.weight.values):
         up = width * L
@@ -424,7 +421,8 @@ def _packed_action_rows(kl: KLBasis) -> tuple[list[list[dict[int, int]]], list[i
             j = left[k]
             if j < 0:  # c_s c_u = (v^L + v^-L) c_u
                 P = packed[u][0]
-                if kl._step(s, P) != {y: twice * p for y, p in P.items()}:
+                if any(sy not in P if sign < 0 else P.get(sy) != p << up
+                       for p, (sy, sign) in zip(P.values(), map(lmul, repeat(s), P))):
                     raise _thm66(s, u, "not (v^L + v^-L) c_w at a descent")
                 row.append({k: twice})
                 continue
@@ -460,20 +458,23 @@ def _packed_action_rows(kl: KLBasis) -> tuple[list[list[dict[int, int]]], list[i
 
 
 def _typecode(width: int) -> Optional[str]:
-    """The ``array`` typecode of unsigned width-bit ints, if there is one."""
+    """The ``array`` typecode of signed width-bit ints, if there is one."""
     from array import array  # here: no other command needs it
 
-    return next((c for c in "BHIQ" if array(c).itemsize * 8 == width), None)
+    return next((c for c in "bhiq" if array(c).itemsize * 8 == width), None)
 
 
 def _digit_reader(width: int, count: int) -> Callable[[int], Sequence[int]]:
-    """A map from an int to its signed base-2^width digits at positions 0 to
-    count - 1, each plus 2^(width - 1), which makes them all >= 0.
+    """A map from an int to its signed base-2^width digits, each in
+    [-2^(width - 1), 2^(width - 1)), at positions 0 to count - 1.
 
     An int with a digit beyond those positions raises OverflowError. With
-    an array typecode for the width this runs at C speed, by
-    ``int.to_bytes``; other widths are read digit by digit."""
-    bias = pack([1 << (width - 1)] * count, width)
+    an array typecode for the width this runs at C speed: adding 2^(width-1)
+    to every digit makes them all >= 0 with no carry, and flipping each
+    digit's top bit then leaves the digit in two's complement, which
+    ``int.to_bytes`` writes; other widths are read digit by digit."""
+    half = 1 << (width - 1)
+    high = pack([half] * count, width)
     code = _typecode(width)
     if code is not None:
         from array import array
@@ -481,15 +482,15 @@ def _digit_reader(width: int, count: int) -> Callable[[int], Sequence[int]]:
         size = width // 8 * count
 
         def read(h: int) -> Sequence[int]:
-            return array(code, (h + bias).to_bytes(size, "little"))
+            return array(code, ((h + high) ^ high).to_bytes(size, "little"))
         return read
     mask = (1 << width) - 1
 
     def read_slowly(h: int) -> Sequence[int]:
-        h += bias
+        h += high
         if h < 0 or h >> width * count:
             raise OverflowError
-        return [h >> width * k & mask for k in range(count)]
+        return [(h >> width * k & mask) - half for k in range(count)]
     return read_slowly
 
 
@@ -593,7 +594,7 @@ def _packed_columns(kl: KLBasis, rows: list[list[dict[int, int]]],
                                 "positivity fails")
                 if digits != digits[::-1]:
                     raise fault(x, y, z, "is not bar-invariant")
-                mass += sum(map(abs, map(sub, digits, repeat(half))))
+                mass += sum(map(abs, digits))
             if equal:
                 mass = sum(entry.values()) % modulus
             if mass > bound:
@@ -902,8 +903,9 @@ def j_find_unit(ring: JRing) -> Optional[dict[Element, int]]:
                     left_rows.setdefault(z, {})[index[x]] = g
                 for z, g in ring.table.get((w, x), {}).items():
                     right_rows.setdefault(z, {})[index[x]] = g
-            support = set(left_rows) | set(right_rows) | {w}
-            for z in support:
+            # in first-seen order: the equations, and so the solve, are
+            # reproducible
+            for z in {**left_rows, **right_rows, w: None}:
                 rhs = 1 if z == w else 0
                 yield left_rows.get(z, {}), rhs
                 yield right_rows.get(z, {}), rhs

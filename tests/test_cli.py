@@ -351,22 +351,35 @@ def test_second_longest_element_exits_3(monkeypatch):
 def test_action_row_off_the_theorem_exits_3(monkeypatch, at_descent):
     from hx.klbasis import KLBasis
 
-    real = KLBasis._step
+    if at_descent:
+        real_row = KLBasis._packed_row
 
-    def skewed(self, s, row):
-        # double the T_u coefficient of v^L(s) c_s P_u, at a descent of u, or
-        # at an ascent whose s is not the first letter of su; the KL build
-        # steps only from the canonical tail of su, so these steps are the
-        # scan's alone. At the ascent the coefficient is v^L(u), and doubled
-        # it passes every check of the split but gives p_(u,su) = 2 v^-L(s)
-        out = real(self, s, row)
-        u = max(row, key=lambda el: el.sort_key)
-        su, sign = self.system.left_mul_gen(s, u)
-        if (sign < 0) == at_descent and (sign < 0 or su.word[0] != s):
-            out[u] *= 2
-        return out
+        def skewed_row(self, w):
+            # once P_w0 is built, the last row the scan asks for, double its
+            # entry at e: every s is a descent of w0, and P_w0[s] is no
+            # longer P_w0[e] v^L(s)
+            row, mass = real_row(self, w)
+            if w is self.system.longest_element():
+                row[self.system.identity] *= 2
+            return row, mass
 
-    monkeypatch.setattr(KLBasis, "_step", skewed)
+        monkeypatch.setattr(KLBasis, "_packed_row", skewed_row)
+    else:
+        real_step = KLBasis._step
+
+        def skewed_step(self, s, row):
+            # double the T_u coefficient of v^L(s) c_s P_u at an ascent whose
+            # s is not the first letter of su; the KL build steps only from
+            # the canonical tail of su, so these steps are the scan's alone.
+            # The coefficient is v^L(u), and doubled it passes every check of
+            # the split but gives p_(u,su) = 2 v^-L(s)
+            out = real_step(self, s, row)
+            u = max(row, key=lambda el: el.sort_key)
+            if self.system.left_mul_gen(s, u)[0].word[0] != s:
+                out[u] *= 2
+            return out
+
+        monkeypatch.setattr(KLBasis, "_step", skewed_step)
     code, out, err = run_cli("kl", "afunction", "--type", "A2")
     message = "at a descent" if at_descent else "does not reproduce P_su"
     assert code == 3 and message in err and "Traceback" not in err and not out

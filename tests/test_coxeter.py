@@ -2,14 +2,16 @@
 order (against a brute-force oracle), and conjugacy classes."""
 
 import math
+import pickle
 import random
 from collections import Counter
 
 import pytest
 
 from coxeter_oracle import assert_matches_word_walk, orbit_classes, sorted_levels
-from hx.coxeter import (GatingError, INFINITE, InfiniteGroupError,
+from hx.coxeter import (Element, INFINITE, InfiniteGroupError,
                         InternalCheckError, build_system)
+from hx.hecke import HeckeAlgebra
 from support import system
 
 CLASSICAL_ORDERS = [
@@ -462,19 +464,16 @@ def test_class_invariants(label):
     assert keys == sorted(keys)
 
 
-def test_special_elements():
-    A2 = system("A2")
-    cox, w0 = A2.special_elements()
-    assert cox.representative.length == 2 and w0.length == 3
-    B2 = system("B2")
-    coxB, w0B = B2.special_elements()
-    assert coxB.representative.length == 2 and w0B.length == 4
-    # w0 is central in B2
-    for g in B2.enumerate_elements():
-        assert B2.multiply(w0B, g) == B2.multiply(g, w0B)
-    A3 = system("A3")
-    assert A3.special_elements()[1].length == 6  # number of positive roots
-    with pytest.raises(GatingError):
-        build_system([[1, 2], [2, 1]]).special_elements()  # reducible
-    with pytest.raises(GatingError):
-        system("~A1").special_elements()
+def test_interned_elements_are_their_own_identity():
+    # one Element object per group element and system, so equality and the
+    # hash of every dict and set are object's
+    assert Element.__hash__ is object.__hash__
+    assert Element.__eq__ is object.__eq__
+    # and so on the copy of an algebra that a spawned worker pool unpickles
+    W = build_system("F4")
+    W.conjugacy_classes()
+    H = pickle.loads(pickle.dumps(HeckeAlgebra(W)))
+    W = H.system
+    for w in W.enumerate_elements():
+        assert W.normal_form(w.word) is w
+        assert W.inverse(W.inverse(w)) is w

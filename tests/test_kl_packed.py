@@ -388,8 +388,10 @@ def test_digit_reader_at_every_width(width):
     rng, half = random.Random(width), 1 << (width - 1)
     read = _digit_reader(width, 5)
     for _ in range(50):
-        digits = [rng.randrange(-half + 1, half) for _ in range(5)]
-        assert list(read(pack(digits, width))) == [d + half for d in digits]
+        digits = [rng.randrange(-half, half) for _ in range(5)]
+        assert list(read(pack(digits, width))) == digits
+    assert list(read(pack([-half, half - 1, -1, 0, 1], width))) == [
+        -half, half - 1, -1, 0, 1]
     with pytest.raises(OverflowError):
         read(pack([0] * 5 + [1], width))
     with pytest.raises(OverflowError):
