@@ -266,26 +266,27 @@ class HeckeAlgebra:
     def _lmul_gen(self, i: int, terms: Terms) -> Terms:
         """T_{s_i} * (sum of terms), one generator step."""
         return self._gen_step(
-            i, terms, map(self.system.left_mul_gen, repeat(i), terms))
+            self._xi[i], terms, map(self.system.left_mul_gen, repeat(i), terms))
 
     def _rmul_gen(self, terms: Terms, i: int) -> Terms:
         """(sum of terms) * T_{s_i}, one generator step."""
         return self._gen_step(
-            i, terms, map(self.system.right_mul_gen, terms, repeat(i)))
+            self._xi[i], terms, map(self.system.right_mul_gen, terms, repeat(i)))
 
-    def _gen_step(self, i: int, terms: Terms, moves) -> Terms:
+    def _gen_step(self, xi: LaurentPoly, terms: Terms, moves) -> Terms:
         """One generator step: ``moves`` yields (s_i w, sign) or (w s_i, sign)
         for each w of terms in order, with sign < 0 at a descent.
 
         Multiplying by a generator permutes W, so the moved terms land on
-        distinct keys; a descent also leaves xi_i * p at w itself."""
+        distinct keys; a descent also leaves xi * p at w itself (xi = xi_i
+        for T_{s_i})."""
         out: Terms = {}
         down: Terms = {}
         for (w, p), (sw, sign) in zip(terms.items(), moves):
             out[sw] = p
             if sign < 0:
                 down[w] = p
-        return add_into(out, down, self._xi[i])
+        return add_into(out, down, xi)
 
     def _t_word_mul(self, word: tuple[int, ...], terms: Terms) -> Terms:
         """T_w * (sum of terms) along the reduced word of w."""
@@ -330,10 +331,14 @@ class HeckeAlgebra:
 
         bar(T_s) = T_s - xi_s is T_s^{-1}, and bar is multiplicative along
         the canonical word, so the factors are applied from the right, one
-        generator step and one subtraction per letter."""
+        generator step per letter: T_s^{-1} T_x is T_{sx} - xi_s T_x when
+        sx > x and T_{sx} alone at a descent, the step of T_s with the roles
+        of ascent and descent swapped and -xi_s in place of xi_s."""
+        lmul = self.system.left_mul_gen
         terms: Terms = {self.system.identity: ONE}
         for i in reversed(w.word):
-            terms = add_into(self._lmul_gen(i, terms), terms, -self._xi[i])
+            swapped = ((sx, -sign) for sx, sign in map(lmul, repeat(i), terms))
+            terms = self._gen_step(-self._xi[i], terms, swapped)
         return terms
 
     def bar(self, h: HeckeElement) -> HeckeElement:

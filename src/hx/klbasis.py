@@ -397,9 +397,10 @@ def _packed_action_rows(kl: KLBasis) -> tuple[list[list[dict[int, int]]], list[i
 
     At a descent the row is v^{L(s)} + v^{-L(s)} at u, checked on P_u by
     lookup: T_s c_u = v^{L(s)} c_u iff P_u[sy] = P_u[y] v^{L(s)} for every
-    y < sy, and the support is closed under y -> sy. At an ascent it is 1 at su and the mu_z of the split of c_s c_u:
-    the build's own when s is the first letter of su, and otherwise those of
-    ``KLBasis._split`` run again, whose P_su must be the one built."""
+    y < sy, and the support is closed under y -> sy. At an ascent it is 1
+    at su and the mu_z of the split of c_s c_u: the build's own when s is
+    the first letter of su, and otherwise those of ``KLBasis._split`` run
+    again, whose P_su must be the one built."""
     dense = kl.system.dense_tables()
     elements, index, first = dense.elements, dense.index, dense.first
     while True:  # every P_u at one width
@@ -422,7 +423,8 @@ def _packed_action_rows(kl: KLBasis) -> tuple[list[list[dict[int, int]]], list[i
             if j < 0:  # c_s c_u = (v^L + v^-L) c_u
                 P = packed[u][0]
                 if any(sy not in P if sign < 0 else P.get(sy) != p << up
-                       for p, (sy, sign) in zip(P.values(), map(lmul, repeat(s), P))):
+                       for p, (sy, sign) in zip(P.values(),
+                                                map(lmul, repeat(s), P))):
                     raise _thm66(s, u, "not (v^L + v^-L) c_w at a descent")
                 row.append({k: twice})
                 continue

@@ -385,6 +385,25 @@ def test_action_row_off_the_theorem_exits_3(monkeypatch, at_descent):
     assert code == 3 and message in err and "Traceback" not in err and not out
 
 
+def test_descent_row_with_a_gap_in_its_support_exits_3(monkeypatch):
+    # drop e from P_w0 once it is built: every s is a descent of w0, and
+    # P_w0 still holds s but no longer s s = e
+    from hx.klbasis import KLBasis
+
+    real = KLBasis._packed_row
+
+    def gapped(self, w):
+        row, mass = real(self, w)
+        if w is self.system.longest_element():
+            row.pop(self.system.identity, None)
+        return row, mass
+
+    monkeypatch.setattr(KLBasis, "_packed_row", gapped)
+    code, out, err = run_cli("kl", "afunction", "--type", "A2")
+    assert code == 3 and "at a descent" in err
+    assert "Traceback" not in err and not out
+
+
 def test_action_row_split_needing_an_unbuilt_row_exits_3(monkeypatch):
     # the scan splits c_s c_u only once every row is built; a row dropped
     # just before such a split must stop the run, not be built there
