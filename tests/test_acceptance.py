@@ -122,6 +122,7 @@ def test_committed_f4_classes_recompute():
     ("jring_G2_21", ("jring", "table", "--type", "G2", "--weights", "2,1")),
     ("junit_D4", ("jring", "unit", "--type", "D4")),
     ("junit_B3_112", ("jring", "unit", "--type", "B3", "--weights", "1,1,2")),
+    ("junit_B4_1112", ("jring", "unit", "--type", "B4", "--weights", "1,1,1,2")),
 ])
 def test_committed_h_scan_reports_recompute(name, args):
     # made by the per-pair T-basis products (the two unequal-weight ones by
