@@ -108,7 +108,7 @@ def _build_parser() -> _Parser:
     jsub = p.add_subparsers(dest="subcommand", required=True)
     for name, hlp in [("table", "sparse gamma multiplication table"),
                       ("check", "associativity check over basis triples"),
-                      ("unit", "solve for a two-sided unit")]:
+                      ("unit", "the two-sided unit of J")]:
         pj = jsub.add_parser(name, help=hlp)
         common(pj)
         if name == "check":

@@ -175,9 +175,6 @@ class HeckeElement:
     def coeff(self, w: Element) -> LaurentPoly:
         return self.terms.get(w, ZERO)
 
-    def support(self) -> list[Element]:
-        return sorted(self.terms, key=lambda el: el.sort_key)
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -110,12 +110,25 @@ $v^{L(w)} T_w P_y$ built along the tail tree of $[e, x]$ by generator
 steps, independently of the action rows. ``h_constants``, the Laurent
 T-basis product, stays behind ``hx kl hconst`` and serves infinite W. A
 failure of any of these checks raises ``InternalCheckError``.
+
+The unit of J is $\\sum_{d \\in D} n_d t_d$ (Lusztig, ibid., ch. 18), and
+``j_find_unit`` reads it off the J table. D is the set of d with $t_d$ in
+$t_d t_d$ and in no product $t_x t_y$ with $x \\ne y^{-1}$, and $n_d$ is
+the coefficient of $t_d$ in $t_d t_d$. Under P1-P15 (ibid., ch. 14) this
+is Lusztig's D: by P2 and P6 a d in D occurs only in products
+$t_{y^{-1}} t_y$, and by P13 $\\gamma_{d,d,d} \\ne 0$; a z outside D occurs
+in $t_z t_d$ for a d with $z \\ne d^{-1}$, since $t_z = \\sum_d n_d t_z t_d$;
+and P5 with y = d gives $\\gamma_{d,d,d} = n_d$. Then $u t_w = t_w = t_w u$
+is checked for every w. A two-sided unit is unique, so a u that passes is
+the unit at any weights, with no conjecture used. A u that fails raises
+``InternalCheckError`` at equal parameters, where P1-P15 are theorems for
+finite W (ibid., ch. 15, with positivity from Elias-Williamson 2014); at
+other weights it gives None, which says that P1-P15 fail there.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import repeat
 from typing import Callable, Generator, Iterator, NamedTuple, Optional, Sequence
 
@@ -885,73 +898,25 @@ def j_associativity_check(ring: JRing, *, exhaustive_limit: int = 400,
 
 
 def j_find_unit(ring: JRing) -> Optional[dict[Element, int]]:
-    """Solve u * t_w = t_w * u = t_w for all w, over the integers.
+    """The two-sided unit u = sum_{d in D} n_d t_d of J, as a coefficient
+    map, read off ``ring.table`` in one pass (module docstring).
 
-    Returns the unit as a coefficient map, or None if the system has no
-    integral solution. A solvable system is automatically unique (two
-    two-sided units of a ring coincide), so a unique rational solution
-    that is not integral rules out a unit in J."""
-    elements = ring.elements
-    n = len(elements)
-    index = {w: k for k, w in enumerate(elements)}
-
-    # rows of the linear system: sum_x u_x * coeff = rhs
-    def equations():
-        for w in elements:
-            left_rows: dict[Element, dict[int, int]] = {}
-            right_rows: dict[Element, dict[int, int]] = {}
-            for x in elements:
-                for z, g in ring.table.get((x, w), {}).items():
-                    left_rows.setdefault(z, {})[index[x]] = g
-                for z, g in ring.table.get((w, x), {}).items():
-                    right_rows.setdefault(z, {})[index[x]] = g
-            # in first-seen order: the equations, and so the solve, are
-            # reproducible
-            for z in {**left_rows, **right_rows, w: None}:
-                rhs = 1 if z == w else 0
-                yield left_rows.get(z, {}), rhs
-                yield right_rows.get(z, {}), rhs
-
-    # online reduced row echelon form over Q
-    pivots: dict[int, tuple[list[Fraction], Fraction]] = {}
-    for row_sparse, rhs in equations():
-        row = [Fraction(0)] * n
-        for k, g in row_sparse.items():
-            row[k] = Fraction(g)
-        b = Fraction(rhs)
-        for col, (prow, pb) in pivots.items():
-            if row[col]:
-                f = row[col]
-                row = [a - f * c for a, c in zip(row, prow)]
-                b -= f * pb
-        lead = next((k for k in range(n) if row[k]), None)
-        if lead is None:
-            if b:
-                return None  # inconsistent: no unit
-            continue
-        inv = row[lead]
-        row = [a / inv for a in row]
-        b /= inv
-        for col, (prow, pb) in list(pivots.items()):
-            if prow[lead]:
-                f = prow[lead]
-                pivots[col] = ([a - f * c for a, c in zip(prow, row)], pb - f * b)
-        pivots[lead] = (row, b)
-
-    # a solvable system is unique; zero-fill any (degenerate) free columns
-    solution = [Fraction(0)] * n
-    for col, (_row, b) in pivots.items():
-        solution[col] = b
-    unit = {}
-    for w, val in zip(elements, solution):
-        if val:
-            if val.denominator != 1:
-                return None  # unique rational solution is not integral
-            unit[w] = int(val)
-
-    # verify (guards the degenerate free-column path)
-    for w in elements:
+    u * t_w = t_w = t_w * u is checked for every w, so a returned u is the
+    unit exactly. A u that fails raises ``InternalCheckError`` at equal
+    parameters, and gives None at other weights: there P1-P15 fail."""
+    dense = ring.system.dense_tables()
+    inverse = {w: dense.elements[k] for w, k in zip(dense.elements, dense.inverse)}
+    off: set[Element] = set()  # the z in some t_x t_y with x != y^{-1}
+    for (x, y), row in ring.table.items():
+        if x is not inverse[y]:
+            off.update(row)
+    unit = {d: n for d in ring.elements
+            if (n := ring.structure_coeff(d, d, d)) and d not in off}
+    for w in ring.elements:
         if (ring.product(unit, {w: 1}) != {w: 1}
                 or ring.product({w: 1}, unit) != {w: 1}):
+            if ring.weight.is_equal_parameters:
+                raise InternalCheckError(
+                    f"the sum of n_d t_d over D is not a unit of J at w={w!r}")
             return None
     return unit

@@ -17,15 +17,19 @@ that ``hx.klbasis`` ran before the packed dense-id scan replaced it, moved
 here unchanged (``gen_product`` was a ``KLBasis`` method): the c-coordinates
 of c_s c_w by one generator step and ``to_c_basis``, and the column
 recursion on x = s x' over ``Element``-keyed dicts of ``LaurentPoly``.
+
+``solve_unit`` is the integral row reduction that ``j_find_unit`` ran
+before it read the unit off the J table, moved here unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from fractions import Fraction
+from typing import Iterator, Optional
 
 from hx.coxeter import Element, InternalCheckError
 from hx.hecke import HeckeAlgebra, HeckeElement, Terms, add_into
-from hx.klbasis import KLBasis
+from hx.klbasis import JRing, KLBasis
 from hx.laurent import ONE, ZERO, LaurentPoly
 
 
@@ -143,3 +147,76 @@ def _h_columns(kl: KLBasis) -> Iterator[tuple[Element, dict[Element, Terms]]]:
                     add_into(acc, column[z], -m)
             column[x] = acc
         yield y, column
+
+
+def solve_unit(ring: JRing) -> Optional[dict[Element, int]]:
+    """Solve u * t_w = t_w * u = t_w for all w, over the integers.
+
+    Returns the unit as a coefficient map, or None if the system has no
+    integral solution. A solvable system is automatically unique (two
+    two-sided units of a ring coincide), so a unique rational solution
+    that is not integral rules out a unit in J."""
+    elements = ring.elements
+    n = len(elements)
+    index = {w: k for k, w in enumerate(elements)}
+
+    # rows of the linear system: sum_x u_x * coeff = rhs
+    def equations():
+        for w in elements:
+            left_rows: dict[Element, dict[int, int]] = {}
+            right_rows: dict[Element, dict[int, int]] = {}
+            for x in elements:
+                for z, g in ring.table.get((x, w), {}).items():
+                    left_rows.setdefault(z, {})[index[x]] = g
+                for z, g in ring.table.get((w, x), {}).items():
+                    right_rows.setdefault(z, {})[index[x]] = g
+            # in first-seen order: the equations, and so the solve, are
+            # reproducible
+            for z in {**left_rows, **right_rows, w: None}:
+                rhs = 1 if z == w else 0
+                yield left_rows.get(z, {}), rhs
+                yield right_rows.get(z, {}), rhs
+
+    # online reduced row echelon form over Q
+    pivots: dict[int, tuple[list[Fraction], Fraction]] = {}
+    for row_sparse, rhs in equations():
+        row = [Fraction(0)] * n
+        for k, g in row_sparse.items():
+            row[k] = Fraction(g)
+        b = Fraction(rhs)
+        for col, (prow, pb) in pivots.items():
+            if row[col]:
+                f = row[col]
+                row = [a - f * c for a, c in zip(row, prow)]
+                b -= f * pb
+        lead = next((k for k in range(n) if row[k]), None)
+        if lead is None:
+            if b:
+                return None  # inconsistent: no unit
+            continue
+        inv = row[lead]
+        row = [a / inv for a in row]
+        b /= inv
+        for col, (prow, pb) in list(pivots.items()):
+            if prow[lead]:
+                f = prow[lead]
+                pivots[col] = ([a - f * c for a, c in zip(prow, row)], pb - f * b)
+        pivots[lead] = (row, b)
+
+    # a solvable system is unique; zero-fill any (degenerate) free columns
+    solution = [Fraction(0)] * n
+    for col, (_row, b) in pivots.items():
+        solution[col] = b
+    unit = {}
+    for w, val in zip(elements, solution):
+        if val:
+            if val.denominator != 1:
+                return None  # unique rational solution is not integral
+            unit[w] = int(val)
+
+    # verify (guards the degenerate free-column path)
+    for w in elements:
+        if (ring.product(unit, {w: 1}) != {w: 1}
+                or ring.product({w: 1}, unit) != {w: 1}):
+            return None
+    return unit

@@ -35,6 +35,14 @@ def kl(label: str, weights: tuple[int, ...] | None = None) -> KLBasis:
     return KLBasis(algebra(label, weights))
 
 
+def without_generator_square(ring):
+    """``ring`` with the row of t_s t_s dropped, s its first generator: t_s
+    then lies in no t_d t_d, so sum n_d t_d over D misses it and is no unit."""
+    s = ring.system.generator(0)
+    return ring._replace(table={pair: row for pair, row in ring.table.items()
+                                if pair != (s, s)})
+
+
 def run_cli(*argv: str) -> tuple[int, str, str]:
     """Run the CLI in-process; returns (exit_code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()

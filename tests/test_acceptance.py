@@ -126,9 +126,9 @@ def test_committed_f4_classes_recompute():
 ])
 def test_committed_h_scan_reports_recompute(name, args):
     # made by the per-pair T-basis products (the two unequal-weight ones by
-    # the packed scan with its own row split, the two J units by the solve
-    # over Element-hashed supports); the c-basis recursion must reproduce
-    # them byte for byte
+    # the packed scan with its own row split, the three J units by the solve
+    # now in kl_oracle.solve_unit); the c-basis recursion, and the unit read
+    # off the J table, must reproduce them byte for byte
     code, out, _ = run_cli(*args, "--json")
     assert code == 0 and out == (REPORTS_DIR / f"{name}.json").read_text()
 

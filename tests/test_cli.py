@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hx.cli as cli
-from support import run_cli, run_cli_json, validate_schema
+from support import kl, run_cli, run_cli_json, validate_schema, without_generator_square
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -307,6 +307,25 @@ def test_internal_invariant_violation_exits_3(monkeypatch):
     monkeypatch.setattr(cli, "classify_positive", boom)
     code, _, err = run_cli("positivity", "--type", "A2")
     assert code == 3 and "INTERNAL" in err
+
+
+def test_jring_unit_that_fails_the_check(monkeypatch):
+    from hx.klbasis import j_table
+
+    def serve(ring):
+        monkeypatch.setattr(cli, "j_table", lambda *args, **kwargs: ring)
+
+    # equal parameters: an internal error, exit 3
+    serve(without_generator_square(j_table(kl("A2"))))
+    code, out, err = run_cli("jring", "unit", "--type", "A2", "--json")
+    assert code == 3 and "not a unit of J" in err
+    assert "Traceback" not in err and not out
+    # unequal weights: no unit, reported as null
+    serve(without_generator_square(j_table(kl("B2", (1, 2)))))
+    code, out, err = run_cli("jring", "unit", "--type", "B2", "--weights", "1,2",
+                             "--json")
+    assert code == 0 and '"unit": null' in out
+    validate_schema(json.loads(out), "junit.schema.json")
 
 
 def test_generator_loop_turned_around_exits_3(monkeypatch):

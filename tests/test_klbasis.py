@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from hx.coxeter import InfiniteGroupError
+from hx import HeckeAlgebra, KLBasis, WeightFunction, build_system
+from hx.coxeter import InfiniteGroupError, InternalCheckError
 from hx.klbasis import a_function, j_associativity_check, j_find_unit, j_table
 from hx.laurent import LaurentPoly, ONE, V, in_cone
-from kl_oracle import _h_columns
-from support import algebra, kl, system
+from kl_oracle import _h_columns, solve_unit
+from support import algebra, kl, system, without_generator_square
 
 
 def test_c_of_identity_and_generators():
@@ -318,6 +319,31 @@ def test_j_unit_a2_and_rank0():
     from hx import HeckeAlgebra, KLBasis, build_system
     trivial = j_table(KLBasis(HeckeAlgebra(build_system([]))))
     assert j_find_unit(trivial) == {trivial.system.identity: 1}
+
+
+@pytest.mark.parametrize("label,weights", [
+    *[(label, None) for label in ["A1", "A2", "A3", "A4", "B2", "B3", "G2"]],
+    ([[1, 2], [2, 1]], None),  # A1 x A1
+    *[("B2", w) for w in [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]],
+    *[("G2", w) for w in [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3)]],
+    *[("B3", w) for w in [(1, 1, 2), (2, 2, 1), (1, 1, 3), (3, 3, 1), (2, 2, 3)]],
+])
+def test_j_unit_read_off_the_table_matches_the_solve(label, weights):
+    W = build_system(label)
+    ring = j_table(KLBasis(HeckeAlgebra(
+        W, WeightFunction(W, weights) if weights else None)))
+    unit = j_find_unit(ring)
+    assert unit is not None and unit == solve_unit(ring)
+    if weights is None:
+        assert set(unit.values()) == {1}
+
+
+def test_j_unit_that_fails_the_check():
+    # at equal parameters P1-P15 are theorems, so a failed check is an
+    # internal error; at other weights it only says that they fail there
+    with pytest.raises(InternalCheckError, match="not a unit of J"):
+        j_find_unit(without_generator_square(j_table(kl("A2"))))
+    assert j_find_unit(without_generator_square(j_table(kl("B2", (1, 2))))) is None
 
 
 def test_j_gated_to_finite():
