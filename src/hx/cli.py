@@ -18,6 +18,16 @@ report is computed once per (matrix, weights, options) and replayed
 byte-identically afterwards by the same ``hx`` version and report schema.
 Each entry carries a sha256 digest of its key and payload; an entry that
 fails it is computed again and overwritten.
+
+A JSON report travels as ASCII bytes chunks from the writer to the file
+descriptors: ``_dumps`` cuts a chunk after each item of an iterator (``kl
+basis`` hands its elements over as a generator, so each is made, written
+and freed in turn), and the cache entry, ``--out`` and ``sys.stdout.buffer``
+take the chunks in order, with no joined copy. A cache hit is one chunk, a
+view into the entry as read once its digest matches, written with no
+decode; text output alone parses the payload, of hits and misses alike.
+Nothing reaches stdout, ``--out`` or the cache before the whole report is
+serialized, so a failure leaves none of them behind.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import __version__
 from .coxeter import (CoxeterSystem, Element, GatingError, InfiniteGroupError,
@@ -216,33 +226,48 @@ _quote = json.encoder.encode_basestring_ascii
 _scalar = json.JSONEncoder().encode  # no indent, so json's C encoder
 _INT = {int}
 
+# a serialized report: ASCII bytes chunks, written out in order and never
+# joined (a cache hit's one chunk is a memoryview of the entry it read)
+_Payload = Sequence[bytes]
 
-def _dumps(report: dict) -> str:
-    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for
-    byte, for dicts with str keys, lists, tuples, str, int, float, bool and
-    None; anything else raises TypeError. json indents in pure Python, so
-    this walks the containers itself and leaves every scalar to C. A list of
-    plain ints is formatted once per indentation and its text reused."""
-    out = []
-    _write(report, "\n", out.append, {})
-    out.append("\n")
-    return "".join(out)
+
+def _dumps(report: dict) -> list[bytes]:
+    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"`` as ASCII
+    bytes chunks, byte for byte, for dicts with str keys, lists, tuples,
+    iterators, str, int, float, bool and None; anything else raises
+    TypeError. An iterator is written as a list, and a chunk ends after each
+    of its items, so an item can be freed once it is written. json indents
+    in pure Python, so this walks the containers itself and leaves every
+    scalar to C. A list of plain ints is formatted once per indentation and
+    its text reused."""
+    chunks, parts = [], []
+
+    def cut() -> None:
+        chunks.append("".join(parts).encode("ascii"))
+        parts.clear()
+
+    _write(report, "\n", parts.append, cut, {})
+    parts.append("\n")
+    cut()
+    return chunks
 
 
 def _write(value, newline: str, put: Callable[[str], object],
-           leaves: dict[tuple, str]) -> None:
+           cut: Callable[[], None], leaves: dict[tuple, str]) -> None:
     inner = newline + "  "
     if isinstance(value, dict):
         sep = "{" + inner
         for key in sorted(value):
             put(sep + _quote(key) + ": ")  # TypeError unless key is a str
-            _write(value[key], inner, put, leaves)
+            _write(value[key], inner, put, cut, leaves)
             sep = "," + inner
         put(newline + "}" if value else "{}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            put("[]")
-        elif type(value[0]) is int and set(map(type, value)) == _INT:
+    elif type(value) is int:
+        put(int.__repr__(value))
+    elif isinstance(value, (list, tuple, Iterator)):
+        streamed = not isinstance(value, (list, tuple))  # a chunk per item
+        if (not streamed and value and type(value[0]) is int
+                and set(map(type, value)) == _INT):
             # only ints (json writes a bool as true/false), so the key, in
             # which True == 1, never meets a bool
             key = (newline, *value)
@@ -255,11 +280,11 @@ def _write(value, newline: str, put: Callable[[str], object],
             sep = "[" + inner
             for item in value:
                 put(sep)
-                _write(item, inner, put, leaves)
+                _write(item, inner, put, cut, leaves)
+                if streamed:
+                    cut()
                 sep = "," + inner
-            put(newline + "]")
-    elif type(value) is int:
-        put(int.__repr__(value))
+            put("[]" if sep[0] == "[" else newline + "]")  # no item, or some
     else:
         put(_scalar(value))
 
@@ -295,13 +320,14 @@ REPORT_SCHEMA = 2
 _Entry = tuple[str, bytes]  # a cache entry's path, and its key as bytes
 
 
-def _cache_lookup(key_obj: dict) -> tuple[Optional[bytes], Optional[_Entry]]:
+def _cache_lookup(key_obj: dict) -> tuple[Optional[memoryview], Optional[_Entry]]:
     """(the payload of an intact entry or None, the entry or None without
     HX_CACHE_DIR).
 
     An entry file holds the sha256 of its key and payload, a newline, then
-    the payload. An entry whose digest does not match is a miss, and the
-    report is computed again."""
+    the payload. An entry whose digest does not match, or whose payload is
+    not ASCII, is a miss, and the report is computed again. The payload is
+    a view into the file's bytes as read, with no copy."""
     cache_dir = os.environ.get("HX_CACHE_DIR")
     if not cache_dir:
         return None, None
@@ -314,15 +340,17 @@ def _cache_lookup(key_obj: dict) -> tuple[Optional[bytes], Optional[_Entry]]:
     entry = (os.path.join(cache_dir, f"{_sha256(key)[:32]}.json"), key)
     try:
         with open(entry[0], "rb") as fh:
-            digest, _, body = fh.read().partition(b"\n")
+            data = fh.read()
     except OSError:
         return None, entry  # no entry yet
-    if digest != _sha256(key, body).encode():
+    end = data.find(b"\n")
+    body = memoryview(data)[end + 1:]
+    if end < 0 or not data.isascii() or data[:end] != _sha256(key, body).encode():
         return None, entry  # truncated, edited or not ours: recompute below
     return body, entry
 
 
-def _sha256(*parts: bytes) -> str:
+def _sha256(*parts: bytes | memoryview) -> str:
     import hashlib  # here: only cached commands with HX_CACHE_DIR need it
 
     digest = hashlib.sha256()
@@ -331,17 +359,17 @@ def _sha256(*parts: bytes) -> str:
     return digest.hexdigest()
 
 
-def _cache_store(entry: Optional[_Entry], payload: str) -> None:
+def _cache_store(entry: Optional[_Entry], payload: _Payload) -> None:
     """Write the entry to a temp file beside it, then os.replace it into
     place, so a killed run never leaves a half-written entry to replay."""
     if not entry:
         return
     path, key = entry
-    body = payload.encode("ascii")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_sha256(key, body).encode("ascii") + b"\n" + body)
+            fh.write(_sha256(key, *payload).encode("ascii") + b"\n")
+            fh.writelines(payload)
         os.replace(tmp, path)
     except OSError as e:
         raise UsageError(f"cannot write to HX_CACHE_DIR: {e}")
@@ -353,34 +381,42 @@ def _cache_store(entry: Optional[_Entry], payload: str) -> None:
 def _cached_report(key: dict, build: Callable[[], dict],
                    lines: Callable[[dict], Iterable[str]], need_report: bool
                    ) -> _Result:
-    """A report, its text lines and its JSON text, serialized once: replayed
-    byte for byte from HX_CACHE_DIR when the entry is intact, else built and
-    stored. A hit is parsed and its lines formatted only if need_report; a
-    hit that then proves not to be a report of this command is damaged, and
-    is built and stored again."""
+    """A report's JSON payload, serialized once, and, if need_report, the
+    report parsed back from it and its text lines: replayed byte for byte
+    from HX_CACHE_DIR when the entry is intact, else built and stored. A hit
+    that proves not to be a report of this command is damaged, and is built
+    and stored again."""
     body, entry = _cache_lookup(key)
     if body is not None:
         try:
-            payload = body.decode("ascii")
-            report = json.loads(payload) if need_report else None
-            text = list(lines(report)) if need_report else ()
+            result = _parsed((body,), lines, need_report)
         except (ValueError, LookupError, TypeError):
             pass  # the digest matches a payload that is not such a report
         else:
             _progress(f"{key['command']}: cache hit")
-            return report, text, payload
-    report = build()
-    payload = _dumps(report)
+            return result
+    payload = _dumps(build())
     _cache_store(entry, payload)
-    return report, lines(report), payload
+    return _parsed(payload, lines, need_report)
+
+
+def _parsed(payload: _Payload, lines: Callable[[dict], Iterable[str]],
+            need_report: bool) -> _Result:
+    """(the report read back from payload and its text lines, or None and
+    no lines unless need_report, payload): text output reads hits and misses
+    alike from the payload, the only full copy of a report kept."""
+    if not need_report:
+        return None, (), payload
+    report = json.loads(b"".join(payload))
+    return report, list(lines(report)), payload
 
 
 # -- commands -----------------------------------------------------------------
 
-# (report, text lines, the report's JSON text when the command already has
-# it); the lines may be a generator, formatted only when text is printed. A
-# cache hit under --json gives the JSON text alone, and no report or lines.
-_Result = tuple[Optional[dict], Iterable[str], Optional[str]]
+# (report, text lines, the report's JSON payload when the command already
+# has it). A cached command under --json gives the payload alone, and no
+# report or lines.
+_Result = tuple[Optional[dict], Iterable[str], Optional[_Payload]]
 
 
 def _cmd_group(args) -> _Result:
@@ -474,10 +510,11 @@ def _cmd_kl_basis(args) -> _Result:
                     "(use --element on infinite ones)")
             targets = system.enumerate_elements()
         report = _header(system, weight)
-        report["elements"] = [{
+        # a generator: _dumps writes each element as it is made, and frees it
+        report["elements"] = ({
             "w": _word(w),
             "coords": [[_word(y), pairs] for y, pairs in kl.coord_pairs(w)],
-        } for w in targets]
+        } for w in targets)
         return report
 
     def text(report: dict) -> Iterator[str]:
@@ -593,7 +630,8 @@ def _cmd_jring_unit(args) -> _Result:
     report["unit"] = (None if unit is None else
                       [[_word(w), c] for w, c in sorted(unit.items(),
                                                         key=lambda kv: kv[0].sort_key)])
-    text = (["no two-sided unit found"] if unit is None else
+    text = (["sum of n_d t_d over D (read off the J table) is not a unit: "
+             "P1-P15 fail at these weights"] if unit is None else
             [f"unit = sum of {len(unit)} terms:"]
             + [f"  {row[0]}: {row[1]}" for row in report["unit"]])
     return report, text, None
@@ -657,16 +695,14 @@ def main(argv=None) -> int:
             payload = _dumps(report)
         if args.out:
             try:
-                with open(args.out, "w") as fh:
-                    fh.write(_positivity_csv(report) if use_csv else payload)
+                with open(args.out, "wb") as fh:
+                    fh.writelines([_positivity_csv(report).encode("ascii")]
+                                  if use_csv else payload)
             except OSError as e:
                 raise UsageError(f"cannot write {args.out}: {e}")
-        if args.json:
-            stdout = payload
-        elif use_csv:
-            stdout = _positivity_csv(report)
-        else:
-            stdout = "".join(f"{line}\n" for line in text)
+        if not args.json:
+            stdout = (_positivity_csv(report) if use_csv else
+                      "".join(f"{line}\n" for line in text))
     except UsageError as e:
         print(f"hx: error: {e}", file=sys.stderr)
         return 1
@@ -680,7 +716,11 @@ def main(argv=None) -> int:
         print(f"hx: INTERNAL INVARIANT VIOLATION: {e}", file=sys.stderr)
         return 3
 
-    sys.stdout.write(stdout)
+    if args.json:  # the payload's bytes as they are, behind any text
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(payload)
+    else:
+        sys.stdout.write(stdout)
     return 0
 
 

@@ -44,11 +44,14 @@ def without_generator_square(ring):
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
-    """Run the CLI in-process; returns (exit_code, stdout, stderr)."""
-    out, err = io.StringIO(), io.StringIO()
+    """Run the CLI in-process; returns (exit_code, stdout, stderr). stdout
+    has a binary layer under its text one, as the real one does: the CLI
+    writes JSON reports to ``sys.stdout.buffer``."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli_main(list(argv))
-    return code, out.getvalue(), err.getvalue()
+    out.flush()  # both layers: text output, then the bytes written under it
+    return code, out.buffer.getvalue().decode("utf-8"), err.getvalue()
 
 
 def run_cli_json(*argv: str) -> dict:

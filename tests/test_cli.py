@@ -290,6 +290,115 @@ def test_cache_hit_under_json_is_not_parsed(tmp_path, monkeypatch):
     assert code == 0 and "cache hit" in err and text.startswith("c_[]:\n")
 
 
+def test_entry_in_the_single_blob_format_replays(tmp_path, monkeypatch):
+    # an entry is sha256(key + body), a newline, then body, however the body
+    # was written: entries hashed as one blob replay as hits
+    import hashlib
+
+    monkeypatch.setenv("HX_CACHE_DIR", str(tmp_path / "cache"))
+    keys = []
+    store = cli._cache_store
+    monkeypatch.setattr(cli, "_cache_store", lambda entry, payload: (
+        keys.append(entry[1]), store(entry, payload)))
+    command = ("kl", "basis", "--type", "B2")
+    (code, cold, _), (code2, text, _) = run_cli(*command, "--json"), run_cli(*command)
+    assert code == code2 == 0 and len(keys) == 1
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    body = cold.encode()
+    blob = hashlib.sha256(keys[0] + body).hexdigest().encode() + b"\n" + body
+    assert entry.read_bytes() == blob
+    entry.unlink()
+    entry.write_bytes(blob)
+    for argv, expected in [(command + ("--json",), cold), (command, text)]:
+        code, out, err = run_cli(*argv)
+        assert code == 0 and "cache hit" in err and out == expected
+    assert len(keys) == 1
+
+
+@pytest.mark.parametrize("mode", ["--json", "text"])
+def test_entry_cut_mid_body_is_recomputed(tmp_path, monkeypatch, mode):
+    # a kl basis payload is written chunk by chunk; an entry cut inside its
+    # body, as a full disk might leave one, fails its digest
+    monkeypatch.setenv("HX_CACHE_DIR", str(tmp_path / "cache"))
+    command = ["kl", "basis", "--type", "B2"] + ([mode] if mode != "text" else [])
+    code, cold, _ = run_cli(*command)
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    intact = entry.read_bytes()
+    entry.write_bytes(intact[:intact.index(b"\n") + len(intact) // 2])
+    code, out, err = run_cli(*command)
+    assert code == 0 and "cache hit" not in err and "Traceback" not in err
+    assert out == cold and entry.read_bytes() == intact
+    code, out, err = run_cli(*command)
+    assert code == 0 and "cache hit" in err and out == cold
+
+
+def test_failure_while_writing_leaves_nothing(tmp_path, monkeypatch):
+    # kl basis makes each element as it is written; a failure at the fifth
+    # reaches no stdout, no --out file and no cache entry, not even a temp one
+    from hx.coxeter import InternalCheckError
+    from hx.klbasis import KLBasis
+
+    cache, out = tmp_path / "cache", tmp_path / "out.json"
+    monkeypatch.setenv("HX_CACHE_DIR", str(cache))
+    real = KLBasis.coord_pairs
+    made = []
+
+    def fail_fifth(self, w):
+        made.append(w)
+        if len(made) == 5:
+            raise InternalCheckError("forced at the fifth element")
+        return real(self, w)
+
+    monkeypatch.setattr(KLBasis, "coord_pairs", fail_fifth)
+    code, stdout, err = run_cli("kl", "basis", "--type", "B3", "--json",
+                                "--out", str(out))
+    assert code == 3 and "forced at the fifth element" in err
+    assert "Traceback" not in err and stdout == ""
+    assert len(made) == 5 and not out.exists()
+    assert list(cache.iterdir()) == []  # no entry and no *.tmp file
+
+
+class _CountingSink:
+    """A stdout that counts what it is sent, text or bytes, and keeps none."""
+
+    def __init__(self):
+        self.count = 0
+        self.buffer = self
+
+    def write(self, data):
+        self.count += len(data)
+        return len(data)
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+    def flush(self):
+        pass
+
+
+def test_kl_basis_report_is_held_about_once(tmp_path, monkeypatch):
+    # the traced peak of a whole D4 kl basis run, against the report's size:
+    # the report's bytes once, beside the KL build cold and the entry read
+    # warm (measured 1.85x cold and 1.05x warm; a joined payload with an
+    # encoded copy and a report tree peaked at 4.4x and 2.05x)
+    import tracemalloc
+    from contextlib import redirect_stdout
+
+    monkeypatch.setenv("HX_CACHE_DIR", str(tmp_path / "cache"))
+    for run, bound in [("cold", 2.5), ("warm", 1.5)]:
+        sink = _CountingSink()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(sink):
+                code = cli.main(["kl", "basis", "--type", "D4", "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sink.count == 2029098
+        assert peak < bound * sink.count, f"{run}: {peak / sink.count:.2f}x"
+
+
 def test_progress_goes_to_stderr_not_stdout():
     code, out, err = run_cli("positivity", "--type", "A2", "--json")
     assert code == 0
@@ -326,6 +435,10 @@ def test_jring_unit_that_fails_the_check(monkeypatch):
                              "--json")
     assert code == 0 and '"unit": null' in out
     validate_schema(json.loads(out), "junit.schema.json")
+    code, out, err = run_cli("jring", "unit", "--type", "B2", "--weights", "1,2")
+    assert code == 0 and out == (
+        "sum of n_d t_d over D (read off the J table) is not a unit: "
+        "P1-P15 fail at these weights\n")
 
 
 def test_generator_loop_turned_around_exits_3(monkeypatch):
@@ -654,7 +767,42 @@ _VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_VALUES)
 def test_writer_matches_json_dumps(value):
-    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert _written(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def _written(value) -> str:
+    """The writer's chunks joined: every one is ASCII bytes."""
+    chunks = cli._dumps(value)
+    assert all(type(chunk) is bytes and chunk.isascii() for chunk in chunks)
+    return b"".join(chunks).decode("ascii")
+
+
+def _iterators(value):
+    """value with every list turned into an iterator over its items, and
+    the number of items those iterators yield."""
+    if isinstance(value, dict):
+        items = [(k, _iterators(v)) for k, v in value.items()]
+        return {k: v for k, (v, _) in items}, sum(n for _, (_, n) in items)
+    if isinstance(value, (list, tuple)):
+        items = [_iterators(v) for v in value]
+        inner = [v for v, _ in items]
+        total = sum(n for _, n in items)
+        if isinstance(value, tuple):
+            return tuple(inner), total
+        return iter(inner), total + len(inner)
+    return value, 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_writer_takes_iterators_for_lists(value):
+    # an iterator is written as the list of its items, and a chunk ends
+    # after each item: one chunk per item, and one for the rest
+    expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
+    streamed, items = _iterators(value)
+    chunks = cli._dumps(streamed)
+    assert b"".join(chunks).decode("ascii") == expected
+    assert len(chunks) == items + 1
 
 
 @pytest.mark.parametrize("value", [
@@ -666,13 +814,15 @@ def test_writer_refuses_what_no_report_holds(value):
     # after sorting them); no report has them, so the writer refuses them all
     with pytest.raises(TypeError):
         cli._dumps(value)
+    with pytest.raises(TypeError):
+        cli._dumps({"elements": iter([0, value])})
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "reports").glob("*.json")),
                          ids=lambda p: p.name)
 def test_writer_reproduces_committed_reports(path):
     text = path.read_text()
-    written = cli._dumps(json.loads(text))
+    written = _written(json.loads(text))
     same = written == text  # outside the assert, which would diff every line
     assert same, f"{len(written)} bytes written, {len(text)} committed"
 
@@ -682,7 +832,7 @@ def test_writer_memo_tells_bools_from_ints():
     # write [true] as [1], or the reverse
     value = {"a": [[1], [True], [1, 1], [True, 1], [1], [[1]], [[True]]],
              "b": [1], "c": [True], "d": [[1, 2], [1, 2]], "e": (1, 2)}
-    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert _written(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 def test_import_leaves_pool_cache_and_dataclass_modules_out():
