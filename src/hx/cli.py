@@ -690,19 +690,15 @@ def main(argv=None) -> int:
             raise UsageError("--jobs must be >= 1")
         command = _COMMANDS[args.command, getattr(args, "subcommand", None)]
         report, text, payload = command(args)
-        use_csv = bool(getattr(args, "csv", False))
-        if payload is None and (args.json or (args.out and not use_csv)):
+        csv = _positivity_csv(report) if getattr(args, "csv", False) else None
+        if payload is None and (args.json or (args.out and csv is None)):
             payload = _dumps(report)
         if args.out:
             try:
                 with open(args.out, "wb") as fh:
-                    fh.writelines([_positivity_csv(report).encode("ascii")]
-                                  if use_csv else payload)
+                    fh.writelines(payload if csv is None else [csv.encode("ascii")])
             except OSError as e:
                 raise UsageError(f"cannot write {args.out}: {e}")
-        if not args.json:
-            stdout = (_positivity_csv(report) if use_csv else
-                      "".join(f"{line}\n" for line in text))
     except UsageError as e:
         print(f"hx: error: {e}", file=sys.stderr)
         return 1
@@ -719,8 +715,11 @@ def main(argv=None) -> int:
     if args.json:  # the payload's bytes as they are, behind any text
         sys.stdout.flush()
         sys.stdout.buffer.writelines(payload)
-    else:
-        sys.stdout.write(stdout)
+    elif csv is not None:
+        sys.stdout.write(csv)
+    else:  # line by line, with no joined copy of the text
+        for line in text:
+            sys.stdout.write(f"{line}\n")
     return 0
 
 

@@ -12,28 +12,32 @@ realization C of the Coxeter matrix, s_i(alpha_j) = alpha_j - C[i][j]
 alpha_i: every w(alpha_j) is a root, all of whose coordinates share one
 sign, and ``|s_i w| < |w|`` iff ``w^{-1}(alpha_i)`` is negative. This
 works uniformly for finite, affine and hyperbolic systems; no group table
-is required.
+is required (Bjorner and Brenti, Combinatorics of Coxeter Groups, 4.3).
 
-Root data. Each element carries, computed once, the coordinates of
-``w^{-1}(alpha_j)`` for every j, as one flat int tuple of rank^2 entries;
-j is a left descent of w iff ``w^{-1}(alpha_j) < 0``. Writing v_j for
-these vectors, a left step gives ``(s_i w)^{-1}(alpha_j) = v_j - C[i][j]
-v_i`` and a right step ``(w s_i)^{-1}(alpha_j) = s_i(v_j)``, each in
-O(rank^2). The sign of a right step, and so a right descent, comes from
-the lengths of the two words.
+Heights. Each element carries, computed once, one int per generator: the
+height ``mu_j = ht(w^{-1}(alpha_j))``, the sum of that root's coordinates.
+It is ``<alpha_j, w rho*>`` for the coweight rho* that is 1 on every
+simple root. A root is negative iff its height is, so j is a left descent
+of w iff ``mu_j < 0``. A left step gives ``(s_i w)^{-1}(alpha_j) =
+w^{-1}(alpha_j) - C[i][j] w^{-1}(alpha_i)``, so ``mu'_j = mu_j - C[i][j]
+mu_i``, which moves only the j with ``C[i][j] != 0`` (and ``mu'_i =
+-mu_i``). A right step is not a function of the heights: it is the
+element of the word ``w.word + (i,)``, and its sign, and so a right
+descent, comes from the lengths of the two words.
 
-Interning. A system keeps one table, root data -> Element, and makes
-every element through it: a step, a word or an inverse walks the root
-data and looks the result up; only on a miss is the canonical word built,
-as the least left descent d followed by the canonical word of ``s_d u``,
-itself looked up the same way. The table is faithful for every accepted
-matrix, finite, affine or hyperbolic. The data is the linear map w^{-1}
-on the simple roots, so two elements u, v with the same data act on the
-root lattice by the same linear map, and g = u v^{-1} fixes every simple
-root. Then ``g^{-1}(alpha_j) = alpha_j > 0`` for all j, g has no left
-descent by the same theorem, and g = e. So each group element is one
-Element object per system, and object identity, which ``==`` and the
-hash of every dict and set use, is equality of elements.
+Interning. A system keeps one table, heights -> Element, and makes every
+element through it: a step, a word or an inverse walks the heights from
+the identity's ``(1, ..., 1)`` and looks the result up; only on a miss is
+the canonical word built, as the least left descent d followed by the
+canonical word of ``s_d u``, itself looked up the same way. The table is
+faithful for every accepted matrix, finite, affine or hyperbolic. The
+heights of w are the values of the simple roots, a basis, on w rho*, so
+if u and v have the same heights then u rho* = v rho*, and g = v^{-1} u
+fixes rho*. Then ``ht(g^{-1}(alpha_j)) = <alpha_j, g rho*> = 1 > 0`` for
+all j, g has no left descent by the same theorem, and g = e. So each
+group element is one Element object per system, and object identity,
+which ``==`` and the hash of every dict and set use, is equality of
+elements.
 
 Enumeration. The length levels grow one generator at a time: for each i
 in turn, every u of the last level, in order, takes its left step s_i u
@@ -42,7 +46,7 @@ of its least left descent, so ``(i,) + u.word`` is w's canonical word and
 each level comes out in (length, ShortLex) order with no sort (the order
 of du Cloux's Coxeter3). Each step fills the left-step memo both ways, so
 the descents of a level were all filled while the level below was
-processed, and only ascents cost a root-data step.
+processed, and only ascents cost a step of the heights.
 
 Dense ids. A finite group's elements are numbered in that order, and the
 left table holds every generator step as an int. Inverses follow the
@@ -61,8 +65,6 @@ an ascent.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 __all__ = [
@@ -98,20 +100,20 @@ class InternalCheckError(Exception):
 
 class Element:
     """A group element: its system's one object for it, with ``word`` its
-    ShortLex-least reduced word and ``roots`` its root data, the
-    coordinates of w^{-1}(alpha_j) for j = 0 .. rank-1, flattened.
+    ShortLex-least reduced word and ``heights`` the heights of
+    w^{-1}(alpha_j) for j = 0 .. rank-1.
 
     Only ``CoxeterSystem`` makes them, through its intern table, so two
     Elements are equal iff they are the same object: equality and hash are
     ``object``'s, and elements of different systems are never equal."""
 
-    __slots__ = ("system", "word", "roots")
+    __slots__ = ("system", "word", "heights")
 
     def __init__(self, system: "CoxeterSystem", word: tuple[int, ...],
-                 roots: tuple[int, ...]):
+                 heights: tuple[int, ...]):
         self.system = system
         self.word = word
-        self.roots = roots
+        self.heights = heights
 
     @property
     def length(self) -> int:
@@ -318,51 +320,39 @@ def _diagram_components(matrix) -> list[list[int]]:
     return comps
 
 
-def _fraction_det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    mat = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = mat[col][col]
-        for r in range(col + 1, n):
-            if mat[r][col]:
-                factor = mat[r][col] / inv
-                for c in range(col, n):
-                    mat[r][c] -= factor * mat[col][c]
-    return det
-
-
 def _component_is_finite(matrix, cartan, nodes: list[int]) -> bool:
     """Finite iff the symmetrized Cartan form on the component is positive
-    definite (Sylvester with exact fractions)."""
+    definite. The form is S = D C with D a positive diagonal, so its leading
+    principal minors have the signs of C's, which fraction-free Bareiss
+    elimination with no pivoting yields as its pivots (Sylvester)."""
     if any(matrix[i][j] is INFINITE for i in nodes for j in nodes):
         return False
-    pos = {node: k for k, node in enumerate(nodes)}
-    d: dict[int, Fraction] = {nodes[0]: Fraction(1)}
+    # d[j] = num / den, with d_i C[i][j] = d_j C[j][i] along every bond
+    d: dict[int, tuple[int, int]] = {nodes[0]: (1, 1)}
     queue = [nodes[0]]
     while queue:
         i = queue.pop()
+        num, den = d[i]
         for j in nodes:
             if j == i or cartan[i][j] == 0:
                 continue
             if j in d:
-                if d[i] * cartan[i][j] != d[j] * cartan[j][i]:
+                if num * cartan[i][j] * d[j][1] != d[j][0] * cartan[j][i] * den:
                     return False  # not symmetrizable: never finite type
             else:
-                d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
+                d[j] = (num * cartan[i][j], den * cartan[j][i])
                 queue.append(j)
+    mat = [[cartan[a][b] for b in nodes] for a in nodes]
     k = len(nodes)
-    sym = [[d[a] * cartan[a][b] for b in nodes] for a in nodes]
-    for m in range(1, k + 1):
-        if _fraction_det([row[:m] for row in sym[:m]]) <= 0:
+    prev = 1
+    for p in range(k):
+        pivot = mat[p][p]  # the leading principal minor of order p + 1
+        if pivot <= 0:
             return False
+        for r in range(p + 1, k):
+            for c in range(p + 1, k):
+                mat[r][c] = (mat[r][c] * pivot - mat[r][p] * mat[p][c]) // prev
+        prev = pivot
     return True
 
 
@@ -387,10 +377,9 @@ class CoxeterSystem:
         # (j, C[i][j]) for the nonzero entries of each Cartan row
         self._cartan_nonzero = tuple(
             tuple((j, c) for j, c in enumerate(row) if c) for row in self.cartan)
-        self.identity = Element(self, (), tuple(
-            int(j == k) for j in range(rank) for k in range(rank)))
-        self._by_roots: dict[tuple[int, ...], Element] = {
-            self.identity.roots: self.identity}
+        self.identity = Element(self, (), (1,) * rank)
+        self._by_heights: dict[tuple[int, ...], Element] = {
+            self.identity.heights: self.identity}
         # _lmul[i][w] = (s_i w, sign) and _rmul[i][w] = (w s_i, sign)
         self._lmul: list[dict[Element, tuple[Element, int]]] = [
             {} for _ in range(rank)]
@@ -421,96 +410,81 @@ class CoxeterSystem:
         tag = self.type_label or f"rank {self.rank} matrix"
         return f"CoxeterSystem({tag})"
 
-    # -- root data --------------------------------------------------------------
+    # -- heights --------------------------------------------------------------
 
-    def _act(self, roots: tuple[int, ...], i: int, left: bool) -> tuple[int, ...]:
-        """The root data of s_i w (left) or w s_i (right) from that of w.
-
-        A left step makes every v_j into v_j - C[i][j] v_i; a right step
-        applies s_i to every v_j, as (w s_i)^{-1}(alpha_j) = s_i(v_j)."""
-        n = self.rank
-        out = list(roots)
-        if left:
-            vi = roots[i * n:i * n + n]
-            for j, c in self._cartan_nonzero[i]:
-                b = j * n
-                out[b:b + n] = [x - c * y for x, y in zip(roots[b:b + n], vi)]
-        else:
-            row = self.cartan[i]
-            for b in range(0, n * n, n):
-                out[b + i] -= sum(map(mul, row, roots[b:b + n]))
+    def _act(self, heights: tuple[int, ...], i: int) -> tuple[int, ...]:
+        """The heights of s_i w from those of w: mu_j - C[i][j] mu_i."""
+        out = list(heights)
+        hi = heights[i]
+        for j, c in self._cartan_nonzero[i]:
+            out[j] -= c * hi
         return tuple(out)
 
-    def _negative(self, roots: tuple[int, ...], j: int) -> bool:
-        """Whether w^{-1}(alpha_j) is negative, i.e. j is a left descent."""
-        n = self.rank
-        return min(roots[j * n:j * n + n]) < 0
-
-    def _intern(self, roots: tuple[int, ...]) -> Element:
-        """The element with this root data, building its canonical word on a
+    def _intern(self, heights: tuple[int, ...]) -> Element:
+        """The element with these heights, building its canonical word on a
         miss: the least left descent d, then the word of s_d u, looked up the
         same way until a known element is reached."""
-        el = self._by_roots.get(roots)
+        el = self._by_heights.get(heights)
         if el is not None:
             return el
-        n = self.rank
         chain = []
         while el is None:
-            d = next((j for j in range(n) if self._negative(roots, j)), None)
+            d = next((j for j, h in enumerate(heights) if h < 0), None)
             if d is None:
                 raise InternalCheckError(
                     "an element other than e has no left descent")
-            chain.append((d, roots))
-            roots = self._act(roots, d, True)
-            el = self._by_roots.get(roots)
-        for d, roots in reversed(chain):
-            el = Element(self, (d,) + el.word, roots)
-            self._by_roots[roots] = el
+            chain.append((d, heights))
+            heights = self._act(heights, d)
+            el = self._by_heights.get(heights)
+        for d, heights in reversed(chain):
+            el = Element(self, (d,) + el.word, heights)
+            self._by_heights[heights] = el
         return el
 
     def _elem(self, word: tuple[int, ...]) -> Element:
-        """The element of a word of generators, by its root data."""
-        roots = self.identity.roots
+        """The element of a word of generators, by its heights."""
+        heights = self.identity.heights
         for i in reversed(word):
-            roots = self._act(roots, i, True)
-        return self._intern(roots)
+            heights = self._act(heights, i)
+        return self._intern(heights)
 
     # -- element arithmetic ---------------------------------------------------
 
-    def generator(self, i: int) -> Element:
-        if not 0 <= i < self.rank:
+    def _check_index(self, i: int) -> None:
+        if not 0 <= i < self.rank:  # before indexing: _lmul[-1] is a memo too
             raise ValueError(f"generator index {i} out of range for rank {self.rank}")
+
+    def generator(self, i: int) -> Element:
+        self._check_index(i)
         return self._elem((i,))
 
     def left_mul_gen(self, i: int, w: Element) -> tuple[Element, int]:
         """(s_i * w, +1) on a length increase, (s_i * w, -1) on a decrease."""
-        if not 0 <= i < self.rank:  # before indexing: _lmul[-1] is a memo too
-            raise ValueError(f"generator index {i} out of range for rank {self.rank}")
+        self._check_index(i)
         memo = self._lmul[i]
         hit = memo.get(w)
         if hit is not None:
             return hit
-        sign = -1 if self._negative(w.roots, i) else +1
-        res = memo[w] = (self._intern(self._act(w.roots, i, True)), sign)
+        sign = -1 if w.heights[i] < 0 else +1
+        res = memo[w] = (self._intern(self._act(w.heights, i)), sign)
         return res
 
     def right_mul_gen(self, w: Element, i: int) -> tuple[Element, int]:
-        if not 0 <= i < self.rank:
-            raise ValueError(f"generator index {i} out of range for rank {self.rank}")
+        self._check_index(i)
         memo = self._rmul[i]
         hit = memo.get(w)
         if hit is not None:
             return hit
-        ws = self._intern(self._act(w.roots, i, False))
+        ws = self._elem(w.word + (i,))
         res = memo[w] = (ws, +1 if ws.length > w.length else -1)
         return res
 
     def normal_form(self, word: Iterable[int]) -> Element:
         """Canonical Element for the product of the listed generators."""
-        w = self.identity
+        word = tuple(map(int, word))
         for i in word:
-            w = self.right_mul_gen(w, int(i))[0]
-        return w
+            self._check_index(i)
+        return self._elem(word)
 
     def _check_same_system(self, *elements: Element) -> None:
         for el in elements:
@@ -519,15 +493,7 @@ class CoxeterSystem:
 
     def multiply(self, a: Element, b: Element) -> Element:
         self._check_same_system(a, b)
-        if a.length <= b.length:
-            w = b
-            for i in reversed(a.word):
-                w = self.left_mul_gen(i, w)[0]
-            return w
-        w = a
-        for i in b.word:
-            w = self.right_mul_gen(w, i)[0]
-        return w
+        return self._elem(a.word + b.word)
 
     def inverse(self, a: Element) -> Element:
         self._check_same_system(a)
@@ -535,7 +501,7 @@ class CoxeterSystem:
 
     def left_descents(self, a: Element) -> frozenset[int]:
         self._check_same_system(a)
-        return frozenset(j for j in range(self.rank) if self._negative(a.roots, j))
+        return frozenset(j for j, h in enumerate(a.heights) if h < 0)
 
     def right_descents(self, a: Element) -> frozenset[int]:
         self._check_same_system(a)
@@ -554,9 +520,10 @@ class CoxeterSystem:
         inner one. The first pass to reach an element w is the pass of its
         least left descent i, so ``(i,) + u.word`` is its canonical word and
         the level comes out in (length, ShortLex) order. Only ascents cost a
-        root-data step: each new pair fills both ``_lmul`` entries, so every
-        descent of a level was filled while the level below was processed."""
-        negative, by_roots = self._negative, self._by_roots
+        step of the heights: each new pair fills both ``_lmul`` entries, so
+        every descent of a level was filled while the level below was
+        processed."""
+        act, by_heights = self._act, self._by_heights
         while not self._levels_complete and (upto is None or len(self._levels) <= upto):
             nxt: list[Element] = []
             reached: set[Element] = set()
@@ -564,14 +531,15 @@ class CoxeterSystem:
                 for u in self._levels[-1]:
                     hit = memo.get(u)
                     if hit is None:
-                        if negative(u.roots, i):
+                        if u.heights[i] < 0:
                             raise InternalCheckError(
                                 f"the descent s{i} of {u} was not filled "
                                 f"with the level below it")
-                        roots = self._act(u.roots, i, True)
-                        w = by_roots.get(roots)
+                        heights = act(u.heights, i)
+                        w = by_heights.get(heights)
                         if w is None:
-                            w = by_roots[roots] = Element(self, (i,) + u.word, roots)
+                            w = by_heights[heights] = Element(
+                                self, (i,) + u.word, heights)
                         memo[u] = (w, +1)
                     elif hit[1] < 0:
                         continue
@@ -579,7 +547,7 @@ class CoxeterSystem:
                         w = hit[0]
                     memo[w] = (u, -1)
                     if w not in reached:
-                        if any(negative(w.roots, j) for j in range(i)):
+                        if i and min(w.heights[:i]) < 0:
                             raise InternalCheckError(
                                 f"{w} was first reached by s{i}, "
                                 f"not by its least left descent")

@@ -29,13 +29,15 @@ packed kernels of ``klbasis`` and ``positivity`` run in.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
 
 from .coxeter import (CoxeterSystem, Element, GatingError, InfiniteGroupError,
                       InternalCheckError)
 from .laurent import LaurentPoly, ONE, ZERO
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "WeightFunction",

@@ -11,7 +11,6 @@ no floating point anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Union
 
 __all__ = ["LaurentPoly", "ZERO", "ONE", "V", "NEG_INF", "in_cone"]
@@ -179,6 +178,8 @@ class LaurentPoly:
 
         Returns an int when the value is integral, otherwise a Fraction.
         """
+        from fractions import Fraction  # here: off every command's import path
+
         if c == 0:
             raise ZeroDivisionError("cannot evaluate a Laurent polynomial at 0")
         c = Fraction(c)

@@ -455,6 +455,31 @@ def test_generator_loop_turned_around_exits_3(monkeypatch):
     assert "Traceback" not in err and not out
 
 
+def test_left_step_missing_a_bond_term_exits_3(monkeypatch):
+    # heights stepped with one bond term left out are no longer those of a
+    # group element: enumeration must stop on a check, not print a report
+    from hx.coxeter import CoxeterSystem
+
+    real = CoxeterSystem._act
+
+    def broken(self, heights, i):
+        out = list(real(self, heights, i))
+        bonds = [j for j, c in self._cartan_nonzero[i] if j != i]
+        if bonds:
+            out[bonds[-1]] = heights[bonds[-1]]
+        return tuple(out)
+
+    monkeypatch.setattr(CoxeterSystem, "_act", broken)
+    code, out, err = run_cli("group", "--type", "F4")
+    assert code == 3 and "was not filled with the level below it" in err
+    assert "Traceback" not in err and not out
+    # a letter out of range is still a usage error, with the same message
+    monkeypatch.undo()
+    code, out, err = run_cli("kl", "basis", "--type", "A2", "--element", "0,5")
+    assert code == 1 and not out
+    assert err == "hx: error: generator index 5 out of range for rank 2\n"
+
+
 def test_second_longest_element_exits_3(monkeypatch):
     # a second element in the top length level, put there once the dense
     # tables are built from the levels, is an internal error, not a crash
@@ -836,9 +861,11 @@ def test_writer_memo_tells_bools_from_ints():
 
 
 def test_import_leaves_pool_cache_and_dataclass_modules_out():
-    # -S: no site hooks, so only what hx imports is counted
+    # -S: no site hooks, so only what hx imports is counted; fractions (and
+    # the decimal it imports) is for LaurentPoly.evaluate alone
     probe = ("import sys, hx, hx.cli; print(sorted({'multiprocessing', "
-             "'hashlib', 'dataclasses', 'inspect'} & set(sys.modules)))")
+             "'hashlib', 'dataclasses', 'inspect', 'fractions', 'decimal'} "
+             "& set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert done.returncode == 0, done.stderr

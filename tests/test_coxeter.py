@@ -1,6 +1,7 @@
 """Coxeter systems: construction, canonical words, enumeration, Bruhat
 order (against a brute-force oracle), and conjugacy classes."""
 
+import itertools
 import math
 import pickle
 import random
@@ -8,9 +9,12 @@ from collections import Counter
 
 import pytest
 
-from coxeter_oracle import assert_matches_word_walk, orbit_classes, sorted_levels
+from coxeter_oracle import (assert_matches_root_data, assert_matches_word_walk,
+                            fraction_component_is_finite, orbit_classes,
+                            sorted_levels)
 from hx.coxeter import (Element, INFINITE, InfiniteGroupError,
-                        InternalCheckError, build_system)
+                        InternalCheckError, _cartan_from_matrix,
+                        _component_is_finite, _diagram_components, build_system)
 from hx.hecke import HeckeAlgebra
 from support import system
 
@@ -181,6 +185,44 @@ def test_root_data_arithmetic_matches_word_walk(label, radius):
     words = [w.word for w in system(label).enumerate_elements(max_length=radius)]
     # a fresh system, longest words first, so most steps build a new element
     assert_matches_word_walk(build_system(label), words[::-1])
+
+
+HYPERBOLIC_343 = [[1, 3, 3], [3, 1, 4], [3, 4, 1]]  # the (3, 4, 3) triangle
+
+
+@pytest.mark.parametrize("source,radius", [
+    ("A1", None), ("A2", None), ("A3", None), ("A4", None), ("A5", None),
+    ("B2", None), ("B3", None), ("B4", None), ("B5", None), ("D4", None),
+    ("D5", None), ("F4", None), ("G2", None), ("~A2", 6), ("~C2", 6),
+    ("~G2", 8), (HYPERBOLIC_343, 7)],
+    ids=lambda v: "343" if v is HYPERBOLIC_343 else str(v))
+def test_heights_match_the_root_data_oracle(source, radius):
+    words = [w.word for w in build_system(source).enumerate_elements(max_length=radius)]
+    # a fresh system, longest words first, so most steps build a new element
+    W = build_system(source)
+    elements = [W.normal_form(word) for word in words[::-1]]
+    rng = random.Random(3)
+    pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(100)]
+    assert_matches_root_data(W, elements, pairs)
+
+
+def test_integer_finiteness_matches_the_fraction_oracle():
+    # every component of every matrix of rank 2 to 4 with bonds 2, 3, 4, 6, inf
+    bonds = (2, 3, 4, 6, INFINITE)
+    components = 0
+    for rank in (2, 3, 4):
+        cells = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
+        for choice in itertools.product(bonds, repeat=len(cells)):
+            matrix = [[1] * rank for _ in range(rank)]
+            for (i, j), bond in zip(cells, choice):
+                matrix[i][j] = matrix[j][i] = bond
+            cartan = _cartan_from_matrix(matrix)
+            for nodes in _diagram_components(matrix):
+                fast = _component_is_finite(matrix, cartan, nodes)
+                assert fast == fraction_component_is_finite(matrix, cartan, nodes), (
+                    matrix, nodes)
+                components += 1
+    assert components == 16317
 
 
 def test_normal_form_beyond_the_recursion_limit():
