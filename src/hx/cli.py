@@ -28,6 +28,16 @@ view into the entry as read once its digest matches, written with no
 decode; text output alone parses the payload, of hits and misses alike.
 Nothing reaches stdout, ``--out`` or the cache before the whole report is
 serialized, so a failure leaves none of them behind.
+
+The one writer, ``_dumps``, formats each tuple once per indentation and
+reuses its text. The memo is keyed by the tuple's identity, which is exact
+where a key by value is not (``(True,) == (1,) == (1.0,)``, with equal
+hashes), and holds the tuple for the whole write, so that its id cannot
+come back for another object. The cached commands hand over their words as
+the interned ``Element.word`` tuples, and ``kl basis`` its coefficients as
+the tuples ``KLBasis.coord_pairs`` shares, so each of its thousands of
+entries is a few joins of kept texts. Their text output reads the report
+back from the JSON, so a word prints as ``[0, 1]``, never ``(0, 1)``.
 """
 
 from __future__ import annotations
@@ -224,7 +234,6 @@ def _make_weight(system: CoxeterSystem, args) -> WeightFunction:
 
 _quote = json.encoder.encode_basestring_ascii
 _scalar = json.JSONEncoder().encode  # no indent, so json's C encoder
-_INT = {int}
 
 # a serialized report: ASCII bytes chunks, written out in order and never
 # joined (a cache hit's one chunk is a memoryview of the entry it read)
@@ -238,55 +247,82 @@ def _dumps(report: dict) -> list[bytes]:
     TypeError. An iterator is written as a list, and a chunk ends after each
     of its items, so an item can be freed once it is written. json indents
     in pure Python, so this walks the containers itself and leaves every
-    scalar to C. A list of plain ints is formatted once per indentation and
-    its text reused."""
-    chunks, parts = [], []
+    scalar to C.
 
-    def cut() -> None:
-        chunks.append("".join(parts).encode("ascii"))
-        parts.clear()
-
-    _write(report, "\n", parts.append, cut, {})
+    A tuple is formatted once per indentation and its text reused, keyed
+    by (id, indentation): exact, where a key by value would meet
+    ``True == 1 == 1.0``, which hash alike. The memo holds the tuple, so its
+    id is not reused while the report is written, and neither it nor what
+    it holds may change meanwhile. A tuple that an iterator inside it cut
+    into chunks is not kept. Reports hand their shared immutable leaves
+    over as tuples (words, coefficient pairs), so a repeated leaf costs one
+    lookup; entries are lists and dicts, which are walked and never kept."""
+    chunks: list[bytes] = []
+    parts: list[str] = []
+    _write(report, "\n", parts, chunks, {})
     parts.append("\n")
-    cut()
+    _cut(parts, chunks)
     return chunks
 
 
-def _write(value, newline: str, put: Callable[[str], object],
-           cut: Callable[[], None], leaves: dict[tuple, str]) -> None:
-    inner = newline + "  "
-    if isinstance(value, dict):
+def _cut(parts: list[str], chunks: list[bytes]) -> None:
+    chunks.append("".join(parts).encode("ascii"))
+    parts.clear()
+
+
+def _write(value, newline: str, parts: list[str], chunks: list[bytes],
+           tuples: dict[tuple[int, str], tuple[tuple, str]]) -> None:
+    """Append value's text, at the indentation newline ends with, to parts,
+    cutting parts into chunks after each item of an iterator. tuples maps
+    (id, newline) to (the tuple, its text), and holds the tuple."""
+    put = parts.append
+    if type(value) is tuple:
+        key = (id(value), newline)
+        hit = tuples.get(key)
+        if hit is not None:
+            put(hit[1])
+            return
+        start, cuts = len(parts), len(chunks)
+    elif isinstance(value, dict):
+        inner = newline + "  "
         sep = "{" + inner
         for key in sorted(value):
             put(sep + _quote(key) + ": ")  # TypeError unless key is a str
-            _write(value[key], inner, put, cut, leaves)
+            _write(value[key], inner, parts, chunks, tuples)
             sep = "," + inner
         put(newline + "}" if value else "{}")
+        return
     elif type(value) is int:
         put(int.__repr__(value))
-    elif isinstance(value, (list, tuple, Iterator)):
-        streamed = not isinstance(value, (list, tuple))  # a chunk per item
-        if (not streamed and value and type(value[0]) is int
-                and set(map(type, value)) == _INT):
-            # only ints (json writes a bool as true/false), so the key, in
-            # which True == 1, never meets a bool
-            key = (newline, *value)
-            text = leaves.get(key)
-            if text is None:
-                text = leaves[key] = ("[" + inner + ("," + inner).join(
-                    map(int.__repr__, value)) + newline + "]")
-            put(text)
-        else:
-            sep = "[" + inner
-            for item in value:
-                put(sep)
-                _write(item, inner, put, cut, leaves)
-                if streamed:
-                    cut()
-                sep = "," + inner
-            put("[]" if sep[0] == "[" else newline + "]")  # no item, or some
-    else:
+        return
+    elif not isinstance(value, (list, tuple, Iterator)):
         put(_scalar(value))
+        return
+    # a list, tuple or iterator, written as a JSON array
+    inner = newline + "  "
+    streamed = not isinstance(value, (list, tuple))  # a chunk per item
+    # a tuple's items get a memo of their own, dropped with them: once the
+    # tuple's text is kept, theirs would never be read again
+    memo = {} if type(value) is tuple else tuples
+    sep, comma = "[" + inner, "," + inner
+    for item in value:
+        put(sep)
+        # a kept tuple, read here with no call: most items of a large
+        # report are shared tuples
+        hit = memo.get((id(item), inner)) if type(item) is tuple else None
+        if hit is not None:
+            put(hit[1])
+        else:
+            _write(item, inner, parts, chunks, memo)
+        if streamed:
+            _cut(parts, chunks)
+        sep = comma
+    put("[]" if sep[0] == "[" else newline + "]")  # no item, or some
+    if type(value) is tuple and len(chunks) == cuts:  # whole in parts[start:]
+        text = "".join(parts[start:])
+        del parts[start:]
+        put(text)
+        tuples[key] = (value, text)
 
 
 def _header(system: CoxeterSystem, weight: Optional[WeightFunction]) -> dict:
@@ -512,8 +548,8 @@ def _cmd_kl_basis(args) -> _Result:
         report = _header(system, weight)
         # a generator: _dumps writes each element as it is made, and frees it
         report["elements"] = ({
-            "w": _word(w),
-            "coords": [[_word(y), pairs] for y, pairs in kl.coord_pairs(w)],
+            "w": w.word,
+            "coords": [[y.word, pairs] for y, pairs in kl.coord_pairs(w)],
         } for w in targets)
         return report
 
@@ -556,9 +592,9 @@ def _cmd_kl_afunction(args) -> _Result:
             f"a-function: {done}/{total} pairs"))
         order = sorted(afn.values, key=lambda el: el.sort_key)
         report = _header(system, weight)
-        report["values"] = [[_word(z), afn.values[z]] for z in order]
-        report["witnesses"] = [[_word(z), _word(afn.witnesses[z][0]),
-                                _word(afn.witnesses[z][1])] for z in order]
+        report["values"] = [[z.word, afn.values[z]] for z in order]
+        report["witnesses"] = [[z.word, afn.witnesses[z][0].word,
+                                afn.witnesses[z][1].word] for z in order]
         return report
 
     def text(report: dict) -> Iterator[str]:
@@ -583,13 +619,13 @@ def _cmd_jring_table(args) -> _Result:
     def build() -> dict:
         ring = _j_ring(system, weight)
         report = _header(system, weight)
-        report["a_values"] = [[_word(z), ring.a.values[z]]
+        report["a_values"] = [[z.word, ring.a.values[z]]
                               for z in sorted(ring.a.values, key=lambda el: el.sort_key)]
         triples = []
         for (x, y) in sorted(ring.table, key=lambda kv: (kv[0].sort_key, kv[1].sort_key)):
             row = ring.table[(x, y)]
             for z in sorted(row, key=lambda el: el.sort_key):
-                triples.append([_word(x), _word(y), _word(z), row[z]])
+                triples.append([x.word, y.word, z.word, row[z]])
         report["triples"] = triples
         return report
 

@@ -152,6 +152,8 @@ __all__ = [
 
 # (P_su, mass(su), z -> the coefficients of mu_z at v^0, v^1, ...)
 _Split = tuple[dict[Element, int], int, dict[Element, list[int]]]
+# the (exponent, coefficient) pairs of a polynomial, exponents ascending
+_Pairs = tuple[tuple[int, int], ...]
 
 
 class _Overflow(Exception):
@@ -191,7 +193,7 @@ class KLBasis:
         # w -> the mu_z that the build of P_w subtracted, as _split gives them
         self._mus: dict[Element, dict[Element, list[int]]] = {}
         self._width = 32  # the digit width B, doubled on overflow
-        self._pairs: dict[tuple[int, int], list[list[int]]] = {}
+        self._pairs: dict[tuple[int, int], _Pairs] = {}
 
     def coords(self, w: Element) -> Terms:
         """The map y -> p_{y,w} with c_w = sum_y p_{y,w} T_y."""
@@ -204,12 +206,13 @@ class KLBasis:
                                      for y, P in row.items()}
         return hit
 
-    def coord_pairs(self, w: Element) -> list[tuple[Element, list[list[int]]]]:
-        """(y, the [exponent, coefficient] pairs of p_{y,w}, exponents
+    def coord_pairs(self, w: Element) -> list[tuple[Element, _Pairs]]:
+        """(y, the (exponent, coefficient) pairs of p_{y,w}, exponents
         ascending) for each y of the support of c_w, in
         ``bruhat_interval_below(w)`` order: ``coords`` as ``to_pairs``
-        writes it, read off the packed row with no Laurent polynomial made.
-        Equal (P_w[y], L(w)) share one list."""
+        writes it, as tuples, read off the packed row with no Laurent
+        polynomial made. Equal (P_w[y], L(w)) share one tuple, which the
+        report writer formats once."""
         row = self._packed_row(w)[0]
         top = self.algebra.weight(w)
         read = _digit_reader(self._width, top + 1)
@@ -218,8 +221,8 @@ class KLBasis:
         for y, P in reversed(row.items()):  # see _build: w, then z descending
             pairs = memo.get((P, top))
             if pairs is None:
-                pairs = memo[P, top] = [[k - top, d] for k, d in
-                                        enumerate(read(P)) if d]
+                pairs = memo[P, top] = tuple((k - top, d) for k, d in
+                                             enumerate(read(P)) if d)
             out.append((y, pairs))
         return out
 

@@ -176,12 +176,19 @@ class LaurentPoly:
     def evaluate(self, c):
         """Exact evaluation at a nonzero integer or Fraction.
 
-        Returns an int when the value is integral, otherwise a Fraction.
+        Returns an int when the value is integral, otherwise a Fraction. At
+        an int point with no negative power, or at v = 1 or -1, where
+        c^-k = c^k, the value is summed in ints and no Fraction is made.
         """
-        from fractions import Fraction  # here: off every command's import path
-
         if c == 0:
             raise ZeroDivisionError("cannot evaluate a Laurent polynomial at 0")
+        if type(c) is int and (self.val >= 0 or c * c == 1):
+            acc = 0
+            for coeff in reversed(self.coeffs):  # Horner, from the top
+                acc = acc * c + coeff
+            return acc * c ** abs(self.val)
+        from fractions import Fraction  # here: off every command's import path
+
         c = Fraction(c)
         acc = Fraction(0)
         power = c ** self.val

@@ -780,12 +780,14 @@ _INTS = (st.integers() | st.integers(min_value=2**64)
          | st.integers(max_value=-2**64))
 _SCALARS = (st.none() | st.booleans() | _INTS | _TEXT
             | st.floats(allow_nan=False, allow_infinity=False))
-# lists of plain ints take the writer's fast path; bools must not
+# ints and bools, which compare and hash alike, in lists and tuples; and
+# one object at several places and depths, as a report shares its tuples
 _INT_LISTS = st.lists(_INTS | st.booleans(), max_size=4)
 _VALUES = st.recursive(
-    _SCALARS | _INT_LISTS,
+    _SCALARS | _INT_LISTS | _INT_LISTS.map(tuple),
     lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
-                   | st.dictionaries(_TEXT, inner, max_size=4)),
+                   | st.dictionaries(_TEXT, inner, max_size=4)
+                   | inner.map(lambda v: [v, [v], {"v": v}, v])),
     max_leaves=24)
 
 
@@ -853,20 +855,64 @@ def test_writer_reproduces_committed_reports(path):
 
 
 def test_writer_memo_tells_bools_from_ints():
-    # (1,) == (True,): a memo of int lists that let a bool list in would
-    # write [true] as [1], or the reverse
+    # (1,) == (True,) == (1.0,), with equal hashes: a memo keyed by value
+    # that let a bool or a float meet an int would write [true] as [1], or
+    # the reverse. A tuple is kept per object and indentation, so one
+    # object at two depths, or shared by many entries, is right each time
+    word, pairs = (0, 1), ((-2, 1), (0, 1))
+    holder = ([1, True], (1.0, False))
     value = {"a": [[1], [True], [1, 1], [True, 1], [1], [[1]], [[True]]],
-             "b": [1], "c": [True], "d": [[1, 2], [1, 2]], "e": (1, 2)}
+             "b": [1], "c": [True], "d": [[1, 2], [1, 2]], "e": (1, 2),
+             "f": [(1,), (True,), (1.0,), (False,), (0,), (0.0,),
+                   (1, True, 1.0, False, 0), [1, True, 1.0, False, 0]],
+             "g": [(0, [1, True]), (0, [1, True]), holder, [holder], holder],
+             "h": [word, [word], [[word]], {"w": word}, word],
+             "i": [{"w": word, "coords": [[word, pairs], [(), pairs]]}] * 5
+             + [{"w": (), "coords": [[(), pairs], [(1,), pairs]]}]}
     assert _written(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_writer_memo_outlives_the_tuples_it_keeps():
+    # each tuple is made, written and dropped by a generator, so without the
+    # memo holding it a later one could take its id, and its text (3-tuples:
+    # the writer's own 2-tuples would take a freed pair's memory first)
+    for size in (1, 3, 5):
+        value = {"x": (tuple(range(i, i + size)) for i in range(300))}
+        expected = {"x": [list(range(i, i + size)) for i in range(300)]}
+        assert _written(value) == json.dumps(expected, indent=2) + "\n", size
+
+
+def test_writer_keeps_no_tuple_an_iterator_cut():
+    # the first write spends the iterator and cuts a chunk inside the tuple,
+    # whose text is then not kept: the second write finds it spent
+    spent = (iter([1, 2]), 3)
+    chunks = cli._dumps({"x": [spent, spent]})
+    expected = {"x": [[[1, 2], 3], [[], 3]]}
+    assert b"".join(chunks).decode() == json.dumps(expected, indent=2) + "\n"
+    assert len(chunks) == 3
+
+
+def test_kl_basis_report_is_json_dumps_of_itself():
+    # D4 shares its words and coefficient tuples across 9,817 entries
+    code, out, _ = run_cli("kl", "basis", "--type", "D4", "--json")
+    assert code == 0
+    same = out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert same, "the D4 kl basis report differs from json.dumps of itself"
 
 
 def test_import_leaves_pool_cache_and_dataclass_modules_out():
     # -S: no site hooks, so only what hx imports is counted; fractions (and
-    # the decimal it imports) is for LaurentPoly.evaluate alone
-    probe = ("import sys, hx, hx.cli; print(sorted({'multiprocessing', "
-             "'hashlib', 'dataclasses', 'inspect', 'fractions', 'decimal'} "
-             "& set(sys.modules)))")
+    # the decimal it imports) is for LaurentPoly.evaluate off int points
+    # alone, so a positivity run, which reads N^w at v = 1, loads neither
+    probe = """if True:
+        import contextlib, io, sys, hx, hx.cli
+        print(sorted({'multiprocessing', 'hashlib', 'dataclasses', 'inspect',
+                      'fractions', 'decimal'} & set(sys.modules)))
+        with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
+            code = hx.cli.main(['positivity', '--type', 'A2', '--json'])
+        print(code, sorted({'fractions', 'decimal'} & set(sys.modules)))
+    """
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert done.stdout == "[]\n0 []\n"

@@ -105,6 +105,21 @@ def test_evaluate():
         ONE.evaluate(0)
 
 
+def test_evaluate_at_int_points_matches_fractions():
+    # the int route (v = 1 or -1, or no negative power) against the sum of
+    # coeff * c^k in Fractions, and an int whenever that sum is integral
+    rng = random.Random(19)
+    for _ in range(200):
+        p = rand_poly(rng, span=6, size=4)
+        for c in (1, -1, 2, -3, 5):
+            exact = sum(Fraction(c) ** k * d for k, d in p.to_pairs())
+            got = p.evaluate(c)
+            assert got == exact, (p, c)
+            assert type(got) is (int if exact.denominator == 1 else Fraction), (p, c)
+    assert LaurentPoly.monomial(-3).evaluate(-1) == -1
+    assert ZERO.evaluate(-1) == 0 and type(ZERO.evaluate(2)) is int
+
+
 def test_serialization_round_trip():
     rng = random.Random(11)
     for _ in range(25):
