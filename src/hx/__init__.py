@@ -3,16 +3,20 @@ Exact-arithmetic workbench for Iwahori-Hecke algebras of finite and
 affine Coxeter systems with general weight functions: Kazhdan-Lusztig
 bases, structure constants, the a-function, the asymptotic ring J, and
 conjugacy-class trace positivity. Library plus the ``hx`` batch CLI.
+
+``import hx`` loads ``coxeter``, ``hecke`` and ``laurent``. The names of
+``klbasis`` (``KLBasis``, ``AFunction``, ``a_function``, ``JRing`` and the
+``j_*`` functions) and of ``positivity`` (``n_trace``, ``class_report``,
+``classify_positive``, ``TraceReport``), and the attributes ``hx.klbasis``
+and ``hx.positivity``, load their module on first use (PEP 562), so a
+command that needs neither never imports them.
 """
 
 from .coxeter import (ConjugacyClass, CoxeterSystem, Element, GatingError,
                       InfiniteGroupError, InternalCheckError, build_system)
 from .hecke import (HeckeAlgebra, HeckeElement, UnequalParametersError,
                     WeightFunction, weight_catalog)
-from .klbasis import (AFunction, JRing, KLBasis, a_function,
-                      j_associativity_check, j_find_unit, j_table)
 from .laurent import LaurentPoly, NEG_INF, ONE, V, ZERO, in_cone
-from .positivity import TraceReport, class_report, classify_positive, n_trace
 
 __version__ = "0.1.0"
 
@@ -27,3 +31,19 @@ __all__ = [
     "n_trace", "class_report", "classify_positive", "TraceReport",
     "__version__",
 ]
+
+# name -> the submodule that defines it, or that is it, imported on first use
+_LAZY = {**dict.fromkeys(["klbasis", "KLBasis", "AFunction", "a_function", "JRing",
+                          "j_table", "j_associativity_check", "j_find_unit"], "klbasis"),
+         **dict.fromkeys(["positivity", "n_trace", "class_report", "classify_positive",
+                          "TraceReport"], "positivity")}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    owner = import_module(f"{__name__}.{module}")
+    return owner if name == module else getattr(owner, name)

@@ -12,6 +12,12 @@ Exit codes: 0 success; 1 usage or configuration error; 2 gating error
 infinite system); 3 internal invariant violation (an implementation bug,
 never bad input).
 
+A run pays start-up for its own command alone: ``_COMMANDS`` gives each
+command its handler and its options, and ``_build_parser`` adds only the
+branch of the command the arguments name (the whole tree when they name
+none, for help and usage errors); the handlers import ``klbasis`` and
+``positivity`` where they use them.
+
 ``HX_CACHE_DIR`` (environment) enables an on-disk report cache for the
 expensive tables (``kl basis``, ``kl afunction``, ``jring table``): a
 report is computed once per (matrix, weights, options) and replayed
@@ -52,9 +58,6 @@ from . import __version__
 from .coxeter import (CoxeterSystem, Element, GatingError, InfiniteGroupError,
                       InternalCheckError, build_system)
 from .hecke import HeckeAlgebra, WeightFunction, weight_catalog
-from .klbasis import (KLBasis, a_function, j_associativity_check, j_find_unit,
-                      j_table)
-from .positivity import classify_positive
 
 __all__ = ["main"]
 
@@ -80,66 +83,41 @@ def _word_arg(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad element word {text!r}: expected i,j,...")
 
 
-def _build_parser() -> _Parser:
+# the help of each command that has subcommands
+_GROUPS = {"hecke": "T-basis level operations",
+           "kl": "Kazhdan-Lusztig basis computations",
+           "jring": "the asymptotic ring J"}
+
+
+def _build_parser(argv: Optional[Sequence[str]] = None) -> _Parser:
+    """The parser of the one command argv names, or of every command when
+    argv names none (help, a typo): a run builds no parser it does not use,
+    and help and usage errors read the same either way."""
+    named = [key for key in ((argv[0], None), tuple(argv[:2]))
+             if key in _COMMANDS] if argv else []
     parser = _Parser(prog="hx", description=__doc__.splitlines()[1])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, weights=True):
+    groups = {}
+    for name, subname in named or _COMMANDS:
+        command = _COMMANDS[name, subname]
+        if subname is None:
+            p = sub.add_parser(name, help=command.help)
+        else:
+            if name not in groups:
+                groups[name] = sub.add_parser(name, help=_GROUPS[name]).add_subparsers(
+                    dest="subcommand", required=True)
+            p = groups[name].add_parser(subname, help=command.help)
         p.add_argument("--type", dest="type_label", help="type label, e.g. B3 or ~F4")
         p.add_argument("--matrix", help="path to a JSON Coxeter matrix ('inf' for infinity)")
-        if weights:
-            p.add_argument("--weights", default=None,
-                           help="comma-separated generator weights, or 'equal'")
+        if command.weights:
+            p.add_argument("--weights", help="comma-separated generator weights, or 'equal'")
         p.add_argument("--config", help="JSON file with default options")
         p.add_argument("--out", help="write the JSON (or CSV) report to this path")
         p.add_argument("--json", action="store_true", help="print the JSON report to stdout")
-        p.add_argument("--jobs", type=int, default=None, help="worker pool degree (default 1)")
-        p.add_argument("--seed", type=int, default=None, help="seed for sampled checks (default 0)")
-
-    p = sub.add_parser("group", help="group order, conjugacy classes, special elements")
-    common(p)
-    p.add_argument("--max-length", type=int, default=None,
-                   help="list the length ball instead (required for infinite systems)")
-
-    p = sub.add_parser("weights", help="admissible weight catalog for an affine type")
-    common(p, weights=False)
-
-    p = sub.add_parser("hecke", help="T-basis level operations")
-    hsub = p.add_subparsers(dest="subcommand", required=True)
-    p = hsub.add_parser("fprobe", help="scan degrees of the structure constants f_{x,y,z}")
-    common(p)
-    p.add_argument("--radius", type=int, default=None,
-                   help="length bound for the scan (omit to scan a whole finite group)")
-
-    p = sub.add_parser("kl", help="Kazhdan-Lusztig basis computations")
-    ksub = p.add_subparsers(dest="subcommand", required=True)
-    pb = ksub.add_parser("basis", help="KL basis elements in T-coordinates")
-    common(pb)
-    pb.add_argument("--element", type=_word_arg, default=None,
-                    help="generator word i,j,... of a single element")
-    ph = ksub.add_parser("hconst", help="h-constants of a pair of basis elements")
-    common(ph)
-    ph.add_argument("--x", type=_word_arg, required=True, help="word of x")
-    ph.add_argument("--y", type=_word_arg, required=True, help="word of y")
-    pa = ksub.add_parser("afunction", help="the a-function table")
-    common(pa)
-
-    p = sub.add_parser("jring", help="the asymptotic ring J")
-    jsub = p.add_subparsers(dest="subcommand", required=True)
-    for name, hlp in [("table", "sparse gamma multiplication table"),
-                      ("check", "associativity check over basis triples"),
-                      ("unit", "the two-sided unit of J")]:
-        pj = jsub.add_parser(name, help=hlp)
-        common(pj)
-        if name == "check":
-            pj.add_argument("--exhaustive", action="store_true",
-                            help="force the full |W|^3 scan")
-
-    p = sub.add_parser("positivity", help="conjugacy-class trace positivity")
-    common(p)
-    p.add_argument("--csv", action="store_true", help="emit the flat CSV table")
-    p.add_argument("--max-cmin", type=int, default=None,
-                   help="cap evaluated C_min members per class (rank-5 time budget)")
+        p.add_argument("--jobs", type=int, help="worker pool degree (default 1)")
+        p.add_argument("--seed", type=int, help="seed for sampled checks (default 0)")
+        for flag, options in command.options:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -529,6 +507,8 @@ def _cmd_fprobe(args) -> _Result:
 
 
 def _cmd_kl_basis(args) -> _Result:
+    from .klbasis import KLBasis
+
     system = _make_system(args)
     weight = _make_weight(system, args)
     key = {"command": "kl basis", "matrix": system.matrix_json(),
@@ -563,6 +543,8 @@ def _cmd_kl_basis(args) -> _Result:
 
 
 def _cmd_kl_hconst(args) -> _Result:
+    from .klbasis import KLBasis
+
     system = _make_system(args)
     weight = _make_weight(system, args)
     kl = KLBasis(HeckeAlgebra(system, weight))
@@ -581,6 +563,8 @@ def _cmd_kl_hconst(args) -> _Result:
 
 
 def _cmd_kl_afunction(args) -> _Result:
+    from .klbasis import KLBasis, a_function
+
     system = _make_system(args)
     weight = _make_weight(system, args)
     key = {"command": "kl afunction", "matrix": system.matrix_json(),
@@ -605,6 +589,8 @@ def _cmd_kl_afunction(args) -> _Result:
 
 
 def _j_ring(system: CoxeterSystem, weight: WeightFunction):
+    from .klbasis import KLBasis, j_table
+
     return j_table(KLBasis(HeckeAlgebra(system, weight)),
                    progress=lambda done, total: _progress(
                        f"j-table: {done}/{total} pairs"))
@@ -636,6 +622,8 @@ def _cmd_jring_table(args) -> _Result:
 
 
 def _cmd_jring_check(args) -> _Result:
+    from .klbasis import j_associativity_check
+
     system = _make_system(args)
     weight = _make_weight(system, args)
     res = j_associativity_check(_j_ring(system, weight), seed=args.seed,
@@ -659,6 +647,8 @@ def _cmd_jring_check(args) -> _Result:
 
 
 def _cmd_jring_unit(args) -> _Result:
+    from .klbasis import j_find_unit
+
     system = _make_system(args)
     weight = _make_weight(system, args)
     unit = j_find_unit(_j_ring(system, weight))
@@ -674,6 +664,8 @@ def _cmd_jring_unit(args) -> _Result:
 
 
 def _cmd_positivity(args) -> _Result:
+    from .positivity import classify_positive
+
     system = _make_system(args)
     weight = _make_weight(system, args)
     algebra = HeckeAlgebra(system, weight)
@@ -703,28 +695,61 @@ def _positivity_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_COMMANDS: dict[tuple[str, Optional[str]], Callable[..., _Result]] = {
-    ("group", None): _cmd_group,
-    ("weights", None): _cmd_weights,
-    ("hecke", "fprobe"): _cmd_fprobe,
-    ("kl", "basis"): _cmd_kl_basis,
-    ("kl", "hconst"): _cmd_kl_hconst,
-    ("kl", "afunction"): _cmd_kl_afunction,
-    ("jring", "table"): _cmd_jring_table,
-    ("jring", "check"): _cmd_jring_check,
-    ("jring", "unit"): _cmd_jring_unit,
-    ("positivity", None): _cmd_positivity,
+class _Command:
+    """A command's handler, its help, its options past those every command
+    takes, as (flag, add_argument keywords), and whether it takes --weights.
+    A plain class: a NamedTuple's class is made by exec, which every process
+    would pay for at import."""
+    __slots__ = ("run", "help", "options", "weights")
+
+    def __init__(self, run: Callable[[argparse.Namespace], _Result], help: str,
+                 options: tuple[tuple[str, dict], ...] = (), weights: bool = True):
+        self.run, self.help, self.options, self.weights = run, help, options, weights
+
+
+# every command, in the order of hx --help: its handler, and its parser
+_COMMANDS: dict[tuple[str, Optional[str]], _Command] = {
+    ("group", None): _Command(
+        _cmd_group, "group order, conjugacy classes, special elements",
+        (("--max-length", dict(type=int, help="list the length ball instead "
+                                              "(required for infinite systems)")),)),
+    ("weights", None): _Command(
+        _cmd_weights, "admissible weight catalog for an affine type", weights=False),
+    ("hecke", "fprobe"): _Command(
+        _cmd_fprobe, "scan degrees of the structure constants f_{x,y,z}",
+        (("--radius", dict(type=int, help="length bound for the scan "
+                                          "(omit to scan a whole finite group)")),)),
+    ("kl", "basis"): _Command(
+        _cmd_kl_basis, "KL basis elements in T-coordinates",
+        (("--element", dict(type=_word_arg,
+                            help="generator word i,j,... of a single element")),)),
+    ("kl", "hconst"): _Command(
+        _cmd_kl_hconst, "h-constants of a pair of basis elements",
+        (("--x", dict(type=_word_arg, required=True, help="word of x")),
+         ("--y", dict(type=_word_arg, required=True, help="word of y")))),
+    ("kl", "afunction"): _Command(_cmd_kl_afunction, "the a-function table"),
+    ("jring", "table"): _Command(_cmd_jring_table, "sparse gamma multiplication table"),
+    ("jring", "check"): _Command(
+        _cmd_jring_check, "associativity check over basis triples",
+        (("--exhaustive", dict(action="store_true", help="force the full |W|^3 scan")),)),
+    ("jring", "unit"): _Command(_cmd_jring_unit, "the two-sided unit of J"),
+    ("positivity", None): _Command(
+        _cmd_positivity, "conjugacy-class trace positivity",
+        (("--csv", dict(action="store_true", help="emit the flat CSV table")),
+         ("--max-cmin", dict(type=int, help="cap evaluated C_min members per class "
+                                            "(rank-5 time budget)")))),
 }
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         _apply_config(parser, args)
         if args.jobs < 1:
             raise UsageError("--jobs must be >= 1")
-        command = _COMMANDS[args.command, getattr(args, "subcommand", None)]
+        command = _COMMANDS[args.command, getattr(args, "subcommand", None)].run
         report, text, payload = command(args)
         csv = _positivity_csv(report) if getattr(args, "csv", False) else None
         if payload is None and (args.json or (args.out and csv is None)):

@@ -193,7 +193,8 @@ class KLBasis:
         # w -> the mu_z that the build of P_w subtracted, as _split gives them
         self._mus: dict[Element, dict[Element, list[int]]] = {}
         self._width = 32  # the digit width B, doubled on overflow
-        self._pairs: dict[tuple[int, int], _Pairs] = {}
+        self._pairs: dict[tuple[int, int], _Pairs] = {}  # by (P_w[y], L(w))
+        self._shared: dict[_Pairs, _Pairs] = {}  # by value, kept across widths
 
     def coords(self, w: Element) -> Terms:
         """The map y -> p_{y,w} with c_w = sum_y p_{y,w} T_y."""
@@ -211,18 +212,18 @@ class KLBasis:
         ascending) for each y of the support of c_w, in
         ``bruhat_interval_below(w)`` order: ``coords`` as ``to_pairs``
         writes it, as tuples, read off the packed row with no Laurent
-        polynomial made. Equal (P_w[y], L(w)) share one tuple, which the
-        report writer formats once."""
+        polynomial made. Equal pairs share one tuple, which the report
+        writer formats once."""
         row = self._packed_row(w)[0]
         top = self.algebra.weight(w)
         read = _digit_reader(self._width, top + 1)
-        memo = self._pairs
+        memo, shared = self._pairs, self._shared
         out = []
         for y, P in reversed(row.items()):  # see _build: w, then z descending
             pairs = memo.get((P, top))
             if pairs is None:
-                pairs = memo[P, top] = tuple((k - top, d) for k, d in
-                                             enumerate(read(P)) if d)
+                pairs = tuple((k - top, d) for k, d in enumerate(read(P)) if d)
+                pairs = memo[P, top] = shared.setdefault(pairs, pairs)
             out.append((y, pairs))
         return out
 

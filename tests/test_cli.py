@@ -407,22 +407,23 @@ def test_progress_goes_to_stderr_not_stdout():
 
 
 def test_internal_invariant_violation_exits_3(monkeypatch):
-    import hx.cli as cli
+    import hx.positivity as positivity
     from hx.coxeter import InternalCheckError
 
     def boom(*args, **kwargs):
         raise InternalCheckError("forced for the exit-code contract")
 
-    monkeypatch.setattr(cli, "classify_positive", boom)
+    monkeypatch.setattr(positivity, "classify_positive", boom)
     code, _, err = run_cli("positivity", "--type", "A2")
     assert code == 3 and "INTERNAL" in err
 
 
 def test_jring_unit_that_fails_the_check(monkeypatch):
+    import hx.klbasis as klbasis
     from hx.klbasis import j_table
 
     def serve(ring):
-        monkeypatch.setattr(cli, "j_table", lambda *args, **kwargs: ring)
+        monkeypatch.setattr(klbasis, "j_table", lambda *args, **kwargs: ring)
 
     # equal parameters: an internal error, exit 3
     serve(without_generator_square(j_table(kl("A2"))))
@@ -727,6 +728,78 @@ def test_every_command_has_one_handler():
     assert commands == set(cli._COMMANDS)
 
 
+# a run of each command that sets every option it has of its own
+TYPICAL = {
+    ("group", None): ["--type", "F4", "--max-length", "2"],
+    ("weights", None): ["--type", "~A2"],
+    ("hecke", "fprobe"): ["--type", "A2", "--weights", "1,2", "--radius", "3"],
+    ("kl", "basis"): ["--type", "B3", "--weights", "1,1,2", "--element", "0,1"],
+    ("kl", "hconst"): ["--type", "A2", "--x", "0", "--y", "1,0"],
+    ("kl", "afunction"): ["--matrix", "m.json", "--jobs", "2"],
+    ("jring", "table"): ["--type", "B2", "--out", "t.json", "--json"],
+    ("jring", "check"): ["--type", "A2", "--exhaustive", "--seed", "3"],
+    ("jring", "unit"): ["--type", "B2", "--config", "c.json"],
+    ("positivity", None): ["--type", "D4", "--csv", "--max-cmin", "2"],
+}
+
+
+def _words(key) -> list[str]:
+    """The words that name a command on the command line."""
+    return [word for word in key if word]
+
+
+def _parsers(parser) -> list:
+    """parser and every parser under it."""
+    import argparse
+
+    found = [parser]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found += _parsers(sub)
+    return found
+
+
+def _help(parser, argv) -> str:
+    import io
+    from contextlib import redirect_stdout
+
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as done:
+        parser.parse_args([*argv, "--help"])
+    assert done.value.code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("key", list(cli._COMMANDS), ids=lambda key: " ".join(_words(key)))
+def test_command_parser_is_its_branch_of_the_full_parser(key):
+    # a run builds the parser of its own command only; its help and what it
+    # parses must be those of the whole tree
+    assert set(TYPICAL) == set(cli._COMMANDS)
+    command = _words(key)
+    argv = [*command, *TYPICAL[key]]
+    full, own = cli._build_parser(), cli._build_parser(argv)
+    assert len(_parsers(full)) == 14
+    assert len(_parsers(own)) == 1 + len(command)
+    assert _help(own, command) == _help(full, command)
+    assert own.parse_args(argv) == full.parse_args(argv)
+
+
+@pytest.mark.parametrize("key", list(cli._COMMANDS), ids=lambda key: " ".join(_words(key)))
+def test_command_parser_usage_errors_match_the_full_parser(key, tmp_path, monkeypatch):
+    command = _words(key)
+    other = tmp_path / "other.json"  # a key of another command
+    other.write_text(json.dumps({"element" if key[0] == "positivity" else "csv": True}))
+    cases = [["bogus"], [command[0], "bogus"], [*command, "--bogus"], command,
+             [*command, "--type", "A2", "--config", str(other)]]
+    own = [run_cli(*argv) for argv in cases]
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv=None: full())
+    assert own == [run_cli(*argv) for argv in cases]
+    for code, out, err in own:
+        assert code == 1 and not out and err.startswith("hx: error: ")
+
+
 def test_out_into_missing_directory_is_a_usage_error(tmp_path):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run_cli("group", "--type", "A2", "--out", str(target))
@@ -903,16 +976,42 @@ def test_kl_basis_report_is_json_dumps_of_itself():
 def test_import_leaves_pool_cache_and_dataclass_modules_out():
     # -S: no site hooks, so only what hx imports is counted; fractions (and
     # the decimal it imports) is for LaurentPoly.evaluate off int points
-    # alone, so a positivity run, which reads N^w at v = 1, loads neither
+    # alone, so a positivity run, which reads N^w at v = 1, loads neither;
+    # klbasis and positivity load in the handlers that use them, and only there
     probe = """if True:
         import contextlib, io, sys, hx, hx.cli
-        print(sorted({'multiprocessing', 'hashlib', 'dataclasses', 'inspect',
-                      'fractions', 'decimal'} & set(sys.modules)))
+        watched = {'fractions', 'decimal', 'hx.klbasis', 'hx.positivity'}
+        print(sorted(({'multiprocessing', 'hashlib', 'dataclasses', 'inspect'} | watched)
+                     & set(sys.modules)))
         with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
-            code = hx.cli.main(['positivity', '--type', 'A2', '--json'])
-        print(code, sorted({'fractions', 'decimal'} & set(sys.modules)))
+            code = hx.cli.main([*sys.argv[1:], '--type', 'A2', '--json'])
+        print(code, sorted(watched & set(sys.modules)))
     """
-    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n0 []\n"
+    for command, loaded in [(["group"], []), (["positivity"], ["hx.positivity"]),
+                            (["kl", "basis"], ["hx.klbasis"])]:
+        done = subprocess.run([sys.executable, "-S", "-c", probe, *command],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"[]\n0 {loaded}\n", command
+
+
+def test_package_names_resolve_to_their_modules():
+    # klbasis and positivity load on first use; each name is still the
+    # object of the module that defines it, however it is reached
+    import importlib
+
+    import hx
+
+    modules = [importlib.import_module(f"hx.{name}") for name in
+               ("coxeter", "hecke", "laurent", "klbasis", "positivity")]
+    assert hx.klbasis is modules[3] and hx.positivity is modules[4]
+    for name in set(hx.__all__) - {"__version__"}:
+        owners = [module for module in modules if name in vars(module)]
+        assert owners and all(getattr(hx, name) is vars(module)[name]
+                              for module in owners), name
+    star = {}
+    exec("from hx import *", star)
+    assert all(star[name] is getattr(hx, name) for name in hx.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'kl_basis'"):
+        hx.kl_basis
