@@ -7,8 +7,8 @@ deliverable; they are compared against the committed copies under
 reports/ to certify reproducibility. The committed F4 table is
 spot-checked on three classes, and the committed a-function (B3, A4, D4,
 B4, and B3 at weights 1,1,2), J (B3, D4, and G2 at weights 2,1) and F4
-group tables are recomputed byte for byte, as is the text output of five
-commands.
+group tables are recomputed byte for byte, as is the text output of every
+command.
 """
 
 import json
@@ -155,6 +155,12 @@ TEXT_GATES = {
     "afunction_B3.txt": ("kl", "afunction", "--type", "B3"),
     "jring_B2.txt": ("jring", "table", "--type", "B2"),
     "positivity_D4.txt": ("positivity", "--type", "D4"),
+    "junit_D4.txt": ("jring", "unit", "--type", "D4"),
+    "jcheck_B3.txt": ("jring", "check", "--type", "B3"),
+    "hconst_B3.txt": ("kl", "hconst", "--type", "B3", "--x", "0,1,2", "--y", "2,1,0"),
+    "fprobe_B2.txt": ("hecke", "fprobe", "--type", "B2"),
+    "weights_affine_F4.txt": ("weights", "--type", "~F4"),
+    "group_affine_A2_ball3.txt": ("group", "--type", "~A2", "--max-length", "3"),
 }
 
 
