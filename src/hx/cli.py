@@ -18,6 +18,13 @@ branch of the command the arguments name (the whole tree when they name
 none, for help and usage errors); the handlers import ``klbasis`` and
 ``positivity`` where they use them.
 
+Every command takes one report path, ``_report``: its handler gives a
+cache key (None for an uncached command), a function that builds the
+report and one that formats text lines from it. The JSON payload is
+serialized once, and ``--json`` and ``--out`` write its bytes; text output,
+and the CSV of ``positivity --csv``, are formatted from the report read
+back from it, so a word prints as ``[0, 1]``, never ``(0, 1)``.
+
 ``HX_CACHE_DIR`` (environment) enables an on-disk report cache for the
 expensive tables (``kl basis``, ``kl afunction``, ``jring table``): a
 report is computed once per (matrix, weights, options) and replayed
@@ -39,11 +46,10 @@ The one writer, ``_dumps``, formats each tuple once per indentation and
 reuses its text. The memo is keyed by the tuple's identity, which is exact
 where a key by value is not (``(True,) == (1,) == (1.0,)``, with equal
 hashes), and holds the tuple for the whole write, so that its id cannot
-come back for another object. The cached commands hand over their words as
-the interned ``Element.word`` tuples, and ``kl basis`` its coefficients as
-the tuples ``KLBasis.coord_pairs`` shares, so each of its thousands of
-entries is a few joins of kept texts. Their text output reads the report
-back from the JSON, so a word prints as ``[0, 1]``, never ``(0, 1)``.
+come back for another object. Every command hands over its words as the
+interned ``Element.word`` tuples, and ``kl basis`` its coefficients as the
+tuples ``KLBasis.coord_pairs`` shares, so each of its thousands of entries
+is a few joins of kept texts.
 """
 
 from __future__ import annotations
@@ -303,20 +309,19 @@ def _write(value, newline: str, parts: list[str], chunks: list[bytes],
         tuples[key] = (value, text)
 
 
-def _header(system: CoxeterSystem, weight: Optional[WeightFunction]) -> dict:
-    head = {
+def _header(system: CoxeterSystem, weight: WeightFunction) -> dict:
+    return {
         "type": system.type_label,
         "matrix": system.matrix_json(),
         "rank": system.rank,
         "is_finite": system.is_finite,
+        "weights": list(weight.values),
     }
-    if weight is not None:
-        head["weights"] = list(weight.values)
-    return head
 
 
-def _word(el: Element) -> list[int]:
-    return list(el.word)
+def _triple(elements: Optional[tuple[Element, ...]]) -> Optional[dict]:
+    """A witness triple of elements as {"x", "y", "z"}, or None."""
+    return None if elements is None else dict(zip("xyz", (el.word for el in elements)))
 
 
 def _progress(message: str) -> None:
@@ -392,125 +397,117 @@ def _cache_store(entry: Optional[_Entry], payload: _Payload) -> None:
             os.unlink(tmp)
 
 
-def _cached_report(key: dict, build: Callable[[], dict],
-                   lines: Callable[[dict], Iterable[str]], need_report: bool
-                   ) -> _Result:
-    """A report's JSON payload, serialized once, and, if need_report, the
-    report parsed back from it and its text lines: replayed byte for byte
-    from HX_CACHE_DIR when the entry is intact, else built and stored. A hit
-    that proves not to be a report of this command is damaged, and is built
-    and stored again."""
-    body, entry = _cache_lookup(key)
+# a command's report: (its cache key, or None for an uncached command, a
+# function that builds it, a function that gives its text lines from the
+# report read back from its JSON)
+_Plan = tuple[Optional[dict], Callable[[], dict], Callable[[dict], Iterable[str]]]
+
+
+def _report(key: Optional[dict], build: Callable[[], dict],
+            lines: Callable[[dict], Iterable[str]], text: bool
+            ) -> tuple[_Payload, list[str]]:
+    """(a report's JSON payload, serialized once, and, if text, the text
+    lines of the report read back from it): replayed from HX_CACHE_DIR when
+    key is given and its entry is intact, else built and stored. A hit that
+    proves not to be a report of this command is built and stored again."""
+    def read(payload: _Payload) -> list[str]:
+        return list(lines(json.loads(b"".join(payload)))) if text else []
+
+    body, entry = (None, None) if key is None else _cache_lookup(key)
     if body is not None:
         try:
-            result = _parsed((body,), lines, need_report)
+            hit = (body,), read((body,))
         except (ValueError, LookupError, TypeError):
             pass  # the digest matches a payload that is not such a report
         else:
             _progress(f"{key['command']}: cache hit")
-            return result
+            return hit
     payload = _dumps(build())
     _cache_store(entry, payload)
-    return _parsed(payload, lines, need_report)
-
-
-def _parsed(payload: _Payload, lines: Callable[[dict], Iterable[str]],
-            need_report: bool) -> _Result:
-    """(the report read back from payload and its text lines, or None and
-    no lines unless need_report, payload): text output reads hits and misses
-    alike from the payload, the only full copy of a report kept."""
-    if not need_report:
-        return None, (), payload
-    report = json.loads(b"".join(payload))
-    return report, list(lines(report)), payload
+    return payload, read(payload)
 
 
 # -- commands -----------------------------------------------------------------
 
-# (report, text lines, the report's JSON payload when the command already
-# has it). A cached command under --json gives the payload alone, and no
-# report or lines.
-_Result = tuple[Optional[dict], Iterable[str], Optional[_Payload]]
-
-
-def _cmd_group(args) -> _Result:
-    system = _make_system(args)
-    weight = _make_weight(system, args)
+def _cmd_group(args, system: CoxeterSystem, weight: WeightFunction) -> _Plan:
     report = _header(system, weight)
-    text = [f"type {system.type_label or 'custom'}: rank {system.rank}, "
-            f"{'finite' if system.is_finite else 'infinite'}"]
     if args.max_length is not None:
         ball = system.enumerate_elements(max_length=args.max_length)
         report["max_length"] = args.max_length
-        report["elements"] = [_word(w) for w in ball]
+        report["elements"] = [w.word for w in ball]
         report["count"] = len(ball)
-        text.append(f"{len(ball)} elements of length <= {args.max_length}")
-        for w in ball:
-            text.append(f"  [{','.join(map(str, w.word))}]" if w.word else "  e")
-        return report, text, None
-    if not system.is_finite:
+    elif not system.is_finite:
         raise InfiniteGroupError(
             "an infinite system needs --max-length for enumeration")
-    classes = system.conjugacy_classes()
-    report["order"] = system.order()
-    report["classes"] = [{
-        "class_id": i,
-        "representative": _word(c.representative),
-        "size": c.size,
-        "min_length": c.min_length,
-        "centralizer_order": c.centralizer_order,
-    } for i, c in enumerate(classes)]
-    report["longest"] = _word(system.longest_element())
-    report["coxeter"] = (_word(system.coxeter_element())
-                         if system.is_irreducible else None)
-    text.append(f"|W| = {report['order']}, {len(classes)} conjugacy classes")
-    text.append(f"longest element (length {len(report['longest'])}): {report['longest']}")
-    if report["coxeter"] is not None:
-        text.append(f"coxeter element: {report['coxeter']}")
-    for row in report["classes"]:
-        text.append(f"  class {row['class_id']}: rep {row['representative']}, "
-                    f"size {row['size']}, min length {row['min_length']}, "
-                    f"centralizer {row['centralizer_order']}")
-    return report, text, None
+    else:
+        report["order"] = system.order()
+        report["classes"] = [{
+            "class_id": i,
+            "representative": c.representative.word,
+            "size": c.size,
+            "min_length": c.min_length,
+            "centralizer_order": c.centralizer_order,
+        } for i, c in enumerate(system.conjugacy_classes())]
+        report["longest"] = system.longest_element().word
+        report["coxeter"] = (system.coxeter_element().word
+                             if system.is_irreducible else None)
+
+    def text(report: dict) -> Iterator[str]:
+        yield (f"type {report['type'] or 'custom'}: rank {report['rank']}, "
+               f"{'finite' if report['is_finite'] else 'infinite'}")
+        if "elements" in report:
+            yield f"{report['count']} elements of length <= {report['max_length']}"
+            for word in report["elements"]:
+                yield f"  [{','.join(map(str, word))}]" if word else "  e"
+            return
+        yield f"|W| = {report['order']}, {len(report['classes'])} conjugacy classes"
+        yield f"longest element (length {len(report['longest'])}): {report['longest']}"
+        if report["coxeter"] is not None:
+            yield f"coxeter element: {report['coxeter']}"
+        for row in report["classes"]:
+            yield (f"  class {row['class_id']}: rep {row['representative']}, "
+                   f"size {row['size']}, min length {row['min_length']}, "
+                   f"centralizer {row['centralizer_order']}")
+
+    return None, lambda: report, text
 
 
-def _cmd_weights(args) -> _Result:
+def _cmd_weights(args) -> _Plan:
     label = getattr(args, "type_label", None)
     if not label:
         raise UsageError("weights needs --type")
-    catalog = weight_catalog(label)
-    report = {"type": label, "catalog": [list(t) for t in catalog]}
-    text = [f"admissible weight tuples for {label}:"]
-    text.extend(f"  {tuple(t)}" for t in catalog)
-    return report, text, None
+    report = {"type": label, "catalog": weight_catalog(label)}
+
+    def text(report: dict) -> Iterator[str]:
+        yield f"admissible weight tuples for {report['type']}:"
+        yield from (f"  {tuple(t)}" for t in report["catalog"])
+
+    return None, lambda: report, text
 
 
-def _cmd_fprobe(args) -> _Result:
-    system = _make_system(args)
-    weight = _make_weight(system, args)
-    algebra = HeckeAlgebra(system, weight)
-    probe = algebra.f_bound_probe(radius=args.radius)
+def _cmd_fprobe(args, system: CoxeterSystem, weight: WeightFunction) -> _Plan:
+    probe = HeckeAlgebra(system, weight).f_bound_probe(radius=args.radius)
     report = _header(system, weight)
     report["radius"] = probe.radius
     report["n_emp"] = probe.n_emp
-    report["witness"] = (None if probe.witness is None else
-                         {"x": _word(probe.witness[0]),
-                          "y": _word(probe.witness[1]),
-                          "z": _word(probe.witness[2])})
+    report["witness"] = _triple(probe.witness)
     report["pairs_scanned"] = probe.pairs_scanned
-    scope = "whole group" if probe.radius is None else f"radius {probe.radius}"
-    text = [f"N_emp = {probe.n_emp} over {scope} ({probe.pairs_scanned} pairs)"]
-    if probe.witness:
-        text.append(f"witness: x={report['witness']['x']} y={report['witness']['y']} "
-                    f"z={report['witness']['z']}")
-    return report, text, None
+
+    def text(report: dict) -> Iterator[str]:
+        radius = report["radius"]
+        scope = "whole group" if radius is None else f"radius {radius}"
+        yield (f"N_emp = {report['n_emp']} over {scope} "
+               f"({report['pairs_scanned']} pairs)")
+        witness = report["witness"]
+        if witness:
+            yield f"witness: x={witness['x']} y={witness['y']} z={witness['z']}"
+
+    return None, lambda: report, text
 
 
-def _cmd_kl_basis(args) -> _Result:
+def _cmd_kl_basis(args, system: CoxeterSystem, weight: WeightFunction) -> _Plan:
     from .klbasis import KLBasis
 
-    system = _make_system(args)
-    weight = _make_weight(system, args)
     key = {"command": "kl basis", "matrix": system.matrix_json(),
            "weights": list(weight.values),
            "element": list(args.element) if args.element is not None else None}
@@ -539,34 +536,34 @@ def _cmd_kl_basis(args) -> _Result:
             for yword, pairs in entry["coords"]:
                 yield f"  {yword}: {pairs}"
 
-    return _cached_report(key, build, text, not args.json)
+    return key, build, text
 
 
-def _cmd_kl_hconst(args) -> _Result:
+def _cmd_kl_hconst(args, system: CoxeterSystem, weight: WeightFunction) -> _Plan:
     from .klbasis import KLBasis
 
-    system = _make_system(args)
-    weight = _make_weight(system, args)
     kl = KLBasis(HeckeAlgebra(system, weight))
     x = system.normal_form(args.x)
     y = system.normal_form(args.y)
     constants = kl.h_constants(x, y)
     report = _header(system, weight)
-    report["x"] = _word(x)
-    report["y"] = _word(y)
-    report["constants"] = [[_word(z), p.to_pairs()]
+    report["x"] = x.word
+    report["y"] = y.word
+    report["constants"] = [[z.word, p.to_pairs()]
                            for z, p in sorted(constants.items(),
                                               key=lambda kv: kv[0].sort_key)]
-    text = [f"c_{report['x']} * c_{report['y']}:"]
-    text.extend(f"  h[z={zw}] = {pairs}" for zw, pairs in report["constants"])
-    return report, text, None
+
+    def text(report: dict) -> Iterator[str]:
+        yield f"c_{report['x']} * c_{report['y']}:"
+        for zword, pairs in report["constants"]:
+            yield f"  h[z={zword}] = {pairs}"
+
+    return None, lambda: report, text
 
 
-def _cmd_kl_afunction(args) -> _Result:
+def _cmd_kl_afunction(args, system: CoxeterSystem, weight: WeightFunction) -> _Plan:
     from .klbasis import KLBasis, a_function
 
-    system = _make_system(args)
-    weight = _make_weight(system, args)
     key = {"command": "kl afunction", "matrix": system.matrix_json(),
            "weights": list(weight.values)}
 
@@ -585,7 +582,7 @@ def _cmd_kl_afunction(args) -> _Result:
         for zw, a in report["values"]:
             yield f"a({zw}) = {a}"
 
-    return _cached_report(key, build, text, not args.json)
+    return key, build, text
 
 
 def _j_ring(system: CoxeterSystem, weight: WeightFunction):
@@ -596,9 +593,7 @@ def _j_ring(system: CoxeterSystem, weight: WeightFunction):
                        f"j-table: {done}/{total} pairs"))
 
 
-def _cmd_jring_table(args) -> _Result:
-    system = _make_system(args)
-    weight = _make_weight(system, args)
+def _cmd_jring_table(args, system: CoxeterSystem, weight: WeightFunction) -> _Plan:
     key = {"command": "jring table", "matrix": system.matrix_json(),
            "weights": list(weight.values)}
 
@@ -618,14 +613,12 @@ def _cmd_jring_table(args) -> _Result:
     def text(report: dict) -> Iterator[str]:
         yield f"{len(report['triples'])} nonzero structure constants"
 
-    return _cached_report(key, build, text, not args.json)
+    return key, build, text
 
 
-def _cmd_jring_check(args) -> _Result:
+def _cmd_jring_check(args, system: CoxeterSystem, weight: WeightFunction) -> _Plan:
     from .klbasis import j_associativity_check
 
-    system = _make_system(args)
-    weight = _make_weight(system, args)
     res = j_associativity_check(_j_ring(system, weight), seed=args.seed,
                                 force_exhaustive=args.exhaustive)
     report = _header(system, weight)
@@ -634,75 +627,77 @@ def _cmd_jring_check(args) -> _Result:
     report["triples_total"] = res.triples_total
     report["exhaustive"] = res.exhaustive
     report["seed"] = res.seed
-    report["counterexample"] = (None if res.counterexample is None else
-                                {"x": _word(res.counterexample[0]),
-                                 "y": _word(res.counterexample[1]),
-                                 "z": _word(res.counterexample[2])})
-    text = [f"associativity {'PASS' if res.passed else 'FAIL'} "
-            f"({res.triples_checked}/{res.triples_total} triples"
-            f"{', exhaustive' if res.exhaustive else ''})"]
-    if res.counterexample:
-        text.append(f"counterexample: {report['counterexample']}")
-    return report, text, None
+    report["counterexample"] = _triple(res.counterexample)
+
+    def text(report: dict) -> Iterator[str]:
+        yield (f"associativity {'PASS' if report['passed'] else 'FAIL'} "
+               f"({report['triples_checked']}/{report['triples_total']} triples"
+               f"{', exhaustive' if report['exhaustive'] else ''})")
+        if report["counterexample"]:
+            yield f"counterexample: {report['counterexample']}"
+
+    return None, lambda: report, text
 
 
-def _cmd_jring_unit(args) -> _Result:
+def _cmd_jring_unit(args, system: CoxeterSystem, weight: WeightFunction) -> _Plan:
     from .klbasis import j_find_unit
 
-    system = _make_system(args)
-    weight = _make_weight(system, args)
     unit = j_find_unit(_j_ring(system, weight))
     report = _header(system, weight)
     report["unit"] = (None if unit is None else
-                      [[_word(w), c] for w, c in sorted(unit.items(),
-                                                        key=lambda kv: kv[0].sort_key)])
-    text = (["sum of n_d t_d over D (read off the J table) is not a unit: "
-             "P1-P15 fail at these weights"] if unit is None else
-            [f"unit = sum of {len(unit)} terms:"]
-            + [f"  {row[0]}: {row[1]}" for row in report["unit"]])
-    return report, text, None
+                      [[w.word, c] for w, c in sorted(unit.items(),
+                                                      key=lambda kv: kv[0].sort_key)])
+
+    def text(report: dict) -> Iterator[str]:
+        if report["unit"] is None:
+            yield ("sum of n_d t_d over D (read off the J table) is not a unit: "
+                   "P1-P15 fail at these weights")
+            return
+        yield f"unit = sum of {len(report['unit'])} terms:"
+        for word, c in report["unit"]:
+            yield f"  {word}: {c}"
+
+    return None, lambda: report, text
 
 
-def _cmd_positivity(args) -> _Result:
+def _cmd_positivity(args, system: CoxeterSystem, weight: WeightFunction) -> _Plan:
     from .positivity import classify_positive
 
-    system = _make_system(args)
-    weight = _make_weight(system, args)
-    algebra = HeckeAlgebra(system, weight)
     reports = classify_positive(
-        algebra, jobs=args.jobs, max_cmin=args.max_cmin,
+        HeckeAlgebra(system, weight), jobs=args.jobs, max_cmin=args.max_cmin,
         progress=lambda done, total: _progress(f"positivity: class {done}/{total}"))
     report = _header(system, weight)
     report["order"] = system.order()
     report["reports"] = [r.to_jsonable() for r in reports]
     report["positive_class_ids"] = [r.class_id for r in reports if r.positive]
-    text = []
-    for r in reports:
-        text.append(f"class {r.class_id}: rep {_word(r.representative)}, "
-                    f"size {r.size}, min length {r.min_length}, "
-                    f"N(1) = {r.centralizer_order}, "
-                    f"{'POSITIVE' if r.positive else 'not positive'}")
-    text.append("positive classes: "
-                + ", ".join(map(str, report["positive_class_ids"])))
-    return report, text, None
 
+    def text(report: dict) -> Iterator[str]:
+        rows = report["reports"]
+        if args.csv:  # the flat table
+            yield "class,size,min_length,positive,n_at_1"
+            yield from (f"{row['class_id']},{row['size']},{row['min_length']},"
+                        f"{str(row['positive']).lower()},{row['centralizer_order']}"
+                        for row in rows)
+            return
+        for row in rows:
+            yield (f"class {row['class_id']}: rep {row['representative']}, "
+                   f"size {row['size']}, min length {row['min_length']}, "
+                   f"N(1) = {row['centralizer_order']}, "
+                   f"{'POSITIVE' if row['positive'] else 'not positive'}")
+        yield "positive classes: " + ", ".join(map(str, report["positive_class_ids"]))
 
-def _positivity_csv(report: dict) -> str:
-    lines = ["class,size,min_length,positive,n_at_1"]
-    for row in report["reports"]:
-        lines.append(f"{row['class_id']},{row['size']},{row['min_length']},"
-                     f"{str(row['positive']).lower()},{row['centralizer_order']}")
-    return "\n".join(lines) + "\n"
+    return None, lambda: report, text
 
 
 class _Command:
     """A command's handler, its help, its options past those every command
     takes, as (flag, add_argument keywords), and whether it takes --weights.
-    A plain class: a NamedTuple's class is made by exec, which every process
-    would pay for at import."""
+    A handler is called with the arguments, and with the system and weight
+    function when it takes --weights. A plain class: a NamedTuple's class is
+    made by exec, which every process would pay for at import."""
     __slots__ = ("run", "help", "options", "weights")
 
-    def __init__(self, run: Callable[[argparse.Namespace], _Result], help: str,
+    def __init__(self, run: Callable[..., _Plan], help: str,
                  options: tuple[tuple[str, dict], ...] = (), weights: bool = True):
         self.run, self.help, self.options, self.weights = run, help, options, weights
 
@@ -749,15 +744,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _apply_config(parser, args)
         if args.jobs < 1:
             raise UsageError("--jobs must be >= 1")
-        command = _COMMANDS[args.command, getattr(args, "subcommand", None)].run
-        report, text, payload = command(args)
-        csv = _positivity_csv(report) if getattr(args, "csv", False) else None
-        if payload is None and (args.json or (args.out and csv is None)):
-            payload = _dumps(report)
+        command = _COMMANDS[args.command, getattr(args, "subcommand", None)]
+        if command.weights:  # every command but weights works on a system
+            system = _make_system(args)
+            key, build, lines = command.run(args, system, _make_weight(system, args))
+        else:
+            key, build, lines = command.run(args)
+        csv = getattr(args, "csv", False)  # the text lines, in place of the JSON
+        payload, text = _report(key, build, lines, not args.json or (csv and args.out))
         if args.out:
             try:
                 with open(args.out, "wb") as fh:
-                    fh.writelines(payload if csv is None else [csv.encode("ascii")])
+                    fh.writelines([f"{line}\n".encode("ascii") for line in text]
+                                  if csv else payload)
             except OSError as e:
                 raise UsageError(f"cannot write {args.out}: {e}")
     except UsageError as e:
@@ -776,8 +775,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.json:  # the payload's bytes as they are, behind any text
         sys.stdout.flush()
         sys.stdout.buffer.writelines(payload)
-    elif csv is not None:
-        sys.stdout.write(csv)
     else:  # line by line, with no joined copy of the text
         for line in text:
             sys.stdout.write(f"{line}\n")

@@ -102,7 +102,7 @@ class TraceReport(NamedTuple):
     def to_jsonable(self) -> dict:
         return {
             "class_id": self.class_id,
-            "representative": list(self.representative.word),
+            "representative": self.representative.word,
             "size": self.size,
             "min_length": self.min_length,
             "centralizer_order": self.centralizer_order,
@@ -283,11 +283,10 @@ def classify_positive(source: Union[CoxeterSystem, HeckeAlgebra], *,
     where the platform offers it and by spawn elsewhere. Each worker gets
     the algebra and options once, through the pool initializer, and keeps
     its memos across classes; a task carries a class number and returns
-    the class's N^w over C_min, and the parent certifies them and builds
-    the report as the serial loop does. Results come back in class order,
-    so the output is schedule-independent. Without a pool the reports are
-    built in place. Either way, progress(i + 1, total) is called as each
-    class arrives."""
+    the class's N^w over C_min. Without a pool the traces are computed in
+    place. Either way one loop certifies each class's traces in the parent,
+    builds its report and calls progress(i + 1, total) as the class arrives;
+    results come in class order, so the output is schedule-independent."""
     algebra = source if isinstance(source, HeckeAlgebra) else HeckeAlgebra(source)
     _gate(algebra)
     system = algebra.system
@@ -305,17 +304,12 @@ def classify_positive(source: Union[CoxeterSystem, HeckeAlgebra], *,
         except OSError:
             pass  # no pool on this host (no shared semaphores): the serial loop
     with pool or nullcontext():
-        if pool is None:
-            results = (class_report(algebra, cls, i, max_cmin=max_cmin)
-                       for i, cls in enumerate(classes))
-        else:
-            # chunksize 1: class costs are very uneven
-            traces = pool.imap(_pool_job, range(total), chunksize=1)
-            results = (_certified(system, classes[i], i, found)
-                       for i, found in enumerate(traces))
+        # chunksize 1: class costs are very uneven
+        traces = (pool.imap(_pool_job, range(total), chunksize=1) if pool else
+                  (_traces(algebra, cls, max_cmin) for cls in classes))
         reports = []
-        for i, report in enumerate(results):
-            reports.append(report)
+        for i, found in enumerate(traces):
+            reports.append(_certified(system, classes[i], i, found))
             if progress is not None:
                 progress(i + 1, total)
     return reports

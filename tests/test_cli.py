@@ -687,30 +687,6 @@ def test_config_values_take_the_flag_types(tmp_path):
                                            "--element", "0,1,0")
 
 
-@pytest.mark.parametrize("command", [["kl", "basis", "--type", "B2"],
-                                     ["kl", "afunction", "--type", "A2"],
-                                     ["jring", "table", "--type", "A2"]])
-def test_cached_report_serialized_once(tmp_path, monkeypatch, command):
-    import hx.cli as cli
-
-    dumps = []
-    real = cli._dumps
-    monkeypatch.setattr(cli, "_dumps", lambda report: dumps.append(1) or real(report))
-    monkeypatch.setenv("HX_CACHE_DIR", str(tmp_path / "cache"))
-    payloads = []
-    for run in ("cold", "warm"):
-        out = tmp_path / f"{run}.json"
-        code, stdout, err = run_cli(*command, "--json", "--out", str(out))
-        assert code == 0
-        assert stdout == out.read_text()
-        payloads.append(stdout)
-    assert "cache hit" in err
-    assert len(dumps) == 1  # the cold run's, shared by cache, --out and --json
-    (cache_file,) = (tmp_path / "cache").glob("*.json")
-    digest, _, cached = cache_file.read_text().partition("\n")
-    assert payloads[0] == payloads[1] == cached and len(digest) == 64
-
-
 def test_every_command_has_one_handler():
     import argparse
 
@@ -728,11 +704,12 @@ def test_every_command_has_one_handler():
     assert commands == set(cli._COMMANDS)
 
 
-# a run of each command that sets every option it has of its own
+# a run of each command that sets every option it has of its own; each runs
+# as it stands where m.json holds an A2 matrix and c.json {"seed": 1}
 TYPICAL = {
     ("group", None): ["--type", "F4", "--max-length", "2"],
-    ("weights", None): ["--type", "~A2"],
-    ("hecke", "fprobe"): ["--type", "A2", "--weights", "1,2", "--radius", "3"],
+    ("weights", None): ["--type", "~G2"],
+    ("hecke", "fprobe"): ["--type", "B2", "--weights", "1,2", "--radius", "3"],
     ("kl", "basis"): ["--type", "B3", "--weights", "1,1,2", "--element", "0,1"],
     ("kl", "hconst"): ["--type", "A2", "--x", "0", "--y", "1,0"],
     ("kl", "afunction"): ["--matrix", "m.json", "--jobs", "2"],
@@ -746,6 +723,65 @@ TYPICAL = {
 def _words(key) -> list[str]:
     """The words that name a command on the command line."""
     return [word for word in key if word]
+
+
+# the commands whose reports HX_CACHE_DIR keeps
+CACHED = {("kl", "basis"), ("kl", "afunction"), ("jring", "table")}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_cached_report_serialized_once(tmp_path, monkeypatch, command):
+    # every command takes the one report path: a run serializes its report
+    # once, for the cache, --out and --json alike, or replays a cached
+    # command's entry; its text is read back from that payload by one parse,
+    # and --json alone parses nothing
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text("[[1, 3], [3, 1]]")
+    (tmp_path / "c.json").write_text('{"seed": 1}')
+    dumps, loads = [], []
+    real_dumps, real_loads = cli._dumps, json.loads
+    monkeypatch.setattr(cli, "_dumps", lambda report: dumps.append(1) or real_dumps(report))
+    # the config and matrix files reach json.loads as str, a payload as bytes
+    monkeypatch.setattr(json, "loads", lambda s, **kw: (
+        isinstance(s, bytes) and loads.append(1)) or real_loads(s, **kw))
+    typical = [*_words(command), *TYPICAL[command]]
+    csv = "--csv" in typical
+    for mode in ("--json --out", "text"):
+        monkeypatch.setenv("HX_CACHE_DIR", str(tmp_path / f"cache {mode}"))
+        argv = (typical + ["--json", "--out", "report.out"] if mode != "text"
+                else [arg for arg in typical if arg != "--json"])
+        outputs = []
+        for run in ("cold", "warm"):
+            dumps.clear()
+            loads.clear()
+            code, stdout, err = run_cli(*argv)
+            hit = "cache hit" in err
+            assert code == 0 and hit == (run == "warm" and command in CACHED), (mode, run)
+            assert len(dumps) == (0 if hit else 1), (mode, run)
+            assert len(loads) == (0 if mode != "text" and not csv else 1), (mode, run)
+            if mode != "text" and not csv:  # --out takes the bytes --json prints
+                assert stdout == (tmp_path / "report.out").read_text()
+            outputs.append(stdout)
+        assert outputs[0] == outputs[1]
+    if command in CACHED:
+        (cache_file,) = (tmp_path / "cache --json --out").glob("*.json")
+        digest, _, cached = cache_file.read_text().partition("\n")
+        assert cached == (tmp_path / "report.out").read_text() and len(digest) == 64
+    else:  # an uncached command never opens the cache
+        assert not list(tmp_path.glob("cache*"))
+
+
+def test_positivity_csv_with_json_and_out(tmp_path):
+    # --json prints the JSON payload, and --out takes the CSV that --csv names
+    out = tmp_path / "a2.csv"
+    code, stdout, _ = run_cli("positivity", "--type", "A2", "--csv", "--json",
+                              "--out", str(out))
+    assert code == 0
+    assert stdout == run_cli("positivity", "--type", "A2", "--json")[1]
+    assert out.read_text() == ("class,size,min_length,positive,n_at_1\n"
+                               "0,1,0,true,6\n"
+                               "1,3,1,false,2\n"
+                               "2,2,2,true,3\n")
 
 
 def _parsers(parser) -> list:
