@@ -125,12 +125,16 @@ def test_committed_f4_classes_recompute():
     ("junit_D4", ("jring", "unit", "--type", "D4")),
     ("junit_B3_112", ("jring", "unit", "--type", "B3", "--weights", "1,1,2")),
     ("junit_B4_1112", ("jring", "unit", "--type", "B4", "--weights", "1,1,1,2")),
+    ("jcheck_D4", ("jring", "check", "--type", "D4")),
+    ("jcheck_B3_112", ("jring", "check", "--type", "B3", "--weights", "1,1,2")),
 ])
 def test_committed_h_scan_reports_recompute(name, args):
     # made by the per-pair T-basis products (the two unequal-weight ones by
     # the packed scan with its own row split, the three J units by the solve
-    # now in kl_oracle.solve_unit); the c-basis recursion, and the unit read
-    # off the J table, must reproduce them byte for byte
+    # now in kl_oracle.solve_unit, the two J checks by the walk over every
+    # (x, y) in full); the c-basis recursion, the unit read off the J table
+    # and the check over the pairs the table reaches must reproduce them
+    # byte for byte
     code, out, _ = run_cli(*args, "--json")
     assert code == 0 and out == (REPORTS_DIR / f"{name}.json").read_text()
 
