@@ -30,14 +30,11 @@ packed kernels of ``klbasis`` and ``positivity`` run in.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .coxeter import (CoxeterSystem, Element, GatingError, InfiniteGroupError,
                       InternalCheckError)
 from .laurent import LaurentPoly, ONE, ZERO
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "WeightFunction",
@@ -377,16 +374,3 @@ class HeckeAlgebra:
                         witness = (x, y, z)
         return FBoundProbe(radius=radius, n_emp=best,
                            witness=witness, pairs_scanned=pairs)
-
-    # -- specialization -----------------------------------------------------------------
-
-    def specialize(self, h: HeckeElement, c) -> dict[Element, Fraction]:
-        """Coefficientwise evaluation at v = c (exact; c nonzero)."""
-        if c == 0:
-            raise ZeroDivisionError("cannot specialize at v = 0")
-        out = {}
-        for w, p in h.terms.items():
-            val = p.evaluate(c)
-            if val:
-                out[w] = val
-        return out

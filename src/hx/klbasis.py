@@ -124,6 +124,13 @@ the unit at any weights, with no conjecture used. A u that fails raises
 ``InternalCheckError`` at equal parameters, where P1-P15 are theorems for
 finite W (ibid., ch. 15, with positivity from Elias-Williamson 2014); at
 other weights it gives None, which says that P1-P15 fail there.
+
+``j_associativity_check`` tests $(t_x t_y) t_z = t_x (t_y t_z)$ on all
+$|W|^3$ basis triples, for every finite W, and reads the triples to visit
+off the J table: both sides are zero unless $t_x t_y \ne 0$, or
+$t_x t_u \ne 0$ for some $t_u$ in some $t_y t_z$. It visits only those
+(x, y), and for each builds both sides for every z at once, one pass
+over the table rows each.
 """
 
 from __future__ import annotations
@@ -844,61 +851,53 @@ class JAssociativityReport(NamedTuple):
     counterexample: Optional[tuple[Element, Element, Element]]
 
 
-def j_associativity_check(ring: JRing, *, exhaustive_limit: int = 400,
-                          sample_size: int = 4096, seed: int = 0,
-                          force_exhaustive: bool = False) -> JAssociativityReport:
-    """Associativity check on basis triples.
+def j_associativity_check(ring: JRing) -> JAssociativityReport:
+    """Check (t_x t_y) t_z = t_x (t_y t_z) on all |W|^3 basis triples.
 
-    Exhaustive for |W| <= exhaustive_limit (or when forced); otherwise a
-    deterministic seeded sample of sample_size triples. A triple with
-    t_x t_y = 0 and t_y t_z = 0 passes without a product: both sides are
-    zero. The exhaustive walk visits every z only for the (x, y) with
-    t_x t_y != 0, and otherwise only the z with t_y t_z != 0; it counts
-    every triple as checked, and a counterexample is the first in
-    (x, y, z) order, with its place in that order as triples_checked."""
+    Both sides are zero unless t_x t_y != 0, or t_x t_u != 0 for some t_u
+    in some t_y t_z, so only those (x, y) are visited, in dense-id order.
+    For each, both sides are built for every z at once, one pass over the
+    table rows each. Every triple counts as checked; a counterexample is
+    the first in (x, y, z) order, with its place in that order as
+    triples_checked."""
     elements = ring.elements
     n = len(elements)
-    total = n ** 3
-    exhaustive = force_exhaustive or n <= exhaustive_limit
-    table = ring.table
-
-    def fails(x: Element, y: Element, z: Element) -> bool:
-        xy, yz = table.get((x, y)), table.get((y, z))
-        if not (xy or yz):
-            return False  # t_x t_y = 0 = t_y t_z: both sides are zero
-        return (ring.product(xy or {}, {z: 1})
-                != ring.product({x: 1}, yz or {}))
-
-    def report(checked: int, counterexample=None) -> JAssociativityReport:
-        return JAssociativityReport(
-            passed=counterexample is None, triples_checked=checked,
-            triples_total=total, exhaustive=exhaustive,
-            seed=None if exhaustive else seed, counterexample=counterexample)
-
-    if not exhaustive:
-        rng = random.Random(seed)
-        for checked in range(1, sample_size + 1):
-            x, y, z = (elements[rng.randrange(n)], elements[rng.randrange(n)],
-                       elements[rng.randrange(n)])
-            if fails(x, y, z):
-                return report(checked, (x, y, z))
-        return report(sample_size)
     index = {w: k for k, w in enumerate(elements)}
-    # y -> the ids of the z with t_y t_z != 0, ascending
-    right: dict[Element, list[int]] = {}
-    for (y, z), row in table.items():
-        if row:
-            right.setdefault(y, []).append(index[z])
-    for zs in right.values():
-        zs.sort()
-    everything = range(n)
-    for i, x in enumerate(elements):
-        for j, y in enumerate(elements):
-            for k in everything if table.get((x, y)) else right.get(y, ()):
-                if fails(x, y, elements[k]):
-                    return report((i * n + j) * n + k + 1,
-                                  (x, y, elements[k]))
-    return report(total)
+    table = ring.table
+    rows: dict[Element, dict[Element, dict[Element, int]]] = {}  # x -> u -> t_x t_u
+    lefts: dict[Element, list[Element]] = {}  # u -> the x with (x, u) in table
+    for (x, u), row in table.items():
+        rows.setdefault(x, {})[u] = row
+        lefts.setdefault(u, []).append(x)
+    pairs = set(table)
+    for (y, _), row in table.items():
+        for u in row:
+            pairs.update((x, y) for x in lefts.get(u, ()))
+    checked, counterexample = n ** 3, None
+    for x, y in sorted(pairs, key=lambda p: (index[p[0]], index[p[1]])):
+        # c = 1, the common coefficient, adds the row with no scaled copy
+        lhs: dict[Element, dict[Element, int]] = {}  # z -> (t_x t_y) t_z
+        for w, c in table.get((x, y), {}).items():
+            for z, row in rows.get(w, {}).items():
+                add_into(lhs.setdefault(z, {}), row, None if c == 1 else c)
+        rhs: dict[Element, dict[Element, int]] = {}  # z -> t_x (t_y t_z)
+        xrows = rows.get(x, {})
+        for z, row in rows.get(y, {}).items():
+            for u, c in row.items():
+                if u in xrows:
+                    add_into(rhs.setdefault(z, {}), xrows[u], None if c == 1 else c)
+        if lhs != rhs:  # a side that cancelled to {} is zero, as a missing one
+            diff = [index[z] for z in lhs.keys() | rhs.keys()
+                    if lhs.get(z, {}) != rhs.get(z, {})]
+            if diff:
+                k = min(diff)
+                checked = (index[x] * n + index[y]) * n + k + 1
+                counterexample = (x, y, elements[k])
+                break
+    return JAssociativityReport(
+        passed=counterexample is None, triples_checked=checked,
+        triples_total=n ** 3, exhaustive=True, seed=None,
+        counterexample=counterexample)
 
 
 def j_find_unit(ring: JRing) -> Optional[dict[Element, int]]:

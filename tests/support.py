@@ -43,6 +43,14 @@ def without_generator_square(ring):
                                 if pair != (s, s)})
 
 
+def specialize(h, c) -> dict:
+    """The Hecke element h evaluated coefficientwise at v = c (exact; c
+    nonzero), with zero coefficients dropped."""
+    if c == 0:
+        raise ZeroDivisionError("cannot specialize at v = 0")
+    return {w: val for w, p in h.terms.items() if (val := p.evaluate(c))}
+
+
 def run_cli(*argv: str) -> tuple[int, str, str]:
     """Run the CLI in-process; returns (exit_code, stdout, stderr). stdout
     has a binary layer under its text one, as the real one does: the CLI

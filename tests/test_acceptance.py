@@ -132,9 +132,9 @@ def test_committed_h_scan_reports_recompute(name, args):
     # made by the per-pair T-basis products (the two unequal-weight ones by
     # the packed scan with its own row split, the three J units by the solve
     # now in kl_oracle.solve_unit, the two J checks by the walk over every
-    # (x, y) in full); the c-basis recursion, the unit read off the J table
-    # and the check over the pairs the table reaches must reproduce them
-    # byte for byte
+    # (x, y)); the c-basis recursion, the unit read off the J table and the
+    # check over the pairs the table reaches must reproduce them byte for
+    # byte
     code, out, _ = run_cli(*args, "--json")
     assert code == 0 and out == (REPORTS_DIR / f"{name}.json").read_text()
 

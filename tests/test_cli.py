@@ -659,6 +659,34 @@ def test_trace_route_is_gone(tmp_path):
     assert "unknown config key 'trace-route'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, flag, key, value", [
+    (("group", "--type", "A2"), ("--seed", "1"), "seed", 1),
+    (("jring", "check", "--type", "B2"), ("--exhaustive",), "exhaustive", True),
+])
+def test_seed_and_exhaustive_are_gone(tmp_path, command, flag, key, value):
+    # the J check is exhaustive for every W, so nothing takes a seed
+    code, out, err = run_cli(*command, *flag)
+    assert code == 1 and not out
+    assert "hx: error:" in err and flag[0] in err and "Traceback" not in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run_cli(*command, "--config", str(cfg))
+    assert code == 1 and not out
+    assert f"unknown config key '{key}'" in err and "Traceback" not in err
+
+
+def test_weights_takes_no_matrix(tmp_path):
+    # the catalog is read off the affine type label alone
+    code, out, err = run_cli("weights", "--type", "~G2", "--matrix", "nonexistent.json")
+    assert code == 1 and not out
+    assert "hx: error:" in err and "--matrix" in err and "Traceback" not in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"matrix": "nonexistent.json"}))
+    code, out, err = run_cli("weights", "--type", "~G2", "--config", str(cfg))
+    assert code == 1 and not out
+    assert "unknown config key 'matrix'" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("cfg, message", [
     ({"typo": 1}, "unknown config key 'typo'"),
     ({"trace-route": "cyclic", "type": "A2"}, "unknown config key 'trace-route'"),
@@ -705,7 +733,7 @@ def test_every_command_has_one_handler():
 
 
 # a run of each command that sets every option it has of its own; each runs
-# as it stands where m.json holds an A2 matrix and c.json {"seed": 1}
+# as it stands where m.json holds an A2 matrix and c.json {"jobs": 2}
 TYPICAL = {
     ("group", None): ["--type", "F4", "--max-length", "2"],
     ("weights", None): ["--type", "~G2"],
@@ -714,7 +742,7 @@ TYPICAL = {
     ("kl", "hconst"): ["--type", "A2", "--x", "0", "--y", "1,0"],
     ("kl", "afunction"): ["--matrix", "m.json", "--jobs", "2"],
     ("jring", "table"): ["--type", "B2", "--out", "t.json", "--json"],
-    ("jring", "check"): ["--type", "A2", "--exhaustive", "--seed", "3"],
+    ("jring", "check"): ["--type", "A2", "--weights", "equal"],
     ("jring", "unit"): ["--type", "B2", "--config", "c.json"],
     ("positivity", None): ["--type", "D4", "--csv", "--max-cmin", "2"],
 }
@@ -737,7 +765,7 @@ def test_cached_report_serialized_once(tmp_path, monkeypatch, command):
     # and --json alone parses nothing
     monkeypatch.chdir(tmp_path)
     (tmp_path / "m.json").write_text("[[1, 3], [3, 1]]")
-    (tmp_path / "c.json").write_text('{"seed": 1}')
+    (tmp_path / "c.json").write_text('{"jobs": 2}')
     dumps, loads = [], []
     real_dumps, real_loads = cli._dumps, json.loads
     monkeypatch.setattr(cli, "_dumps", lambda report: dumps.append(1) or real_dumps(report))

@@ -10,7 +10,7 @@ from hx.coxeter import InfiniteGroupError, InternalCheckError
 from hx.klbasis import a_function, j_associativity_check, j_find_unit, j_table
 from hx.laurent import LaurentPoly, ONE, V, in_cone
 from kl_oracle import _h_columns, solve_unit
-from support import algebra, kl, system, without_generator_square
+from support import algebra, kl, specialize, system, without_generator_square
 
 
 def test_c_of_identity_and_generators():
@@ -151,7 +151,7 @@ def test_h_specialization_consistency_at_1():
     W = k.system
     H = k.algebra
     def spec1(h):
-        return H.specialize(h, 1)
+        return specialize(h, 1)
     for x in W.enumerate_elements():
         for y in W.enumerate_elements():
             lhs = spec1(H.mul(k.element(x), k.element(y)))
@@ -261,16 +261,6 @@ def test_j_associativity_unequal_parameters_reports():
     assert rep.counterexample is None or not rep.passed
 
 
-def test_j_associativity_sampling_is_seeded():
-    ring = j_table(kl("A2"))
-    rep1 = j_associativity_check(ring, exhaustive_limit=2, sample_size=100, seed=5)
-    rep2 = j_associativity_check(ring, exhaustive_limit=2, sample_size=100, seed=5)
-    assert not rep1.exhaustive and rep1.triples_checked == 100
-    assert rep1 == rep2
-    forced = j_associativity_check(ring, exhaustive_limit=2, force_exhaustive=True)
-    assert forced.exhaustive and forced.triples_checked == 216
-
-
 def _walk_every_triple(ring):
     """The (x, y, z) walk over all |W|^3 triples: (checked, counterexample)."""
     checked = 0
@@ -283,6 +273,19 @@ def _walk_every_triple(ring):
                                    != ring.product({x: 1}, yz or {})):
                     return checked, (x, y, z)
     return checked, None
+
+
+@pytest.mark.parametrize("label,weights", [
+    ("A2", None), ("A3", None), ("B2", (1, 2)), ("G2", (2, 1)), ("B3", None),
+    ("B3", (1, 1, 2)),
+])
+def test_j_associativity_matches_the_walk_over_every_triple(label, weights):
+    ring = j_table(kl(label, weights))
+    rep = j_associativity_check(ring)
+    assert (rep.triples_checked, rep.counterexample) == _walk_every_triple(ring)
+    assert rep.passed == (rep.counterexample is None)
+    assert rep.exhaustive and rep.seed is None
+    assert rep.triples_total == len(ring.elements) ** 3
 
 
 @pytest.mark.parametrize("tamper", ["scale", "add", "drop"])
