@@ -24,7 +24,8 @@ letter. It serves ``bar`` only: the KL basis in ``klbasis`` is built
 without it, and ``bar`` is the independent test that each $c_w$ is
 bar-invariant. ``pack`` and ``unpack`` are the Kronecker substitution
 (a polynomial in v evaluated at $v = 2^B$, one Python int) that the
-packed kernels of ``klbasis`` and ``positivity`` run in.
+packed kernels of ``klbasis`` and ``positivity`` run in, and
+``tilde_step`` is their one generator step on dense packed rows.
 """
 
 from __future__ import annotations
@@ -160,6 +161,31 @@ def unpack(packed: int, width: int, bound: int) -> list[int]:
         digits.append(d)
         packed = (packed - d) >> width
     return digits
+
+
+def tilde_step(col: tuple[int, ...], terms: dict[int, int],
+               shift: int) -> dict[int, int]:
+    """T~_s times a packed element in the basis T~_w = v^{L(w)} T_w
+    (Geck-Pfeiffer 2000, 8.1), on dense ids.
+
+    col is the left action table's row of s: col[u] = su at an ascent and
+    ~su at a descent. T~_s T~_u is T~_{su} at an ascent and
+    q T~_{su} + (q - 1) T~_u at a descent, q = v^{2L(s)}, so every
+    coefficient stays in Z[v]. With coefficients packed at v = 2^B, q is
+    a shift by 2 L(s) B bits; with q itself the packed variable (the N^w
+    trace, L = 1), the shift is its width."""
+    out: dict[int, int] = {}
+    get = out.get
+    for u, p in terms.items():
+        j = col[u]
+        if j >= 0:
+            out[j] = get(j, 0) + p
+        else:
+            j = ~j
+            pq = p << shift
+            out[j] = get(j, 0) + pq
+            out[u] = get(u, 0) + pq - p
+    return out
 
 
 class HeckeElement:

@@ -105,11 +105,12 @@ $h_{x,y,z}$, Elias-Williamson 2014), the l1 norm is the digit sum, the
 value mod $2^B - 1$, and bar-invariance is one comparison per x of the
 joined ``int.to_bytes`` digits against their reversal; other weights read
 each entry's digits the same way. On a seeded sample of 8 pairs the entries
-must satisfy $c_x c_y = \\sum_z h_{x,y,z} c_z$ in packed T-coordinates,
-$v^{L(w)} T_w P_y$ built along the tail tree of $[e, x]$ by generator
-steps, independently of the action rows. ``h_constants``, the Laurent
-T-basis product, stays behind ``hx kl hconst`` and serves infinite W. A
-failure of any of these checks raises ``InternalCheckError``.
+must satisfy $c_x c_y = \\sum_z h_{x,y,z} c_z$, with the left side built in
+packed $\\tilde T$-coordinates, $\\tilde T_w = v^{L(w)} T_w$, by
+``hecke.tilde_step`` along the tail tree of $[e, x]$, independently of the
+action rows. ``h_constants``, the Laurent T-basis product, stays behind
+``hx kl hconst`` and serves infinite W. A failure of any of these checks
+raises ``InternalCheckError``.
 
 The unit of J is $\\sum_{d \\in D} n_d t_d$ (Lusztig, ibid., ch. 18), and
 ``j_find_unit`` reads it off the J table. D is the set of d with $t_d$ in
@@ -142,7 +143,7 @@ from typing import Callable, Generator, Iterator, NamedTuple, Optional, Sequence
 from .coxeter import (CoxeterSystem, Element, InfiniteGroupError,
                       InternalCheckError)
 from .hecke import (HeckeAlgebra, HeckeElement, Terms, WeightFunction, add_into,
-                    pack, unpack)
+                    pack, tilde_step, unpack)
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -638,34 +639,19 @@ def _packed_columns(kl: KLBasis, rows: list[list[dict[int, int]]],
         yield y, column
 
 
-def _t_step(left: tuple[int, ...], terms: dict[int, int], up: int) -> dict[int, int]:
-    """v^{L(s)} T_s times a packed T-basis element (dense ids), with left the
-    generator's row of the left action table and up = L(s) B:
-    v^L T_{su} + (v^{2L} - 1) T_u at a descent, v^L T_{su} otherwise."""
-    out: dict[int, int] = {}
-    get = out.get
-    for u, p in terms.items():
-        j = left[u]
-        if j >= 0:
-            out[j] = get(j, 0) + (p << up)
-        else:
-            j = ~j
-            out[j] = get(j, 0) + (p << up)
-            out[u] = get(u, 0) + (p << 2 * up) - p
-    return out
-
-
 def _check_pair(kl: KLBasis, x: int, y: int, hs: dict[int, int]) -> None:
     """c_x c_y = sum_z h_{x,y,z} c_z, in packed T-coordinates (dense ids).
 
-    Left: sum_w v^{L(x)-L(w)} p_{w,x} (v^{L(w)} T_w P_y), each
-    v^{L(w)} T_w P_y one v^{L(s)} T_s step from its canonical tail's, walked
-    depth first over the tail tree of [e, x]; times v^D. Right: sum_z
-    h_{x,y,z} v^D P_z v^{L(x)+L(y)-L(z)}. Both sides are exact values at
-    v = 2^B, so equal ints are equal polynomials while every coefficient of
-    either side stays below 2^(B-1). The c_z are a basis, so this is the
-    identity that defines the h_{x,y,z}, and it does not use the action
-    rows."""
+    Left: v^{L(x)+L(y)} c_x c_y in T~-coordinates, T~_w = v^{L(w)} T_w:
+    v^{L(y)} c_y = sum_u (P_y[u] / v^{L(u)}) T~_u, and T~_w times it is one
+    ``tilde_step`` from its canonical tail's, walked depth first over the
+    tail tree of [e, x] and weighted by P_x[w] / v^{L(w)}; each T~_u
+    coefficient times v^{L(u)+D} then gives T-coordinates times v^D.
+    Right: sum_z h_{x,y,z} v^D P_z v^{L(x)+L(y)-L(z)}. Both sides are exact
+    values at v = 2^B, so equal ints are equal polynomials while every
+    coefficient of either side stays below 2^(B-1). The c_z are a basis,
+    so this is the identity that defines the h_{x,y,z}, and it does not
+    use the action rows."""
     system, width = kl.system, kl._width
     dense = system.dense_tables()
     elements, index, first, tail = dense.elements, dense.index, dense.first, dense.tail
@@ -676,25 +662,30 @@ def _check_pair(kl: KLBasis, x: int, y: int, hs: dict[int, int]) -> None:
     below: dict[int, list[int]] = {}
     for w in system.bruhat_interval_below(ex)[1:]:
         below.setdefault(tail[index[w]], []).append(index[w])
+
+    def untilde(p: int, w: Element, name: str, row: Element) -> int:
+        """p / v^{L(w)}, with p the entry of P_row at w; it must be exact."""
+        shift = width * weight(w)
+        if p & ((1 << shift) - 1):
+            raise InternalCheckError(
+                f"v^L(w) does not divide P_{name}[w] at {name}={row!r}, w={w!r}: "
+                f"inexact shift")
+        return p >> shift
+
     px = packed[ex][0]
     lhs: dict[int, int] = {}
-    # (w, v^{L(w')} T_w' P_y for the tail w' of w): each product is made
+    # (w, T~_w' v^{L(y)} c_y for the tail w' of w): each product is made
     # when popped, so only those on the path to the root stay alive
-    stack = [(0, {index[u]: p for u, p in packed[ey][0].items()})]
+    stack = [(0, {index[u]: untilde(p, u, "y", ey) for u, p in packed[ey][0].items()})]
     while stack:
         w, terms = stack.pop()
         if w:
             s = first[w]
-            terms = _t_step(dense.left[s], terms, width * weight.values[s])
+            terms = tilde_step(dense.left[s], terms, 2 * width * weight.values[s])
         ew = elements[w]
         p = px.get(ew)
         if p:
-            shift = width * weight(ew)
-            if p & ((1 << shift) - 1):
-                raise InternalCheckError(
-                    f"v^L(w) does not divide P_x[w] at x={ex!r}, w={ew!r}: "
-                    f"inexact shift")
-            p >>= shift
+            p = untilde(p, ew, "x", ex)
             for u, q in terms.items():
                 lhs[u] = lhs.get(u, 0) + p * q
         for c in below.get(w, ()):
@@ -710,8 +701,7 @@ def _check_pair(kl: KLBasis, x: int, y: int, hs: dict[int, int]) -> None:
         for u, q in packed[ez][0].items():
             k = index[u]
             rhs[k] = rhs.get(k, 0) + h * q
-    shift = width * offset
-    if ({u: q << shift for u, q in lhs.items() if q}
+    if ({u: q << width * (offset + weight(elements[u])) for u, q in lhs.items() if q}
             != {u: q for u, q in rhs.items() if q}):
         raise InternalCheckError(
             f"the h-scan disagrees with h_constants at x={ex!r}, y={ey!r}: "
@@ -846,8 +836,6 @@ class JAssociativityReport(NamedTuple):
     passed: bool
     triples_checked: int
     triples_total: int
-    exhaustive: bool
-    seed: Optional[int]
     counterexample: Optional[tuple[Element, Element, Element]]
 
 
@@ -896,8 +884,7 @@ def j_associativity_check(ring: JRing) -> JAssociativityReport:
                 break
     return JAssociativityReport(
         passed=counterexample is None, triples_checked=checked,
-        triples_total=n ** 3, exhaustive=True, seed=None,
-        counterexample=counterexample)
+        triples_total=n ** 3, counterexample=counterexample)
 
 
 def j_find_unit(ring: JRing) -> Optional[dict[Element, int]]:

@@ -8,10 +8,9 @@ the centralizer order |W|/|C|. All three facts are theorems, so the code
 treats any violation as an internal bug (`InternalCheckError`), never as
 data. $C$ is called positive when $N^w \\in N[v^2]$.
 
-The trace is computed in the basis $\\tilde T_w = v^{|w|} T_w$, where
-$\\tilde T_s \\tilde T_w$ is $\\tilde T_{sw}$ when the length goes up and
-$q \\tilde T_{sw} + (q-1) \\tilde T_w$ with $q = v^2$ when it goes down, so
-every coefficient lies in $Z[q]$ and
+The trace is computed in the basis $\\tilde T_w = v^{|w|} T_w$, where a
+generator step (``hecke.tilde_step``) keeps every coefficient in $Z[q]$,
+$q = v^2$, and
 $N^w = \\sum_x [\\tilde T_x](\\tilde T_w \\tilde T_x \\tilde T_{w^{-1}})$.
 The symmetrizing trace form $\\tau(\\tilde T_a \\tilde T_b) = q^{\\ell(a)}
 \\delta_{ab,e}$ (Geck-Pfeiffer, Characters of Finite Coxeter Groups and
@@ -42,8 +41,8 @@ and the next one, being built from it, are alive at a time, and no
 
 Elements are the dense ids of `CoxeterSystem.dense_tables`, and each
 coefficient is one Python int, its value at $q = 2^B$ (Kronecker
-substitution). That is a ring map $Z[q] \\to Z$, so a generator step is a
-few int shifts and adds per term and the product of two packed ints is the
+substitution). That is a ring map $Z[q] \\to Z$, so a generator step is
+``tilde_step`` with shift B and the product of two packed ints is the
 packed product. Each term is shifted by $q^{top + \\ell(a) - \\ell(x)}$,
 top = $\\ell(w_0)$, to clear negative powers; the packed sum is then
 $q^{top} N^w$ at $q = 2^B$, and its signed base-$2^B$ digits are decoded
@@ -68,19 +67,10 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from .coxeter import (ConjugacyClass, CoxeterSystem, Element,
                       InfiniteGroupError, InternalCheckError)
-from .hecke import HeckeAlgebra, UnequalParametersError, unpack
+from .hecke import HeckeAlgebra, UnequalParametersError, tilde_step, unpack
 from .laurent import LaurentPoly, in_cone
 
-__all__ = ["TraceChecks", "TraceReport", "n_trace", "class_report",
-           "classify_positive"]
-
-
-class TraceChecks(NamedTuple):
-    """Self-check flags recorded on every report (all True on emission)."""
-
-    constant_over_min: bool
-    in_z_v2: bool
-    centralizer_at_v1: bool
+__all__ = ["TraceReport", "n_trace", "class_report", "classify_positive"]
 
 
 class TraceReport(NamedTuple):
@@ -93,7 +83,6 @@ class TraceReport(NamedTuple):
     centralizer_order: int
     n_poly: LaurentPoly
     positive: bool
-    checks: TraceChecks
     cmin_size: int
     cmin_evaluated: int
     is_identity_class: bool
@@ -108,11 +97,9 @@ class TraceReport(NamedTuple):
             "centralizer_order": self.centralizer_order,
             "n_poly": self.n_poly.to_pairs(),
             "positive": self.positive,
-            "checks": {
-                "constant_over_min": self.checks.constant_over_min,
-                "in_z_v2": self.checks.in_z_v2,
-                "centralizer_at_v1": self.checks.centralizer_at_v1,
-            },
+            # _certified raises unless every invariant holds
+            "checks": {"constant_over_min": True, "in_z_v2": True,
+                       "centralizer_at_v1": True},
             "cmin_size": self.cmin_size,
             "cmin_evaluated": self.cmin_evaluated,
             "is_identity_class": self.is_identity_class,
@@ -133,24 +120,6 @@ def _digit_bound(order: int, steps: int) -> int:
     family members built with at most `steps` generator steps between them,
     and a step at most triples the l1 norm."""
     return order * 3 ** steps
-
-
-def _step(col: tuple[int, ...], terms: dict[int, int],
-          width: int) -> dict[int, int]:
-    """One generator step T~_s h in packed coordinates; col is the
-    generator's row of the left action table."""
-    out: dict[int, int] = {}
-    get = out.get
-    for k, p in terms.items():
-        j = col[k]
-        if j >= 0:
-            out[j] = get(j, 0) + p
-        else:
-            j = ~j
-            pq = p << width
-            out[j] = get(j, 0) + pq
-            out[k] = get(k, 0) + pq - p
-    return out
 
 
 def _decode(packed: int, width: int, bound: int, drop: int = 0) -> LaurentPoly:
@@ -196,7 +165,7 @@ def n_trace(algebra: HeckeAlgebra, w: Element) -> LaurentPoly:
                 r = gx_inv.get(inverse[a])
                 if r:
                     total += p * r << (top + lengths[a] - length) * width
-        g = {y: _step(left[dense.first[y]], g[dense.tail[y]], width)
+        g = {y: tilde_step(left[dense.first[y]], g[dense.tail[y]], width)
              for y in range(starts[length + 1], starts[length + 2])}
     return _decode(total, width, bound, drop=top)
 
@@ -237,8 +206,6 @@ def _certified(system: CoxeterSystem, cls: ConjugacyClass, class_id: int,
         centralizer_order=cls.centralizer_order,
         n_poly=n_poly,
         positive=in_cone(n_poly, "Nv2"),
-        checks=TraceChecks(constant_over_min=constant, in_z_v2=in_zv2,
-                           centralizer_at_v1=cent_ok),
         cmin_size=len(cls.min_length_set),
         cmin_evaluated=len(traces),
         is_identity_class=cls.representative.is_identity(),

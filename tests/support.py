@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
@@ -41,6 +42,24 @@ def without_generator_square(ring):
     s = ring.system.generator(0)
     return ring._replace(table={pair: row for pair, row in ring.table.items()
                                 if pair != (s, s)})
+
+
+def tampered_j_table(ring, tamper: str):
+    """``ring`` with its J table changed where ``random.Random(tamper)``
+    picks: "scale" raises one entry by 1, "add" puts an entry where
+    t_x t_y = 0, and "drop" deletes a row."""
+    rng = random.Random(tamper)
+    table = {pair: dict(row) for pair, row in ring.table.items()}
+    pair = rng.choice(sorted(table, key=lambda p: (p[0].sort_key, p[1].sort_key)))
+    z = next(iter(table[pair]))
+    if tamper == "scale":  # a J entry off by one
+        table[pair][z] += 1
+    elif tamper == "add":  # an entry where t_x t_y = 0
+        x = ring.elements[rng.randrange(len(ring.elements))]
+        table.setdefault((x, ring.elements[-1]), {})[x] = 1
+    else:  # a row lost
+        del table[pair]
+    return ring._replace(table=table)
 
 
 def specialize(h, c) -> dict:

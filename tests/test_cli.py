@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hx.cli as cli
-from support import kl, run_cli, run_cli_json, validate_schema, without_generator_square
+from support import (kl, run_cli, run_cli_json, tampered_j_table, validate_schema,
+                     without_generator_square)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -644,8 +645,23 @@ def test_h_scan_off_h_constants_exits_3(monkeypatch):
             yield y, [{z: h + shift for z, h in hs.items()} for hs in column]
 
     monkeypatch.setattr(klbasis, "_packed_columns", skewed)
-    code, out, err = run_cli("kl", "afunction", "--type", "A2")
-    assert code == 3 and "h_constants" in err and "Traceback" not in err and not out
+    # at unequal weights the T~ step shifts by 2 L(s) B, not by 2B
+    for args in (("--type", "A2"), ("--type", "B3", "--weights", "1,1,2")):
+        code, out, err = run_cli("kl", "afunction", *args)
+        assert code == 3 and "h_constants" in err and "Traceback" not in err and not out
+
+
+def test_jring_check_failing_at_equal_parameters_exits_3(monkeypatch):
+    # J is associative at equal parameters by P1-P15, so a failed check
+    # there is an internal error; at other weights it is the report
+    real = cli._j_ring
+    monkeypatch.setattr(cli, "_j_ring", lambda system, weight: tampered_j_table(
+        real(system, weight), "scale"))
+    code, out, err = run_cli("jring", "check", "--type", "A3")
+    assert code == 3 and not out and "Traceback" not in err
+    assert "INTERNAL" in err and "not associative" in err
+    code, out, err = run_cli("jring", "check", "--type", "B3", "--weights", "1,1,2")
+    assert code == 0 and out.startswith("associativity FAIL (")
 
 
 def test_trace_route_is_gone(tmp_path):

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from hx.coxeter import InfiniteGroupError
-from hx.hecke import HeckeAlgebra, WeightFunction, add_into, weight_catalog
+from hx.hecke import (HeckeAlgebra, WeightFunction, add_into, pack, tilde_step,
+                      unpack, weight_catalog)
 from hx.laurent import LaurentPoly, ONE, V
 from support import algebra, specialize, system
 
@@ -170,6 +171,29 @@ def test_add_into():
     assert add_into({"a": 6, "b": 1}, {"a": 2, "c": 5}, -3) == {"b": 1, "c": -15}
     assert add_into({"a": -2}, {"a": 2}) == {}
 
+
+
+@pytest.mark.parametrize("label,weights", [("G2", (2, 1)), ("B3", (1, 1, 2))])
+def test_tilde_step_is_v_to_the_l_times_the_generator_step(label, weights):
+    # T~_s h = v^L(s) T_s h, with T~_w = v^L(w) T_w and coefficients in Z[v]
+    # packed at v = 2^B
+    H = algebra(label, weights)
+    dense = H.system.dense_tables()
+    L, width, bound = H.weight, 16, 1 << 14
+    rng = random.Random(label)
+
+    def in_t_basis(packed):
+        """Laurent T-coordinates of an element in packed T~-coordinates."""
+        return H.element({dense.elements[u]: LaurentPoly(
+            L(dense.elements[u]), unpack(p, width, bound)) for u, p in packed.items()})
+
+    for _ in range(20):
+        packed = {u: pack([rng.randint(-9, 9) for _ in range(3)], width)
+                  for u in rng.sample(range(len(dense.elements)), 8)}
+        for s in range(H.system.rank):
+            stepped = tilde_step(dense.left[s], packed, 2 * width * L.values[s])
+            expected = H.element(H._lmul_gen(s, in_t_basis(packed).terms))
+            assert in_t_basis(stepped) == expected * LaurentPoly.monomial(L.values[s])
 
 # -- f-constants and the degree probe ------------------------------------------------
 

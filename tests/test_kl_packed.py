@@ -14,8 +14,8 @@ import pytest
 import hx.klbasis
 from hx.coxeter import InternalCheckError
 from hx.hecke import HeckeAlgebra, WeightFunction, pack, unpack
-from hx.klbasis import (KLBasis, _digit_reader, _h_scan, _packed_action_rows,
-                        _packed_columns, _palindrome_test)
+from hx.klbasis import (KLBasis, _check_pair, _digit_reader, _h_scan,
+                        _packed_action_rows, _packed_columns, _palindrome_test)
 from hx.laurent import LaurentPoly
 from kl_oracle import LaurentKL, _action_rows, _h_columns
 from support import run_cli, system
@@ -371,6 +371,18 @@ def test_tiny_scan_width_widens_and_matches_oracle():
     assert scanned == _h_scan(KLBasis(fresh("G2", (2, 1))), None)
     oracle = dict(_h_columns(KLBasis(fresh("G2", (2, 1)))))
     assert dict(laurent_columns(k)) == oracle
+
+
+def test_cross_check_rejects_a_row_of_y_that_v_to_the_l_does_not_divide():
+    # v^L(y) c_y = sum_u (P_y[u] / v^L(u)) T~_u: a v^1 term at u = s_1,
+    # L(s_1) = 2, leaves the division inexact
+    k = KLBasis(fresh("B2", (1, 2)))
+    dense = k.system.dense_tables()
+    y = len(dense.elements) - 1
+    row = k._packed_row(dense.elements[y])[0]
+    row[k.system.generator(1)] += 1 << k._width
+    with pytest.raises(InternalCheckError, match="P_y.*inexact shift"):
+        _check_pair(k, 0, y, {})
 
 
 @pytest.mark.parametrize("width", [8, 16, 24, 32, 64, 128])

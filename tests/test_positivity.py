@@ -6,8 +6,9 @@ import pytest
 import hx.positivity
 from hx.coxeter import InfiniteGroupError, InternalCheckError
 from hx.hecke import HeckeAlgebra, UnequalParametersError, WeightFunction
-from hx.laurent import LaurentPoly, in_cone
-from hx.positivity import _decode, class_report, classify_positive, n_trace
+from hx.laurent import LaurentPoly, ONE, V, in_cone
+from hx.positivity import (_certified, _decode, class_report, classify_positive,
+                           n_trace)
 from support import algebra, run_cli, system
 from trace_oracle import reference_n_trace
 
@@ -63,12 +64,25 @@ def test_report_invariants_small_types():
         classes = W.conjugacy_classes()
         assert len(reports) == len(classes)
         for r, c in zip(reports, classes):
-            assert r.checks.constant_over_min
-            assert r.checks.in_z_v2 and in_cone(r.n_poly, "Zv2")
-            assert r.checks.centralizer_at_v1
+            assert in_cone(r.n_poly, "Zv2")
             assert r.n_poly.evaluate(1) == order // c.size == r.centralizer_order
             assert r.positive == in_cone(r.n_poly, "Nv2")
             assert r.cmin_evaluated == r.cmin_size == len(c.min_length_set)
+
+
+@pytest.mark.parametrize("skew, failed", [
+    (lambda n: [n, n + V * V - ONE], "constant_over_min=False"),
+    (lambda n: [n + V - ONE], "in_z_v2=False"),
+    (lambda n: [n + ONE], "centralizer_at_v1=False"),
+])
+def test_trace_invariant_violation_raises(skew, failed):
+    # a report's "checks" are all true because a failed invariant raises
+    W = system("A2")
+    cls = W.conjugacy_classes()[1]
+    n = n_trace(algebra("A2"), cls.representative)
+    _certified(W, cls, 1, [n, n])
+    with pytest.raises(InternalCheckError, match=f"trace invariants failed.*{failed}"):
+        _certified(W, cls, 1, skew(n))
 
 
 def test_class_report_evaluates_all_of_cmin():
