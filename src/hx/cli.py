@@ -29,8 +29,11 @@ back from it, so a word prints as ``[0, 1]``, never ``(0, 1)``.
 expensive tables (``kl basis``, ``kl afunction``, ``jring table``): a
 report is computed once per (matrix, weights, options) and replayed
 byte-identically afterwards by the same ``hx`` version and report schema.
-Each entry carries a sha256 digest of its key and payload; an entry that
-fails it is computed again and overwritten.
+Each entry carries a BLAKE2b-256 digest of its key and payload; an entry
+that fails it is computed again and overwritten. The digest comes from
+CPython's built-in ``_blake2``, not ``hashlib``, whose import loads
+OpenSSL; and the cached commands import ``klbasis`` only when they build,
+so a cache hit loads neither.
 
 A JSON report travels as ASCII bytes chunks from the writer to the file
 descriptors: ``_dumps`` cuts a chunk after each item of an iterator (``kl
@@ -344,10 +347,12 @@ def _cache_lookup(key_obj: dict) -> tuple[Optional[memoryview], Optional[_Entry]
     """(the payload of an intact entry or None, the entry or None without
     HX_CACHE_DIR).
 
-    An entry file holds the sha256 of its key and payload, a newline, then
-    the payload. An entry whose digest does not match, or whose payload is
-    not ASCII, is a miss, and the report is computed again. The payload is
-    a view into the file's bytes as read, with no copy."""
+    An entry file holds the BLAKE2b-256 digest (``_digest``) of its key and
+    payload, a newline, then the payload, and is named by the first 32 hex
+    digits of the key's digest. An entry whose digest does not match, or
+    whose payload is not ASCII, is a miss, and the report is computed
+    again. The payload is a view into the file's bytes as read, with no
+    copy."""
     cache_dir = os.environ.get("HX_CACHE_DIR")
     if not cache_dir:
         return None, None
@@ -357,7 +362,7 @@ def _cache_lookup(key_obj: dict) -> tuple[Optional[memoryview], Optional[_Entry]
         raise UsageError(f"cannot use HX_CACHE_DIR {cache_dir}: {e}")
     key = json.dumps({"hx": __version__, "schema": REPORT_SCHEMA,
                       "report": key_obj}, sort_keys=True).encode()
-    entry = (os.path.join(cache_dir, f"{_sha256(key)[:32]}.json"), key)
+    entry = (os.path.join(cache_dir, f"{_digest(key)[:32]}.json"), key)
     try:
         with open(entry[0], "rb") as fh:
             data = fh.read()
@@ -365,15 +370,23 @@ def _cache_lookup(key_obj: dict) -> tuple[Optional[memoryview], Optional[_Entry]
         return None, entry  # no entry yet
     end = data.find(b"\n")
     body = memoryview(data)[end + 1:]
-    if end < 0 or not data.isascii() or data[:end] != _sha256(key, body).encode():
+    if end < 0 or not data.isascii() or data[:end] != _digest(key, body).encode():
         return None, entry  # truncated, edited or not ours: recompute below
     return body, entry
 
 
-def _sha256(*parts: bytes | memoryview) -> str:
-    import hashlib  # here: only cached commands with HX_CACHE_DIR need it
+def _digest(*parts: bytes | memoryview) -> str:
+    """The 64 hex digits of the BLAKE2b-256 digest of the parts joined.
+    Imported here, as only cached commands with HX_CACHE_DIR need it, and
+    from ``_blake2``, built into CPython: ``hashlib`` gives the same
+    function but its import loads OpenSSL's libcrypto, which costs a
+    process more memory and time than hashing a report of a few MB."""
+    try:
+        from _blake2 import blake2b
+    except ImportError:  # a Python built without its own BLAKE2
+        from hashlib import blake2b
 
-    digest = hashlib.sha256()
+    digest = blake2b(digest_size=32)
     for part in parts:
         digest.update(part)
     return digest.hexdigest()
@@ -388,7 +401,7 @@ def _cache_store(entry: Optional[_Entry], payload: _Payload) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_sha256(key, *payload).encode("ascii") + b"\n")
+            fh.write(_digest(key, *payload).encode("ascii") + b"\n")
             fh.writelines(payload)
         os.replace(tmp, path)
     except OSError as e:
@@ -507,13 +520,13 @@ def _cmd_fprobe(args, system: CoxeterSystem, weight: WeightFunction) -> _Plan:
 
 
 def _cmd_kl_basis(args, system: CoxeterSystem, weight: WeightFunction) -> _Plan:
-    from .klbasis import KLBasis
-
     key = {"command": "kl basis", "matrix": system.matrix_json(),
            "weights": list(weight.values),
            "element": list(args.element) if args.element is not None else None}
 
     def build() -> dict:
+        from .klbasis import KLBasis  # here: a cache hit needs no kernel
+
         kl = KLBasis(HeckeAlgebra(system, weight))
         if args.element is not None:
             targets = [system.normal_form(args.element)]
@@ -563,12 +576,12 @@ def _cmd_kl_hconst(args, system: CoxeterSystem, weight: WeightFunction) -> _Plan
 
 
 def _cmd_kl_afunction(args, system: CoxeterSystem, weight: WeightFunction) -> _Plan:
-    from .klbasis import KLBasis, a_function
-
     key = {"command": "kl afunction", "matrix": system.matrix_json(),
            "weights": list(weight.values)}
 
     def build() -> dict:
+        from .klbasis import KLBasis, a_function  # as in kl basis
+
         kl = KLBasis(HeckeAlgebra(system, weight))
         afn = a_function(kl, progress=lambda done, total: _progress(
             f"a-function: {done}/{total} pairs"))

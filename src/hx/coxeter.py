@@ -98,6 +98,11 @@ class InternalCheckError(Exception):
     """A theorem-backed self-check failed: an implementation bug, not bad input."""
 
 
+def _shortlex(el: "Element") -> tuple[int, tuple[int, ...]]:
+    """``Element.sort_key`` as a plain function, for sorts of many elements."""
+    return (len(el.word), el.word)
+
+
 class Element:
     """A group element: its system's one object for it, with ``word`` its
     ShortLex-least reduced word and ``heights`` the heights of
@@ -469,6 +474,17 @@ class CoxeterSystem:
         res = memo[w] = (self._intern(self._act(w.heights, i)), sign)
         return res
 
+    def _left_mul_row(self, i: int, ws: Iterable[Element]) -> list[tuple[Element, int]]:
+        """``[left_mul_gen(i, w) for w in ws]``, ws re-iterable and i a valid
+        index, read from the memo in place: at C speed when it holds every
+        w, as it does for a finite W once enumerated, and filled through
+        left_mul_gen when not."""
+        memo = self._lmul[i]
+        try:
+            return list(map(memo.__getitem__, ws))
+        except KeyError:
+            return [memo.get(w) or self.left_mul_gen(i, w) for w in ws]
+
     def right_mul_gen(self, w: Element, i: int) -> tuple[Element, int]:
         self._check_index(i)
         memo = self._rmul[i]
@@ -636,17 +652,18 @@ class CoxeterSystem:
         left descent of w, [e, w] = [e, sw] U s[e, sw] (a subword of a
         reduced word s.u either skips the s or starts with it)."""
         self._check_same_system(w)
+        lmul = self._lmul
         chain = []
         u = w
         while u not in self._below:
             chain.append(u)
-            u = self.left_mul_gen(u.word[0], u)[0]
+            s = u.word[0]
+            u = (lmul[s].get(u) or self.left_mul_gen(s, u))[0]
         below = self._below[u]
         for u in reversed(chain):
-            s = u.word[0]
             down = set(below)
-            down.update([self.left_mul_gen(s, y)[0] for y in below])
-            below = self._below[u] = tuple(sorted(down, key=lambda el: el.sort_key))
+            down.update([sy for sy, _ in self._left_mul_row(u.word[0], below)])
+            below = self._below[u] = tuple(sorted(down, key=_shortlex))
         return list(below)
 
     # -- conjugacy classes -------------------------------------------------------

@@ -266,8 +266,8 @@ class KLBasis:
         up = self._width * self.algebra.weight.values[s]
         out: dict[Element, int] = {}
         stay: dict[Element, int] = {}
-        for (y, p), (sy, sign) in zip(
-                row.items(), map(self.system.left_mul_gen, repeat(s), row)):
+        for (y, p), (sy, sign) in zip(row.items(),
+                                      self.system._left_mul_row(s, row)):
             out[sy] = p << up
             stay[y] = p << 2 * up if sign < 0 else p
         return add_into(out, stay)

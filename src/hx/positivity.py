@@ -33,6 +33,15 @@ Expanding $\\tau$ over the basis gives the one formula used here:
 
   $N^w = \\sum_x q^{-\\ell(x)} \\sum_a q^{\\ell(a)} G_x[a] G_{x^{-1}}[a^{-1}]$.
 
+The terms of x and $x^{-1}$ are equal: reindexing a by $a^{-1}$, which
+has the same length, turns one sum into the other. So each pair
+$\\{x, x^{-1}\\}$ is summed once, at the one of smaller id, and
+
+  $N^w = \\sum_{x \\le x^{-1}} m_x q^{-\\ell(x)} \\sum_a q^{\\ell(a)}
+   G_x[a] G_{x^{-1}}[a^{-1}]$, $m_x = 1$ if $x = x^{-1}$ and 2 otherwise,
+
+with $\\le$ the order of the ids.
+
 The family grows along the length-BFS tree: with $y = s y'$ and $y'$ the
 canonical-word tail, $G_y = \\tilde T_s G_{y'}$, one left generator step.
 x and $x^{-1}$ have the same length, so only the length level being summed
@@ -143,9 +152,9 @@ def n_trace(algebra: HeckeAlgebra, w: Element) -> LaurentPoly:
     """The trace of h -> v^{2|w|} T_w h T_{w^{-1}} over the T-basis.
 
     Computed as N^w = sum_x q^{-l(x)} sum_a q^{l(a)} G_x[a] G_{x^{-1}}[a^{-1}]
-    with G_y = T~_y T~_w, from the symmetrizing trace form and
-    chi(T_{w^{-1}}) = chi(T_w) (see the module docstring for the derivation
-    and the digit bound |W| 3^{2 l(w_0)}). The test suite checks it against
+    with G_y = T~_y T~_w, each {x, x^{-1}} summed once, from the
+    symmetrizing trace form and chi(T_{w^{-1}}) = chi(T_w) (see the module
+    docstring for the derivation and the digit bound |W| 3^{2 l(w_0)}). The test suite checks it against
     the T-basis Laurent computation it replaced."""
     _gate(algebra)
     system = algebra.system
@@ -156,15 +165,23 @@ def n_trace(algebra: HeckeAlgebra, w: Element) -> LaurentPoly:
     bound = _digit_bound(len(lengths), 2 * top)
     width = bound.bit_length() + 1
     starts = [bisect_left(lengths, length) for length in range(top + 3)]
+    shifts = [length * width for length in lengths]
     total = 0
     g = {0: {dense.index[w]: 1}}  # one length level of G_y = T~_y T~_w
     for length in range(top + 1):
+        level = 0  # the level's terms times q^{l(x)}
         for x in range(starts[length], starts[length + 1]):
-            gx_inv = g[inverse[x]]
+            x_inv = inverse[x]
+            if x_inv < x:  # counted twice with x^{-1}
+                continue
+            gx_inv = g[x_inv]
+            term = 0
             for a, p in g[x].items():
                 r = gx_inv.get(inverse[a])
                 if r:
-                    total += p * r << (top + lengths[a] - length) * width
+                    term += p * r << shifts[a]
+            level += term if x_inv == x else term << 1
+        total += level << (top - length) * width
         g = {y: tilde_step(left[dense.first[y]], g[dense.tail[y]], width)
              for y in range(starts[length + 1], starts[length + 2])}
     return _decode(total, width, bound, drop=top)

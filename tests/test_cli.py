@@ -265,7 +265,7 @@ def test_forged_cache_entry_that_is_not_a_report_is_recomputed(
     assert code == 0
     (entry,) = (tmp_path / "cache").glob("*.json")
     intact = entry.read_bytes()
-    entry.write_bytes(cli._sha256(keys[0], payload).encode() + b"\n" + payload)
+    entry.write_bytes(cli._digest(keys[0], payload).encode() + b"\n" + payload)
     code, out, err = run_cli(*command)
     assert code == 0 and "cache hit" not in err and "Traceback" not in err
     assert out == cold
@@ -291,9 +291,17 @@ def test_cache_hit_under_json_is_not_parsed(tmp_path, monkeypatch):
     assert code == 0 and "cache hit" in err and text.startswith("c_[]:\n")
 
 
+def test_digest_is_blake2b_256_of_the_parts_joined():
+    import hashlib
+
+    for parts in [(), (b"",), (b"key", b"body"), (b"k", memoryview(b"xbody")[1:], b"\n")]:
+        expected = hashlib.blake2b(b"".join(parts), digest_size=32).hexdigest()
+        assert cli._digest(*parts) == expected
+
+
 def test_entry_in_the_single_blob_format_replays(tmp_path, monkeypatch):
-    # an entry is sha256(key + body), a newline, then body, however the body
-    # was written: entries hashed as one blob replay as hits
+    # an entry is blake2b-256(key + body), a newline, then body, however the
+    # body was written: entries hashed as one blob replay as hits
     import hashlib
 
     monkeypatch.setenv("HX_CACHE_DIR", str(tmp_path / "cache"))
@@ -306,7 +314,8 @@ def test_entry_in_the_single_blob_format_replays(tmp_path, monkeypatch):
     assert code == code2 == 0 and len(keys) == 1
     (entry,) = (tmp_path / "cache").glob("*.json")
     body = cold.encode()
-    blob = hashlib.sha256(keys[0] + body).hexdigest().encode() + b"\n" + body
+    blob = (hashlib.blake2b(keys[0] + body, digest_size=32).hexdigest().encode()
+            + b"\n" + body)
     assert entry.read_bytes() == blob
     entry.unlink()
     entry.write_bytes(blob)
@@ -1074,6 +1083,27 @@ def test_import_leaves_pool_cache_and_dataclass_modules_out():
                               env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
         assert done.returncode == 0, done.stderr
         assert done.stdout == f"[]\n0 {loaded}\n", command
+
+
+def test_cached_runs_load_no_openssl_and_hits_no_kernel(tmp_path):
+    # the entry digest is BLAKE2b from CPython's own _blake2, so no cached
+    # run imports hashlib, which loads OpenSSL; and a cache hit, in JSON or
+    # in text, replays its report with no hx.klbasis loaded
+    probe = """if True:
+        import contextlib, io, sys, hx.cli
+        with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
+            code = hx.cli.main([*sys.argv[1:], '--type', 'A2'])
+        print(code, sorted({'hashlib', '_hashlib', 'hx.klbasis'} & set(sys.modules)))
+    """
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "HX_CACHE_DIR": str(tmp_path / "cache")}
+    for command in (["kl", "basis"], ["kl", "afunction"]):
+        for mode, loaded in [(["--json"], ["hx.klbasis"]), (["--json"], []), ([], [])]:
+            done = subprocess.run([sys.executable, "-S", "-c", probe, *command, *mode],
+                                  capture_output=True, text=True, env=env)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout == f"0 {loaded}\n", (command, mode)
+            assert ("cache hit" in done.stderr) == (not loaded), (command, mode)
 
 
 def test_package_names_resolve_to_their_modules():

@@ -455,6 +455,24 @@ def test_bruhat_interval_matches_brute_force(label, radius):
         assert W.bruhat_interval_below(w) == [y for y in ball if W.bruhat_leq(y, w)]
 
 
+@pytest.mark.parametrize("label,word", [("B3", (0, 1, 2) * 3), ("~G2", (0, 1, 2) * 3)])
+def test_interval_and_row_fill_the_memo_they_miss(label, word):
+    # nothing enumerated: the left_mul_gen memo the interval and the row read
+    # in place is empty, and every miss must fill it
+    fresh, full = build_system(label), build_system(label)
+    w = fresh.normal_form(word)
+    below = fresh.bruhat_interval_below(w)
+    ball = full.enumerate_elements(max_length=w.length)
+    w_full = full.normal_form(word)
+    assert [y.word for y in below] == [y.word for y in ball if full.bruhat_leq(y, w_full)]
+    for i in range(fresh.rank):
+        ys = (*below, fresh.normal_form(word + (i,)))  # w s_i may lie above w
+        expected = [full.left_mul_gen(i, full.normal_form(y.word)) for y in ys]
+        got = fresh._left_mul_row(i, ys)
+        assert [(sy.word, sign) for sy, sign in got] == [
+            (sy.word, sign) for sy, sign in expected]
+
+
 def test_conjugacy_classes():
     assert sorted(c.size for c in system("A2").conjugacy_classes()) == [1, 2, 3]
     assert len(system("B2").conjugacy_classes()) == 5
