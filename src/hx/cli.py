@@ -28,21 +28,25 @@ back from it, so a word prints as ``[0, 1]``, never ``(0, 1)``.
 ``HX_CACHE_DIR`` (environment) enables an on-disk report cache for the
 expensive tables (``kl basis``, ``kl afunction``, ``jring table``): a
 report is computed once per (matrix, weights, options) and replayed
-byte-identically afterwards by the same ``hx`` version and report schema.
-Each entry carries a BLAKE2b-256 digest of its key and payload; an entry
-that fails it is computed again and overwritten. The digest comes from
-CPython's built-in ``_blake2``, not ``hashlib``, whose import loads
-OpenSSL; and the cached commands import ``klbasis`` only when they build,
-so a cache hit loads neither.
+byte-identically afterwards by the same ``hx`` version and report schema,
+which the entry's name carries. Each entry carries a BLAKE2b-256 digest of
+its key and payload; an entry that fails it is computed again and
+overwritten. The digest comes from CPython's built-in ``_blake2``, not
+``hashlib``, whose import loads OpenSSL; and the cached commands import
+``klbasis`` only when they build, so a cache hit loads neither.
 
 A JSON report travels as ASCII bytes chunks from the writer to the file
 descriptors: ``_dumps`` cuts a chunk after each item of an iterator (``kl
 basis`` hands its elements over as a generator, so each is made, written
-and freed in turn), and the cache entry, ``--out`` and ``sys.stdout.buffer``
-take the chunks in order, with no joined copy. A cache hit is one chunk, a
-view into the entry as read once its digest matches, written with no
-decode; text output alone parses the payload, of hits and misses alike.
-Nothing reaches stdout, ``--out`` or the cache before the whole report is
+and freed in turn). With no cache, the chunks are kept in a list, which
+``--out`` and ``sys.stdout.buffer`` take in order. With one, the entry is
+the spool: each chunk goes to the entry's temp file and to a running
+digest as it is cut, and is dropped; the digest fills a slot left at the
+head of the file, which then replaces the entry. A hit checks an entry's
+digest block by block, and a hit or a miss alike is copied from the entry
+to ``--out`` and stdout in blocks, so no run holds a whole payload. Text
+output alone parses the payload, of hits and misses alike. Nothing reaches
+stdout, ``--out`` or the entry's name before the whole report is
 serialized, so a failure leaves none of them behind.
 
 The one writer, ``_dumps``, formats each tuple once per indentation and
@@ -60,6 +64,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -223,19 +228,38 @@ def _make_weight(system: CoxeterSystem, args) -> WeightFunction:
 _quote = json.encoder.encode_basestring_ascii
 _scalar = json.JSONEncoder().encode  # no indent, so json's C encoder
 
-# a serialized report: ASCII bytes chunks, written out in order and never
-# joined (a cache hit's one chunk is a memoryview of the entry it read)
-_Payload = Sequence[bytes]
+
+class _Spool:
+    """Where ``_dumps`` cuts its chunks on a cache miss: each goes to a file
+    and to a running digest, and only their count is kept. ``append`` and
+    ``len`` are all the writer asks of a list of chunks."""
+    __slots__ = ("write", "update", "cuts")
+
+    def __init__(self, file, digest):
+        self.write, self.update, self.cuts = file.write, digest.update, 0
+
+    def append(self, chunk: bytes) -> None:
+        self.write(chunk)
+        self.update(chunk)
+        self.cuts += 1
+
+    def __len__(self) -> int:
+        return self.cuts
 
 
-def _dumps(report: dict) -> list[bytes]:
+# where the writer's chunks go: a list that keeps them, or a spool
+_Chunks = list[bytes] | _Spool
+
+
+def _dumps(report: dict, sink: Optional[_Spool] = None) -> Optional[list[bytes]]:
     """``json.dumps(report, indent=2, sort_keys=True) + "\\n"`` as ASCII
     bytes chunks, byte for byte, for dicts with str keys, lists, tuples,
     iterators, str, int, float, bool and None; anything else raises
     TypeError. An iterator is written as a list, and a chunk ends after each
-    of its items, so an item can be freed once it is written. json indents
-    in pure Python, so this walks the containers itself and leaves every
-    scalar to C.
+    of its items, so an item can be freed once it is written. The chunks
+    are returned as a list, or, given a sink, handed to it as they are cut,
+    and then None is returned. json indents in pure Python, so this walks
+    the containers itself and leaves every scalar to C.
 
     A tuple is formatted once per indentation and its text reused, keyed
     by (id, indentation): exact, where a key by value would meet
@@ -245,20 +269,20 @@ def _dumps(report: dict) -> list[bytes]:
     into chunks is not kept. Reports hand their shared immutable leaves
     over as tuples (words, coefficient pairs), so a repeated leaf costs one
     lookup; entries are lists and dicts, which are walked and never kept."""
-    chunks: list[bytes] = []
+    chunks: _Chunks = [] if sink is None else sink
     parts: list[str] = []
     _write(report, "\n", parts, chunks, {})
     parts.append("\n")
     _cut(parts, chunks)
-    return chunks
+    return chunks if sink is None else None
 
 
-def _cut(parts: list[str], chunks: list[bytes]) -> None:
+def _cut(parts: list[str], chunks: _Chunks) -> None:
     chunks.append("".join(parts).encode("ascii"))
     parts.clear()
 
 
-def _write(value, newline: str, parts: list[str], chunks: list[bytes],
+def _write(value, newline: str, parts: list[str], chunks: _Chunks,
            tuples: dict[tuple[int, str], tuple[tuple, str]]) -> None:
     """Append value's text, at the indentation newline ends with, to parts,
     cutting parts into chunks after each item of an iterator. tuples maps
@@ -342,17 +366,43 @@ REPORT_SCHEMA = 2
 
 _Entry = tuple[str, bytes]  # a cache entry's path, and its key as bytes
 
+_HEAD = 65  # an entry's first line: the 64 hex digits of its digest, a newline
+_BLOCK = 1 << 16  # an entry is read in blocks of this many bytes
 
-def _cache_lookup(key_obj: dict) -> tuple[Optional[memoryview], Optional[_Entry]]:
-    """(the payload of an intact entry or None, the entry or None without
-    HX_CACHE_DIR).
+
+class _EntryPayload:
+    """The payload of an open cache entry, read again block by block past
+    its digest line each time it is iterated, so that no one holds it all."""
+    __slots__ = ("file",)
+
+    def __init__(self, file):
+        self.file = file
+
+    def __iter__(self) -> Iterator[bytes]:
+        self.file.seek(_HEAD)
+        return iter(lambda: self.file.read(_BLOCK), b"")
+
+    def close(self) -> None:
+        self.file.close()
+
+
+# a serialized report: ASCII bytes chunks in a list, or the payload of an
+# open cache entry; written out in order and never joined
+_Payload = list[bytes] | _EntryPayload
+
+
+def _cache_lookup(key_obj: dict) -> tuple[Optional[_EntryPayload], Optional[_Entry]]:
+    """(the payload of an intact entry, open, or None; the entry, or None
+    without HX_CACHE_DIR).
 
     An entry file holds the BLAKE2b-256 digest (``_digest``) of its key and
-    payload, a newline, then the payload, and is named by the first 32 hex
-    digits of the key's digest. An entry whose digest does not match, or
-    whose payload is not ASCII, is a miss, and the report is computed
-    again. The payload is a view into the file's bytes as read, with no
-    copy."""
+    payload, a newline, then the payload. It is named
+    ``hx-<version>-s<schema>-<hex>.json``: the ``hx`` version, the report
+    schema and the first 32 hex digits of the key's digest. An entry whose
+    digest does not match, or whose payload is not ASCII, is a miss, and the
+    report is computed again. Both are checked in one pass over the open
+    file, block by block, and a hit is returned open, so that what is
+    written is what was checked."""
     cache_dir = os.environ.get("HX_CACHE_DIR")
     if not cache_dir:
         return None, None
@@ -362,25 +412,36 @@ def _cache_lookup(key_obj: dict) -> tuple[Optional[memoryview], Optional[_Entry]
         raise UsageError(f"cannot use HX_CACHE_DIR {cache_dir}: {e}")
     key = json.dumps({"hx": __version__, "schema": REPORT_SCHEMA,
                       "report": key_obj}, sort_keys=True).encode()
-    entry = (os.path.join(cache_dir, f"{_digest(key)[:32]}.json"), key)
+    name = f"hx-{__version__}-s{REPORT_SCHEMA}-{_digest(key).hexdigest()[:32]}.json"
+    entry = (os.path.join(cache_dir, name), key)
     try:
-        with open(entry[0], "rb") as fh:
-            data = fh.read()
+        fh = open(entry[0], "rb")
     except OSError:
         return None, entry  # no entry yet
-    end = data.find(b"\n")
-    body = memoryview(data)[end + 1:]
-    if end < 0 or not data.isascii() or data[:end] != _digest(key, body).encode():
-        return None, entry  # truncated, edited or not ours: recompute below
-    return body, entry
+    hit = None
+    try:
+        head, digest = fh.read(_HEAD), _digest(key)
+        for block in iter(lambda: fh.read(_BLOCK), b""):
+            if not block.isascii():
+                break
+            digest.update(block)
+        else:
+            if head == digest.hexdigest().encode() + b"\n":
+                hit = _EntryPayload(fh)
+    except OSError:
+        pass  # unreadable
+    finally:
+        if hit is None:  # truncated, edited, unreadable or not ours: recompute
+            fh.close()
+    return hit, entry
 
 
-def _digest(*parts: bytes | memoryview) -> str:
-    """The 64 hex digits of the BLAKE2b-256 digest of the parts joined.
-    Imported here, as only cached commands with HX_CACHE_DIR need it, and
-    from ``_blake2``, built into CPython: ``hashlib`` gives the same
-    function but its import loads OpenSSL's libcrypto, which costs a
-    process more memory and time than hashing a report of a few MB."""
+def _digest(*parts: bytes | memoryview):
+    """A running BLAKE2b-256 digest, fed the parts in turn. Imported here,
+    as only cached commands with HX_CACHE_DIR need it, and from ``_blake2``,
+    built into CPython: ``hashlib`` gives the same function but its import
+    loads OpenSSL's libcrypto, which costs a process more memory and time
+    than hashing a report of a few MB."""
     try:
         from _blake2 import blake2b
     except ImportError:  # a Python built without its own BLAKE2
@@ -389,26 +450,109 @@ def _digest(*parts: bytes | memoryview) -> str:
     digest = blake2b(digest_size=32)
     for part in parts:
         digest.update(part)
-    return digest.hexdigest()
+    return digest
 
 
-def _cache_store(entry: Optional[_Entry], payload: _Payload) -> None:
-    """Write the entry to a temp file beside it, then os.replace it into
-    place, so a killed run never leaves a half-written entry to replay."""
-    if not entry:
-        return
+def _cache_store(entry: _Entry, report: dict) -> _EntryPayload:
+    """Serialize report into the entry, and return its payload, open.
+
+    The entry's temp file is the spool. It starts with a slot for the
+    digest; ``_dumps`` hands it each chunk as it is cut, and a digest that
+    started from the key takes each chunk as it passes; the digest fills the
+    slot after the last chunk, and the file replaces the entry in one
+    os.replace. So a run that fails never leaves an entry, whole or half
+    written, and removes its temp file. A killed run cannot: its temp file
+    is named for its host and process, and a later store sweeps it
+    (``_sweep``)."""
     path, key = entry
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = f"{path}.{_host()}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(_digest(key, *payload).encode("ascii") + b"\n")
-            fh.writelines(payload)
-        os.replace(tmp, path)
+        fh = open(tmp, "w+b")
     except OSError as e:
         raise UsageError(f"cannot write to HX_CACHE_DIR: {e}")
-    finally:
-        if os.path.exists(tmp):  # the write or the rename failed
+    try:
+        fh.write(b" " * (_HEAD - 1) + b"\n")
+        digest = _digest(key)
+        _dumps(report, _Spool(fh, digest))
+        fh.seek(0)
+        fh.write(digest.hexdigest().encode("ascii"))
+        fh.flush()
+        os.replace(tmp, path)
+        _sweep(os.path.dirname(path))
+    except BaseException as e:
+        fh.close()
+        try:
             os.unlink(tmp)
+        except OSError:
+            pass  # renamed into place already
+        if isinstance(e, OSError):
+            raise UsageError(f"cannot write to HX_CACHE_DIR: {e}")
+        raise
+    return _EntryPayload(fh)
+
+
+# the names _sweep knows in HX_CACHE_DIR: an entry, with its version and
+# schema; an entry's temp file, with its host and pid; and an entry named
+# by its key alone, as hx named them before the version and schema
+_ENTRY_NAME = r"hx-(.+)-s(\d+)-[0-9a-f]{32}\.json"
+_TEMP_NAME = r"hx-.+-s\d+-[0-9a-f]{32}\.json\.(.+)\.(\d+)\.tmp"
+_LEGACY_NAME = r"[0-9a-f]{32}\.json"
+
+
+def _sweep(cache_dir: str) -> None:
+    """Unlink the files of cache_dir that no run will read or finish:
+    entries of another ``hx`` version or report schema; legacy entries,
+    whose first line is a 64-hex digest; and the temp files that this host
+    wrote and whose process is gone. Every other file, and a file that
+    cannot be read or unlinked, is left as it is."""
+    current = (__version__, str(REPORT_SCHEMA))
+    host = _host()
+    try:
+        with os.scandir(cache_dir) as found:
+            files = [item for item in found if item.is_file(follow_symlinks=False)]
+    except OSError:
+        return
+    for item in files:
+        try:
+            if match := re.fullmatch(_ENTRY_NAME, item.name):
+                stale = match.groups() != current
+            elif match := re.fullmatch(_TEMP_NAME, item.name):
+                stale = match[1] == host and not _alive(int(match[2]))
+            elif re.fullmatch(_LEGACY_NAME, item.name):
+                with open(item.path, "rb") as fh:
+                    stale = re.fullmatch(rb"[0-9a-f]{64}\n", fh.read(_HEAD)) is not None
+            else:
+                continue
+            if stale:
+                os.unlink(item.path)
+        except OSError:
+            pass  # gone already, or not ours to read or remove
+
+
+def _host() -> str:
+    """This host's name, as temp files carry it ('' off POSIX)."""
+    return os.uname().nodename if hasattr(os, "uname") else ""
+
+
+def _alive(pid: int) -> bool:
+    """Whether a process of this host with this pid can still write. A
+    zombie cannot: a run killed with its parent (``timeout -s KILL`` kills
+    its whole process group) waits as one until it is reaped. Off POSIX
+    every pid counts as alive, for there os.kill(pid, 0) would end the
+    process."""
+    if os.name != "posix":
+        return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (OSError, OverflowError):  # another user's, or no pid at all
+        return True
+    try:  # Linux: the state follows the command name, which ends at ")"
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            return fh.read().rpartition(b")")[2].split()[:1] not in ([b"Z"], [b"X"])
+    except OSError:  # no /proc
+        return True
 
 
 # a command's report: (its cache key, or None for an uncached command, a
@@ -423,21 +567,26 @@ def _report(key: Optional[dict], build: Callable[[], dict],
     """(a report's JSON payload, serialized once, and, if text, the text
     lines of the report read back from it): replayed from HX_CACHE_DIR when
     key is given and its entry is intact, else built and stored. A hit that
-    proves not to be a report of this command is built and stored again."""
+    proves not to be a report of this command is built and stored again.
+    An entry's payload is returned open, for the caller to close."""
     def read(payload: _Payload) -> list[str]:
-        return list(lines(json.loads(b"".join(payload)))) if text else []
-
-    body, entry = (None, None) if key is None else _cache_lookup(key)
-    if body is not None:
         try:
-            hit = (body,), read((body,))
+            return list(lines(json.loads(b"".join(payload)))) if text else []
+        except BaseException:
+            if isinstance(payload, _EntryPayload):
+                payload.close()
+            raise
+
+    payload, entry = (None, None) if key is None else _cache_lookup(key)
+    if payload is not None:
+        try:
+            hit = payload, read(payload)
         except (ValueError, LookupError, TypeError):
             pass  # the digest matches a payload that is not such a report
         else:
             _progress(f"{key['command']}: cache hit")
             return hit
-    payload = _dumps(build())
-    _cache_store(entry, payload)
+    payload = _dumps(build()) if entry is None else _cache_store(entry, build())
     return payload, read(payload)
 
 
@@ -757,47 +906,51 @@ _COMMANDS: dict[tuple[str, Optional[str]], _Command] = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser(argv)
+    payload: _Payload = []
     try:
-        args = parser.parse_args(argv)
-        _apply_config(parser, args)
-        if args.jobs < 1:
-            raise UsageError("--jobs must be >= 1")
-        command = _COMMANDS[args.command, getattr(args, "subcommand", None)]
-        if command.weights:  # every command but weights works on a system
-            system = _make_system(args)
-            key, build, lines = command.run(args, system, _make_weight(system, args))
-        else:
-            key, build, lines = command.run(args)
-        csv = getattr(args, "csv", False)  # the text lines, in place of the JSON
-        payload, text = _report(key, build, lines, not args.json or (csv and args.out))
-        if args.out:
-            try:
-                with open(args.out, "wb") as fh:
-                    fh.writelines([f"{line}\n".encode("ascii") for line in text]
-                                  if csv else payload)
-            except OSError as e:
-                raise UsageError(f"cannot write {args.out}: {e}")
-    except UsageError as e:
-        print(f"hx: error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError) as e:
-        print(f"hx: error: {e}", file=sys.stderr)
-        return 1
-    except GatingError as e:
-        print(f"hx: gated: {e}", file=sys.stderr)
-        return 2
-    except InternalCheckError as e:
-        print(f"hx: INTERNAL INVARIANT VIOLATION: {e}", file=sys.stderr)
-        return 3
+        try:
+            args = parser.parse_args(argv)
+            _apply_config(parser, args)
+            if args.jobs < 1:
+                raise UsageError("--jobs must be >= 1")
+            command = _COMMANDS[args.command, getattr(args, "subcommand", None)]
+            if command.weights:  # every command but weights works on a system
+                system = _make_system(args)
+                key, build, lines = command.run(args, system, _make_weight(system, args))
+            else:
+                key, build, lines = command.run(args)
+            csv = getattr(args, "csv", False)  # the text lines, in place of the JSON
+            payload, text = _report(key, build, lines, not args.json or (csv and args.out))
+            if args.out:  # whole before stdout takes a byte, or exit 1 with none
+                try:
+                    with open(args.out, "wb") as fh:
+                        fh.writelines([f"{line}\n".encode("ascii") for line in text]
+                                      if csv else payload)
+                except OSError as e:
+                    raise UsageError(f"cannot write {args.out}: {e}")
+        except UsageError as e:
+            print(f"hx: error: {e}", file=sys.stderr)
+            return 1
+        except (ValueError, ZeroDivisionError) as e:
+            print(f"hx: error: {e}", file=sys.stderr)
+            return 1
+        except GatingError as e:
+            print(f"hx: gated: {e}", file=sys.stderr)
+            return 2
+        except InternalCheckError as e:
+            print(f"hx: INTERNAL INVARIANT VIOLATION: {e}", file=sys.stderr)
+            return 3
 
-    if args.json:  # the payload's bytes as they are, behind any text
-        sys.stdout.flush()
-        sys.stdout.buffer.writelines(payload)
-    else:  # line by line, with no joined copy of the text
-        for line in text:
-            sys.stdout.write(f"{line}\n")
-    return 0
-
+        if args.json:  # the payload's bytes as they are, behind any text
+            sys.stdout.flush()
+            sys.stdout.buffer.writelines(payload)
+        else:  # line by line, with no joined copy of the text
+            for line in text:
+                sys.stdout.write(f"{line}\n")
+        return 0
+    finally:
+        if isinstance(payload, _EntryPayload):
+            payload.close()
 
 if __name__ == "__main__":
     sys.exit(main())

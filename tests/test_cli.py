@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -204,9 +205,12 @@ def test_cache_entry_from_other_code_misses(tmp_path, monkeypatch, name, other):
         older.setattr(cli, name, other)
         code, stale, _ = run_cli(*command)
         assert code == 0
+    (older_entry,) = (tmp_path / "cache").glob("*.json")
     code, out, err = run_cli(*command)
     assert code == 0 and "cache hit" not in err and out == stale
-    assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+    # the store swept the entry no current key can name
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    assert entry.name != older_entry.name
     _, _, err = run_cli(*command)
     assert "cache hit" in err
 
@@ -230,8 +234,8 @@ def test_damaged_cache_entry_is_recomputed(tmp_path, monkeypatch, damage, mode):
     command = ["kl", "afunction", "--type", "A2"] + ([mode] if mode != "text" else [])
     keys = []
     store = cli._cache_store
-    monkeypatch.setattr(cli, "_cache_store", lambda entry, payload: (
-        keys.append(entry[1]), store(entry, payload)))
+    monkeypatch.setattr(cli, "_cache_store", lambda entry, report: (
+        keys.append(entry[1]) or store(entry, report)))
     code, cold, err = run_cli(*command)
     assert code == 0 and "cache hit" not in err
     (entry,) = (tmp_path / "cache").glob("*.json")
@@ -258,14 +262,14 @@ def test_forged_cache_entry_that_is_not_a_report_is_recomputed(
     monkeypatch.setenv("HX_CACHE_DIR", str(tmp_path / "cache"))
     keys = []
     store = cli._cache_store
-    monkeypatch.setattr(cli, "_cache_store", lambda entry, payload: (
-        keys.append(entry[1]), store(entry, payload)))
+    monkeypatch.setattr(cli, "_cache_store", lambda entry, report: (
+        keys.append(entry[1]) or store(entry, report)))
     command = ("kl", "afunction", "--type", "A1")
     code, cold, _ = run_cli(*command)
     assert code == 0
     (entry,) = (tmp_path / "cache").glob("*.json")
     intact = entry.read_bytes()
-    entry.write_bytes(cli._digest(keys[0], payload).encode() + b"\n" + payload)
+    entry.write_bytes(cli._digest(keys[0], payload).hexdigest().encode() + b"\n" + payload)
     code, out, err = run_cli(*command)
     assert code == 0 and "cache hit" not in err and "Traceback" not in err
     assert out == cold
@@ -296,7 +300,7 @@ def test_digest_is_blake2b_256_of_the_parts_joined():
 
     for parts in [(), (b"",), (b"key", b"body"), (b"k", memoryview(b"xbody")[1:], b"\n")]:
         expected = hashlib.blake2b(b"".join(parts), digest_size=32).hexdigest()
-        assert cli._digest(*parts) == expected
+        assert cli._digest(*parts).hexdigest() == expected
 
 
 def test_entry_in_the_single_blob_format_replays(tmp_path, monkeypatch):
@@ -307,8 +311,8 @@ def test_entry_in_the_single_blob_format_replays(tmp_path, monkeypatch):
     monkeypatch.setenv("HX_CACHE_DIR", str(tmp_path / "cache"))
     keys = []
     store = cli._cache_store
-    monkeypatch.setattr(cli, "_cache_store", lambda entry, payload: (
-        keys.append(entry[1]), store(entry, payload)))
+    monkeypatch.setattr(cli, "_cache_store", lambda entry, report: (
+        keys.append(entry[1]) or store(entry, report)))
     command = ("kl", "basis", "--type", "B2")
     (code, cold, _), (code2, text, _) = run_cli(*command, "--json"), run_cli(*command)
     assert code == code2 == 0 and len(keys) == 1
@@ -343,29 +347,40 @@ def test_entry_cut_mid_body_is_recomputed(tmp_path, monkeypatch, mode):
 
 
 def test_failure_while_writing_leaves_nothing(tmp_path, monkeypatch):
-    # kl basis makes each element as it is written; a failure at the fifth
-    # reaches no stdout, no --out file and no cache entry, not even a temp one
+    # kl basis makes each element as it is written, into the entry's temp
+    # file; a failure at the fifth reaches no stdout, no --out file and no
+    # cache entry, not even the temp file, and the next run is a cold miss
     from hx.coxeter import InternalCheckError
     from hx.klbasis import KLBasis
 
     cache, out = tmp_path / "cache", tmp_path / "out.json"
     monkeypatch.setenv("HX_CACHE_DIR", str(cache))
     real = KLBasis.coord_pairs
-    made = []
+    made, spooling = [], []
 
     def fail_fifth(self, w):
         made.append(w)
         if len(made) == 5:
+            spooling.extend(path.name for path in cache.iterdir())
             raise InternalCheckError("forced at the fifth element")
         return real(self, w)
 
-    monkeypatch.setattr(KLBasis, "coord_pairs", fail_fifth)
-    code, stdout, err = run_cli("kl", "basis", "--type", "B3", "--json",
-                                "--out", str(out))
+    command = ("kl", "basis", "--type", "B3", "--weights", "1,1,2", "--json",
+               "--out", str(out))
+    with monkeypatch.context() as patched:
+        patched.setattr(KLBasis, "coord_pairs", fail_fifth)
+        code, stdout, err = run_cli(*command)
     assert code == 3 and "forced at the fifth element" in err
     assert "Traceback" not in err and stdout == ""
     assert len(made) == 5 and not out.exists()
+    # four elements went to a temp file named for this host and process
+    (temp,) = spooling
+    assert temp.endswith(f".json.{os.uname().nodename}.{os.getpid()}.tmp")
     assert list(cache.iterdir()) == []  # no entry and no *.tmp file
+    committed = (ROOT / "reports" / "klbasis_B3_112.json").read_text()
+    code, stdout, err = run_cli(*command)
+    assert code == 0 and "cache hit" not in err
+    assert stdout == committed and out.read_text() == committed
 
 
 class _CountingSink:
@@ -389,14 +404,14 @@ class _CountingSink:
 
 def test_kl_basis_report_is_held_about_once(tmp_path, monkeypatch):
     # the traced peak of a whole D4 kl basis run, against the report's size:
-    # the report's bytes once, beside the KL build cold and the entry read
-    # warm (measured 1.85x cold and 1.05x warm; a joined payload with an
-    # encoded copy and a report tree peaked at 4.4x and 2.05x)
+    # the KL build cold, and a block of the entry warm, with the payload
+    # spooled through the entry and never held whole (measured 0.83x cold
+    # and 0.08x warm; with the payload's chunks held, 1.85x and 1.05x)
     import tracemalloc
     from contextlib import redirect_stdout
 
     monkeypatch.setenv("HX_CACHE_DIR", str(tmp_path / "cache"))
-    for run, bound in [("cold", 2.5), ("warm", 1.5)]:
+    for run, bound in [("cold", 1.2), ("warm", 0.25)]:
         sink = _CountingSink()
         tracemalloc.start()
         try:
@@ -793,7 +808,8 @@ def test_cached_report_serialized_once(tmp_path, monkeypatch, command):
     (tmp_path / "c.json").write_text('{"jobs": 2}')
     dumps, loads = [], []
     real_dumps, real_loads = cli._dumps, json.loads
-    monkeypatch.setattr(cli, "_dumps", lambda report: dumps.append(1) or real_dumps(report))
+    monkeypatch.setattr(cli, "_dumps", lambda report, sink=None: (
+        dumps.append(1) or real_dumps(report, sink)))
     # the config and matrix files reach json.loads as str, a payload as bytes
     monkeypatch.setattr(json, "loads", lambda s, **kw: (
         isinstance(s, bytes) and loads.append(1)) or real_loads(s, **kw))
@@ -930,6 +946,90 @@ def test_cache_store_never_leaves_a_partial_entry(tmp_path, monkeypatch):
     code, _, err = run_cli(*command)
     assert code == 0 and "cache hit" not in err
     assert [p.suffix for p in cache.iterdir()] == [".json"]
+
+
+def _dead_pid() -> int:
+    """The pid of a process that has exited and been reaped."""
+    done = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                          capture_output=True, text=True, check=True)
+    return int(done.stdout)
+
+
+def test_store_sweeps_what_no_run_will_read_or_finish(tmp_path, monkeypatch):
+    # a store unlinks entries of other code, legacy entries and the temp
+    # files of dead writers on this host, and no other file
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("HX_CACHE_DIR", str(cache))
+    host, dead, key = os.uname().nodename, _dead_pid(), "0123456789abcdef" * 2
+    entry = f"hx-{cli.__version__}-s{cli.REPORT_SCHEMA}-{key}.json"
+    digest_line = cli._digest(b"k", b"{}").hexdigest().encode() + b"\n"
+    swept = {
+        f"hx-0.0.0-s{cli.REPORT_SCHEMA}-{key}.json": digest_line,  # other version
+        f"hx-{cli.__version__}-s{cli.REPORT_SCHEMA + 1}-{key}.json": b"",  # other schema
+        f"{key}.json": digest_line + b"{}",  # named by its key alone
+        f"{entry}.{host}.{dead}.tmp": b" " * 64,  # its writer is gone
+        f"hx-0.0.0-s1-{key}.json.{host}.{dead}.tmp": b"",
+    }
+    kept = {
+        entry: b"",  # current, whatever it holds
+        f"{entry}.{host}.{os.getpid()}.tmp": b"",  # its writer runs
+        f"{entry}.{host}.1.tmp": b"",
+        f"{entry}.other-host.{dead}.tmp": b"",  # its writer may run elsewhere
+        f"{key[::-1]}.json": b"not a digest\n{}",  # not an hx entry
+        f"{key[:31]}.json": digest_line,
+        f"{key}.json.{dead}.tmp": b"",  # hx named temp files so before
+        f"{entry}.{dead}.tmp": b"",
+        "notes.txt": b"",
+        "hx-.json": b"",
+    }
+    for name, data in {**swept, **kept}.items():
+        (cache / name).write_bytes(data)
+    odd = [f"hx-0.0.0-s2-{key[::-1]}.json", "00112233445566778899aabbccddeeff.json"]
+    (cache / odd[0]).mkdir()  # not a file
+    (cache / odd[1]).symlink_to(cache / f"{key}.json")
+    code, _, err = run_cli("kl", "afunction", "--type", "A1", "--json")
+    assert code == 0 and "cache hit" not in err
+    (stored,) = {path.name for path in cache.iterdir()} - set(kept) - set(odd)
+    assert stored.startswith(f"hx-{cli.__version__}-s{cli.REPORT_SCHEMA}-")
+    assert all((cache / name).read_bytes() == data for name, data in kept.items())
+    assert (cache / odd[0]).is_dir() and (cache / odd[1]).is_symlink()
+
+
+def test_store_sweeps_the_temp_file_of_a_killed_run(tmp_path, monkeypatch):
+    # a kl basis run writes its elements into the entry's temp file; killed
+    # there, it leaves the file, and prints nothing, until the next store
+    cache = tmp_path / "cache"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "HX_CACHE_DIR": str(cache)}
+    run = subprocess.Popen([sys.executable, "-m", "hx.cli", "kl", "basis", "--type", "B5",
+                            "--json"], env=env, stdout=subprocess.PIPE,
+                           stderr=subprocess.DEVNULL)
+    try:
+        while run.poll() is None and not list(cache.glob("*.tmp")):
+            time.sleep(0.01)
+    finally:
+        run.kill()
+        stdout, _ = run.communicate()
+    assert run.returncode == -9 and stdout == b""
+    (temp,) = cache.iterdir()
+    assert temp.name.endswith(f".json.{os.uname().nodename}.{run.pid}.tmp")
+    monkeypatch.setenv("HX_CACHE_DIR", str(cache))
+    code, _, err = run_cli("kl", "basis", "--type", "A1", "--json")
+    assert code == 0 and "cache hit" not in err
+    assert [path.suffix for path in cache.iterdir()] == [".json"]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+def test_a_zombie_writer_counts_as_gone():
+    # timeout -s KILL kills its own process group, itself included, so its
+    # child waits as a zombie until someone reaps it: it cannot write again
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    try:
+        os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)  # exited, not reaped
+        assert not cli._alive(child.pid)
+    finally:
+        child.wait()
+    assert not cli._alive(child.pid) and cli._alive(os.getpid())
 
 
 # -- the report writer --------------------------------------------------------
