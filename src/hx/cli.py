@@ -7,16 +7,21 @@ Commands: ``group``, ``weights``, ``hecke fprobe``, ``kl basis``,
 (including under ``--jobs N``); progress goes to stderr so piped JSON
 stays clean.
 
-Exit codes: 0 success; 1 usage or configuration error; 2 gating error
-(an operation requested outside its domain, e.g. unbounded work on an
-infinite system); 3 internal invariant violation (an implementation bug,
-never bad input).
+Exit codes: 0 success; 1 usage or configuration error, or a stdout that
+cannot take the output (closed or full, with one error line; a broken
+pipe, with none); 2 gating error (an operation requested outside its
+domain, e.g. unbounded work on an infinite system); 3 internal invariant
+violation (an implementation bug, never bad input).
 
-A run pays start-up for its own command alone: ``_COMMANDS`` gives each
-command its handler and its options, and ``_build_parser`` adds only the
-branch of the command the arguments name (the whole tree when they name
-none, for help and usage errors); the handlers import ``klbasis`` and
-``positivity`` where they use them.
+A run pays start-up for its own command alone. ``_COMMANDS`` gives each
+command its handler, its help and its options, each an ``_Option`` (flag,
+attribute, converter, on/off or value, required, help), and ``_parse``
+reads argv against that table with no argparse, accepting the forms
+argparse accepted (``_parse`` lists them); ``-h`` or ``--help`` prints help
+made from the same table. The handlers import ``klbasis`` and
+``positivity`` where they use them, and ``json`` is imported only where a
+run parses or hashes JSON (a config or matrix file, text output, a cache
+key): the writer quotes plain strings itself.
 
 Every command takes one report path, ``_report``: its handler gives a
 cache key (None for an uncached command), a function that builds the
@@ -61,11 +66,10 @@ is a few joins of kept texts.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import re
 import sys
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import __version__
@@ -80,11 +84,8 @@ class UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; our contract reserves 2
-    # for gating errors, so surface usage problems as UsageError instead
-    def error(self, message):
-        raise UsageError(message)
+class _Help(Exception):
+    """Raised by the parser at -h or --help, with the help text to print."""
 
 
 def _word_arg(text: str) -> tuple[int, ...]:
@@ -97,105 +98,272 @@ def _word_arg(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad element word {text!r}: expected i,j,...")
 
 
+# -- the command line ---------------------------------------------------------
+
+class _Option:
+    """One option of a command: its flag, the argument it sets, the function
+    that reads its value (None for an on/off flag, which sets True), whether
+    a run must give it, and its help."""
+    __slots__ = ("flag", "dest", "convert", "required", "help")
+
+    def __init__(self, flag: str, convert: Optional[Callable[[str], object]], help: str,
+                 dest: Optional[str] = None, required: bool = False):
+        self.flag, self.convert, self.help, self.required = flag, convert, help, required
+        self.dest = dest or flag[2:].replace("-", "_")
+
+
+_HELP = _Option("--help", None, "show this help message and exit")
+
+# the options every command takes, in the order of its help: --type, then
+# --matrix and --weights on the commands that work on a system, then these
+_TYPE = _Option("--type", str, "type label, e.g. B3 or ~F4", dest="type_label")
+_SYSTEM = (_Option("--matrix", str, "path to a JSON Coxeter matrix ('inf' for infinity)"),
+           _Option("--weights", str, "comma-separated generator weights, or 'equal'"))
+_COMMON = (_Option("--config", str, "JSON file with default options"),
+           _Option("--out", str, "write the JSON (or CSV) report to this path"),
+           _Option("--json", None, "print the JSON report to stdout"),
+           _Option("--jobs", int, "worker pool degree of positivity, the one command "
+                                  "that reads it (default 1)"))
+
 # the help of each command that has subcommands
 _GROUPS = {"hecke": "T-basis level operations",
            "kl": "Kazhdan-Lusztig basis computations",
            "jring": "the asymptotic ring J"}
 
+_Key = tuple[str, Optional[str]]  # a command's words: (name, subcommand or None)
 
-def _build_parser(argv: Optional[Sequence[str]] = None) -> _Parser:
-    """The parser of the one command argv names, or of every command when
-    argv names none (help, a typo): a run builds no parser it does not use,
-    and help and usage errors read the same either way."""
-    named = [key for key in ((argv[0], None), tuple(argv[:2]))
-             if key in _COMMANDS] if argv else []
-    parser = _Parser(prog="hx", description=__doc__.splitlines()[1])
-    sub = parser.add_subparsers(dest="command", required=True)
-    groups = {}
-    for name, subname in named or _COMMANDS:
-        command = _COMMANDS[name, subname]
-        if subname is None:
-            p = sub.add_parser(name, help=command.help)
+
+def _arguments(argv: Sequence[str]) -> tuple[_Key, SimpleNamespace]:
+    """The command argv names and its arguments: argv parsed, then filled
+    from --config, then defaulted. Raises UsageError, or _Help at -h."""
+    key, values = _parse(argv)
+    _apply_config(_COMMANDS[key], values)
+    if values["jobs"] is None:  # after --config, which may give it
+        values["jobs"] = 1
+    if values["jobs"] < 1:
+        raise UsageError("--jobs must be >= 1")
+    return key, SimpleNamespace(**values)
+
+
+def _parse(argv: Sequence[str]) -> tuple[_Key, dict]:
+    """The command argv names, and the value of each of its options by
+    destination (None, or False for an on/off flag, where argv gives none).
+
+    argv is read as argparse read it. The command words come first; before
+    them only -h or --help, which prints help, counts. Then, in any order:
+    ``--flag value`` or ``--flag=value``, where the value may be any word
+    that is not an option, a negative number such as ``-1`` included; an
+    on/off ``--flag``; and -h or --help. A flag may be cut to any prefix
+    that no other flag of the command shares (``--max-len``), and the last
+    of a repeated flag wins. An unknown option, a stray word, a value
+    missing or given to an on/off flag, an ambiguous prefix, a value its
+    converter refuses and a required option left out are usage errors; so
+    is a ``--`` word, after which argparse read no option, and which it
+    took as no option's value. One form reads otherwise: argparse read
+    ``--flag=--`` as an empty list, and here it gives ``--``."""
+    stray: list[str] = []
+    name, rest = _name(argv, "command", list(dict.fromkeys(name for name, _ in _COMMANDS)),
+                       stray, _top_help)
+    subname = None
+    if name in _GROUPS:
+        subname, rest = _name(rest, "subcommand",
+                              [sub for group, sub in _COMMANDS if group == name],
+                              stray, lambda: _group_help(name))
+    values = _options((name, subname), rest, stray)
+    if stray:
+        raise UsageError(f"unrecognized arguments: {' '.join(stray)}")
+    return (name, subname), values
+
+
+_HELP_FLAGS = {"-h": _HELP, "--help": _HELP}
+
+
+def _name(words: Sequence[str], what: str, choices: list[str], stray: list[str],
+          show: Callable[[], str]) -> tuple[str, Sequence[str]]:
+    """The first word of words that is no option, which must be one of
+    choices, and the words after it. An option word before it is stray,
+    unless it asks for help (show gives the text)."""
+    for i, word in enumerate(words):
+        found = _classify(word, _HELP_FLAGS) if word != "--" else None
+        if found is None:
+            if word not in choices:
+                raise UsageError(f"argument {what}: invalid choice: {word!r} "
+                                 f"(choose from {', '.join(map(repr, choices))})")
+            return word, words[i + 1:]
+        if found[0] is None:
+            stray.append(word)
         else:
-            if name not in groups:
-                groups[name] = sub.add_parser(name, help=_GROUPS[name]).add_subparsers(
-                    dest="subcommand", required=True)
-            p = groups[name].add_parser(subname, help=command.help)
-        p.add_argument("--type", dest="type_label", help="type label, e.g. B3 or ~F4")
-        if command.weights:
-            p.add_argument("--matrix", help="path to a JSON Coxeter matrix ('inf' for infinity)")
-            p.add_argument("--weights", help="comma-separated generator weights, or 'equal'")
-        p.add_argument("--config", help="JSON file with default options")
-        p.add_argument("--out", help="write the JSON (or CSV) report to this path")
-        p.add_argument("--json", action="store_true", help="print the JSON report to stdout")
-        p.add_argument("--jobs", type=int,
-                       help="worker pool degree of positivity, the one command "
-                            "that reads it (default 1)")
-        for flag, options in command.options:
-            p.add_argument(flag, **options)
-    return parser
+            _help_asked(*found[1:], show)
+    raise UsageError(f"the following arguments are required: {what}")
 
 
-# defaults of the options whose parser default is None, applied after
-# --config so that a config value can stand in for any flag left unset
-_DEFAULTS = {"jobs": 1}
+def _options(key: _Key, words: Sequence[str], stray: list[str]) -> dict:
+    """The value of each option of the command, read from words; the words
+    that are no option of it and no option's value go to stray, and so do
+    a ``--`` and every word after it."""
+    command = _COMMANDS[key]
+    flags = {**_HELP_FLAGS, **{option.flag: option for option in command.options}}
+    end = words.index("--") if "--" in words else len(words)
+    # each word, classified before any is read, as argparse did: an option,
+    # as (option or None, flag, value or None), or None for a value
+    found = [_classify(word, flags) for word in words[:end]]
+    values = {option.dest: None if option.convert else False for option in command.options}
+    given = set()
+    i = 0
+    while i < end:
+        item, i = found[i], i + 1
+        if item is None or item[0] is None:
+            stray.append(words[i - 1])
+            continue
+        option, flag, value = item
+        if option is _HELP:
+            _help_asked(flag, value, lambda: _command_help(key, command))
+        if option.convert is None:
+            if value is not None:
+                raise UsageError(f"argument {option.flag}: ignored explicit argument {value!r}")
+            values[option.dest] = True
+        else:
+            if value is None:
+                if i == end or found[i] is not None:
+                    raise UsageError(f"argument {option.flag}: expected one argument")
+                value, i = words[i], i + 1
+            values[option.dest] = _convert(option, value)
+        given.add(option)
+    missing = [option.flag for option in command.options
+               if option.required and option not in given]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    stray += words[end:]
+    return values
 
 
-def _option_actions(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
-    """Every option of every command, by destination."""
-    out = {}
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                out.update(_option_actions(sub))
-        elif action.option_strings:
-            out[action.dest] = action
-    return out
+def _classify(word: str, flags: dict[str, _Option]) -> Optional[tuple]:
+    """(the option word names, or None for an unknown option; the flag; the
+    value given with it, or None) for an option word, and None for a word
+    that is a value: one with no leading dash, "-", a negative number or a
+    word with a space that names no option."""
+    if not word or word[0] != "-":
+        return None
+    if word in flags:
+        return flags[word], word, None
+    if len(word) == 1:
+        return None
+    flag, eq, value = word.partition("=")
+    if eq and flag in flags:
+        return flags[flag], flag, value
+    if word[1] == "-":  # a unique prefix of a flag, with or without its =value
+        matches = [(flags[name], name, value if eq else None)
+                   for name in flags if name.startswith(flag)]
+    else:  # -h, with what follows it
+        matches = [(flags[name], name, word[2:]) for name in flags if name == word[:2]]
+    if len(matches) > 1:
+        raise UsageError(f"ambiguous option: {word} could match "
+                         f"{', '.join(name for _, name, _ in matches)}")
+    if matches:
+        return matches[0]
+    if re.match(r"^-\d+$|^-\d*\.\d+$", word) or " " in word:
+        return None
+    return None, word, None
 
 
-def _config_value(action: argparse.Action, key: str, value):
-    """A config value, checked against the JSON type its flag takes."""
-    if action.nargs == 0:  # on/off flags
+def _help_asked(flag: str, value: Optional[str], show: Callable[[], str]) -> None:
+    """Raise _Help with show's text, or UsageError for a value given to
+    -h or --help (-hh is -h twice)."""
+    if value is not None and (flag == "--help" or not value or value.strip("h")):
+        raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+    raise _Help(show())
+
+
+def _convert(option: _Option, value: str):
+    try:
+        return option.convert(value)
+    except ValueError:  # int; _word_arg raises UsageError itself
+        raise UsageError(f"argument {option.flag}: invalid {option.convert.__name__} "
+                         f"value: {value!r}")
+
+
+def _help_text(usage: str, about: str, sections: dict[str, list[tuple[str, str]]]) -> str:
+    """Help: usage, about, and each section's rows as two columns."""
+    lines = [f"usage: {usage}", "", about]
+    for heading, rows in sections.items():
+        width = max(len(left) for left, _ in rows) + 2
+        lines += ["", f"{heading}:", *(f"  {left:<{width}}{right}" for left, right in rows)]
+    return "\n".join(lines) + "\n"
+
+
+_HELP_ROW = ("-h, --help", _HELP.help)
+
+
+def _top_help() -> str:
+    commands = [(" ".join(word for word in key if word), command.help)
+                for key, command in _COMMANDS.items()]
+    return _help_text("hx <command> [options]", __doc__.splitlines()[1],
+                      {"commands": commands, "options": [_HELP_ROW]})
+
+
+def _group_help(name: str) -> str:
+    subcommands = [(sub, command.help)
+                   for (group, sub), command in _COMMANDS.items() if group == name]
+    return _help_text(f"hx {name} <subcommand> [options]", _GROUPS[name],
+                      {"subcommands": subcommands, "options": [_HELP_ROW]})
+
+
+def _command_help(key: _Key, command: _Command) -> str:
+    words = " ".join(word for word in key if word)
+    required = "".join(f" {option.flag} {option.dest.upper()}"
+                       for option in command.options if option.required)
+    options = [_HELP_ROW, *((option.flag if option.convert is None
+                             else f"{option.flag} {option.dest.upper()}",
+                             option.help + (" (required)" if option.required else ""))
+                            for option in command.options)]
+    return _help_text(f"hx {words}{required} [options]", command.help, {"options": options})
+
+
+def _apply_config(command: _Command, values: dict) -> None:
+    """Fill the options argv left unset from the --config file, if any."""
+    path = values["config"]
+    if not path:
+        return
+    import json  # here: only a run with a config reads one
+
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as e:
+        raise UsageError(f"cannot read config {path}: {e}")
+    if not isinstance(cfg, dict):
+        raise UsageError("config file must hold a JSON object")
+    options = {option.dest: option for option in command.options}
+    for key, value in cfg.items():
+        dest = "type_label" if key == "type" else key.replace("-", "_")
+        if dest not in options or dest == "config":
+            raise UsageError(f"unknown config key {key!r} for this command")
+        value = _config_value(options[dest], key, value)
+        if values[dest] is None or values[dest] is False:  # flags override the config
+            values[dest] = value
+
+
+def _config_value(option: _Option, key: str, value):
+    """A config value, checked against the JSON type its flag takes, and
+    read by the flag's converter."""
+    if option.convert is None:  # on/off flags
         ok = isinstance(value, bool)
-    elif action.type is int:
+    elif option.convert is int:
         ok = isinstance(value, int) and not isinstance(value, bool)
     elif isinstance(value, list):  # a word or the weights as a JSON array
-        ok = (action.type is _word_arg or action.dest == "weights") and all(
+        ok = (option.convert is _word_arg or option.dest == "weights") and all(
             isinstance(x, int) and not isinstance(x, bool) for x in value)
         value = tuple(value)
     else:
         ok = isinstance(value, str)
-        if ok and action.type is not None:
-            value = action.type(value)
+        if ok:
+            value = option.convert(value)
     if not ok:
         raise UsageError(f"config key {key!r} has a bad value {value!r}")
     return value
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    path = getattr(args, "config", None)
-    if path:
-        try:
-            with open(path) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            raise UsageError(f"cannot read config {path}: {e}")
-        if not isinstance(cfg, dict):
-            raise UsageError("config file must hold a JSON object")
-        options = _option_actions(parser)
-        renames = {"type": "type_label"}
-        for key, value in cfg.items():
-            attr = renames.get(key, key.replace("-", "_"))
-            if attr not in options or attr not in vars(args) or attr == "config":
-                raise UsageError(f"unknown config key {key!r} for this command")
-            value = _config_value(options[attr], key, value)
-            current = getattr(args, attr)
-            if current is None or current is False:  # flags override the config
-                setattr(args, attr, value)
-    for attr, default in _DEFAULTS.items():
-        if getattr(args, attr, default) is None:
-            setattr(args, attr, default)
-
+# -- reports ------------------------------------------------------------------
 
 def _make_system(args) -> CoxeterSystem:
     label = getattr(args, "type_label", None)
@@ -205,6 +373,8 @@ def _make_system(args) -> CoxeterSystem:
     if label:
         return build_system(label)
     if matrix:
+        import json  # here: only a run with a matrix file reads one
+
         try:
             with open(matrix) as fh:
                 rows = json.load(fh)
@@ -225,8 +395,31 @@ def _make_weight(system: CoxeterSystem, args) -> WeightFunction:
     return WeightFunction(system, _word_arg(raw))
 
 
-_quote = json.encoder.encode_basestring_ascii
-_scalar = json.JSONEncoder().encode  # no indent, so json's C encoder
+def _quote(text: str) -> str:
+    """``json.dumps(text)``: a printable ASCII str with no ``"`` or ``\\``
+    is quoted as it is; any other goes to json's encoder, which escapes it
+    (and raises TypeError for what is no str), imported only then."""
+    if (type(text) is str and text.isascii() and text.isprintable()
+            and '"' not in text and "\\" not in text):
+        return f'"{text}"'
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(text)
+
+
+def _scalar(value) -> str:
+    """``json.dumps(value)`` of a scalar that is no plain int: None, bools
+    and strs here, and floats and subclasses by json's encoder, which
+    raises TypeError for anything no report holds."""
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if type(value) is str:
+        return _quote(value)
+    from json import JSONEncoder
+
+    return JSONEncoder().encode(value)  # no indent, so json's C encoder
 
 
 class _Spool:
@@ -259,7 +452,9 @@ def _dumps(report: dict, sink: Optional[_Spool] = None) -> Optional[list[bytes]]
     of its items, so an item can be freed once it is written. The chunks
     are returned as a list, or, given a sink, handed to it as they are cut,
     and then None is returned. json indents in pure Python, so this walks
-    the containers itself and leaves every scalar to C.
+    the containers itself; it writes ints, None, bools and plain strs, and
+    leaves any str that needs escaping, and floats, to json's C encoder,
+    imported only then (``_quote``, ``_scalar``).
 
     A tuple is formatted once per indentation and its text reused, keyed
     by (id, indentation): exact, where a key by value would meet
@@ -410,6 +605,8 @@ def _cache_lookup(key_obj: dict) -> tuple[Optional[_EntryPayload], Optional[_Ent
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as e:
         raise UsageError(f"cannot use HX_CACHE_DIR {cache_dir}: {e}")
+    import json  # here: only a cached run has a key to write
+
     key = json.dumps({"hx": __version__, "schema": REPORT_SCHEMA,
                       "report": key_obj}, sort_keys=True).encode()
     name = f"hx-{__version__}-s{REPORT_SCHEMA}-{_digest(key).hexdigest()[:32]}.json"
@@ -570,8 +767,12 @@ def _report(key: Optional[dict], build: Callable[[], dict],
     proves not to be a report of this command is built and stored again.
     An entry's payload is returned open, for the caller to close."""
     def read(payload: _Payload) -> list[str]:
+        if not text:
+            return []
+        import json  # here: only text output parses the payload
+
         try:
-            return list(lines(json.loads(b"".join(payload)))) if text else []
+            return list(lines(json.loads(b"".join(payload))))
         except BaseException:
             if isinstance(payload, _EntryPayload):
                 payload.close()
@@ -857,39 +1058,39 @@ def _cmd_positivity(args, system: CoxeterSystem, weight: WeightFunction) -> _Pla
 
 
 class _Command:
-    """A command's handler, its help, its options past those every command
-    takes, as (flag, add_argument keywords), and whether it works on a
-    system, given by --type or --matrix and weighted by --weights. A
+    """A command's handler, its help, its options (``_Option``), and whether
+    it works on a system, given by --type or --matrix and weighted by
+    --weights. The options are those every command takes, then its own. A
     handler is called with the arguments, and with the system and weight
     function when it works on one. A plain class: a NamedTuple's class is
     made by exec, which every process would pay for at import."""
     __slots__ = ("run", "help", "options", "weights")
 
     def __init__(self, run: Callable[..., _Plan], help: str,
-                 options: tuple[tuple[str, dict], ...] = (), weights: bool = True):
-        self.run, self.help, self.options, self.weights = run, help, options, weights
+                 own: tuple[_Option, ...] = (), weights: bool = True):
+        self.run, self.help, self.weights = run, help, weights
+        self.options = (_TYPE, *(_SYSTEM if weights else ()), *_COMMON, *own)
 
 
-# every command, in the order of hx --help: its handler, and its parser
-_COMMANDS: dict[tuple[str, Optional[str]], _Command] = {
+# every command, in the order of hx --help: its handler, help and options
+_COMMANDS: dict[_Key, _Command] = {
     ("group", None): _Command(
         _cmd_group, "group order, conjugacy classes, special elements",
-        (("--max-length", dict(type=int, help="list the length ball instead "
-                                              "(required for infinite systems)")),)),
+        (_Option("--max-length", int, "list the length ball instead "
+                                      "(required for infinite systems)"),)),
     ("weights", None): _Command(
         _cmd_weights, "admissible weight catalog for an affine type", weights=False),
     ("hecke", "fprobe"): _Command(
         _cmd_fprobe, "scan degrees of the structure constants f_{x,y,z}",
-        (("--radius", dict(type=int, help="length bound for the scan "
-                                          "(omit to scan a whole finite group)")),)),
+        (_Option("--radius", int, "length bound for the scan "
+                                  "(omit to scan a whole finite group)"),)),
     ("kl", "basis"): _Command(
         _cmd_kl_basis, "KL basis elements in T-coordinates",
-        (("--element", dict(type=_word_arg,
-                            help="generator word i,j,... of a single element")),)),
+        (_Option("--element", _word_arg, "generator word i,j,... of a single element"),)),
     ("kl", "hconst"): _Command(
         _cmd_kl_hconst, "h-constants of a pair of basis elements",
-        (("--x", dict(type=_word_arg, required=True, help="word of x")),
-         ("--y", dict(type=_word_arg, required=True, help="word of y")))),
+        (_Option("--x", _word_arg, "word of x", required=True),
+         _Option("--y", _word_arg, "word of y", required=True))),
     ("kl", "afunction"): _Command(_cmd_kl_afunction, "the a-function table"),
     ("jring", "table"): _Command(_cmd_jring_table, "sparse gamma multiplication table"),
     ("jring", "check"): _Command(
@@ -897,23 +1098,49 @@ _COMMANDS: dict[tuple[str, Optional[str]], _Command] = {
     ("jring", "unit"): _Command(_cmd_jring_unit, "the two-sided unit of J"),
     ("positivity", None): _Command(
         _cmd_positivity, "conjugacy-class trace positivity",
-        (("--csv", dict(action="store_true", help="emit the flat CSV table")),
-         ("--max-cmin", dict(type=int, help="cap evaluated C_min members per class "
-                                            "(rank-5 time budget)")))),
+        (_Option("--csv", None, "emit the flat CSV table"),
+         _Option("--max-cmin", int, "cap evaluated C_min members per class "
+                                    "(rank-5 time budget)"))),
 }
+
+
+def _emit(text: Iterable[str], payload: Optional[_Payload] = None) -> int:
+    """Write the text, then the payload's bytes, to stdout and flush it: 0,
+    or 1 when stdout fails. A closed or full stdout prints one error line; a
+    broken pipe prints nothing, since its reader asked for no more. After a
+    failure stdout is pointed at the null device, so that the flush at exit
+    finds nothing left to fail on."""
+    out = sys.stdout
+    if out is None:  # closed when the process started
+        print("hx: error: cannot write to stdout: it is closed", file=sys.stderr)
+        return 1
+    try:
+        for part in text:
+            out.write(part)
+        if payload is not None:
+            out.flush()  # behind any text, the payload's bytes as they are
+            out.buffer.writelines(payload)
+        out.flush()
+    except OSError as e:
+        try:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, out.fileno())
+            os.close(null)
+        except (OSError, ValueError):  # no file descriptor under stdout
+            pass
+        if not isinstance(e, BrokenPipeError):
+            print(f"hx: error: cannot write to stdout: {e}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv)
     payload: _Payload = []
     try:
         try:
-            args = parser.parse_args(argv)
-            _apply_config(parser, args)
-            if args.jobs < 1:
-                raise UsageError("--jobs must be >= 1")
-            command = _COMMANDS[args.command, getattr(args, "subcommand", None)]
+            key, args = _arguments(argv)
+            command = _COMMANDS[key]
             if command.weights:  # every command but weights works on a system
                 system = _make_system(args)
                 key, build, lines = command.run(args, system, _make_weight(system, args))
@@ -928,6 +1155,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                       if csv else payload)
                 except OSError as e:
                     raise UsageError(f"cannot write {args.out}: {e}")
+        except _Help as shown:
+            return _emit(shown.args)
         except UsageError as e:
             print(f"hx: error: {e}", file=sys.stderr)
             return 1
@@ -941,13 +1170,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"hx: INTERNAL INVARIANT VIOLATION: {e}", file=sys.stderr)
             return 3
 
-        if args.json:  # the payload's bytes as they are, behind any text
-            sys.stdout.flush()
-            sys.stdout.buffer.writelines(payload)
-        else:  # line by line, with no joined copy of the text
-            for line in text:
-                sys.stdout.write(f"{line}\n")
-        return 0
+        if args.json:
+            return _emit((), payload)
+        return _emit(f"{line}\n" for line in text)  # with no joined copy of the text
     finally:
         if isinstance(payload, _EntryPayload):
             payload.close()

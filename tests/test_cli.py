@@ -1,5 +1,6 @@
 """The hx command line: reports, formats, exit codes, caching, schemas."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,8 +10,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
+import cli_oracle
 import hx.cli as cli
 from support import (kl, run_cli, run_cli_json, tampered_j_table, validate_schema,
                      without_generator_square)
@@ -288,7 +290,7 @@ def test_cache_hit_under_json_is_not_parsed(tmp_path, monkeypatch):
         raise AssertionError("a --json cache hit was parsed")
 
     with monkeypatch.context() as patched:
-        patched.setattr(cli.json, "loads", refuse)
+        patched.setattr(json, "loads", refuse)  # the module cli imports on use
         code, warm, err = run_cli(*command)
     assert code == 0 and "cache hit" in err and warm == cold
     code, text, err = run_cli(*command[:-1])  # text output parses the entry
@@ -756,20 +758,12 @@ def test_config_values_take_the_flag_types(tmp_path):
 
 
 def test_every_command_has_one_handler():
-    import argparse
-
-    import hx.cli as cli
-
-    def subcommands(parser):
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                return action.choices
-        return {}
-
-    commands = set()
-    for name, sub in subcommands(cli._build_parser()).items():
-        commands |= {(name, s) for s in subcommands(sub)} or {(name, None)}
-    assert commands == set(cli._COMMANDS)
+    # the parser reads its commands off _COMMANDS: the words of each name
+    # it, each command group has its help, and no two share a handler
+    assert {cli._parse([*_words(key), *TYPICAL[key]])[0] for key in cli._COMMANDS} \
+        == set(cli._COMMANDS)
+    assert {name for name, subname in cli._COMMANDS if subname} == set(cli._GROUPS)
+    assert len({command.run for command in cli._COMMANDS.values()}) == len(cli._COMMANDS)
 
 
 # a run of each command that sets every option it has of its own; each runs
@@ -853,56 +847,112 @@ def test_positivity_csv_with_json_and_out(tmp_path):
                                "2,2,2,true,3\n")
 
 
-def _parsers(parser) -> list:
-    """parser and every parser under it."""
-    import argparse
-
-    found = [parser]
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                found += _parsers(sub)
-    return found
+def _help(argv) -> str:
+    """What hx prints for argv, which asks for help."""
+    code, out, err = run_cli(*argv)
+    assert code == 0 and not err
+    return out
 
 
-def _help(parser, argv) -> str:
-    import io
-    from contextlib import redirect_stdout
-
-    out = io.StringIO()
-    with redirect_stdout(out), pytest.raises(SystemExit) as done:
-        parser.parse_args([*argv, "--help"])
-    assert done.value.code == 0
-    return out.getvalue()
+def _branch(parser, words):
+    """The parser of the command the words name, in the argparse tree."""
+    for word in words:
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = action.choices[word]
+    return parser
 
 
 @pytest.mark.parametrize("key", list(cli._COMMANDS), ids=lambda key: " ".join(_words(key)))
 def test_command_parser_is_its_branch_of_the_full_parser(key):
-    # a run builds the parser of its own command only; its help and what it
-    # parses must be those of the whole tree
+    # one option table gives a command's parser and its help: a run of it
+    # parses as the whole argparse tree, built from the same table, parsed
+    # it, and its help names every option of that tree's branch
     assert set(TYPICAL) == set(cli._COMMANDS)
     command = _words(key)
     argv = [*command, *TYPICAL[key]]
-    full, own = cli._build_parser(), cli._build_parser(argv)
-    assert len(_parsers(full)) == 14
-    assert len(_parsers(own)) == 1 + len(command)
-    assert _help(own, command) == _help(full, command)
-    assert own.parse_args(argv) == full.parse_args(argv)
+    full = cli_oracle.build_parser()
+    parsed = vars(full.parse_args(argv))
+    assert (parsed.pop("command"), parsed.pop("subcommand", None)) == key
+    assert cli._parse(argv) == (key, parsed)
+    flags = [action.option_strings[0] for action in _branch(full, command)._actions]
+    shown = _help([*command, "--help"])
+    assert [flag for flag in flags if f"\n  {flag}" in shown] == flags
 
 
 @pytest.mark.parametrize("key", list(cli._COMMANDS), ids=lambda key: " ".join(_words(key)))
-def test_command_parser_usage_errors_match_the_full_parser(key, tmp_path, monkeypatch):
+def test_command_parser_usage_errors_match_the_full_parser(key, tmp_path):
     command = _words(key)
     other = tmp_path / "other.json"  # a key of another command
     other.write_text(json.dumps({"element" if key[0] == "positivity" else "csv": True}))
     cases = [["bogus"], [command[0], "bogus"], [*command, "--bogus"], command,
              [*command, "--type", "A2", "--config", str(other)]]
-    own = [run_cli(*argv) for argv in cases]
-    full = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda argv=None: full())
-    assert own == [run_cli(*argv) for argv in cases]
-    for code, out, err in own:
-        assert code == 1 and not out and err.startswith("hx: error: ")
+    for argv in cases:  # refused as argparse refused it, or later by the run
+        assert cli_oracle.parsed(cli._arguments, argv) == cli_oracle.parsed(
+            cli_oracle.arguments, argv)
+        code, out, err = run_cli(*argv)
+        assert code == 1 and not out and err.startswith("hx: error: "), argv
+        assert err.count("\n") == 1, argv
+
+
+def test_help_lists_every_command_subcommand_and_option():
+    # hx --help, and -h at each level, exit 0 with the table's entries
+    shown = _help(["--help"])
+    assert all(f"\n  {' '.join(_words(key))}  " in shown for key in cli._COMMANDS)
+    assert _help(["-h"]) == shown
+    for group in cli._GROUPS:
+        shown = _help([group, "--help"])
+        subs = [sub for name, sub in cli._COMMANDS if name == group]
+        assert subs and all(f"\n  {sub}  " in shown for sub in subs), group
+    for key, command in cli._COMMANDS.items():
+        shown = _help([*_words(key), "--help"])
+        assert _help([*_words(key), "--type", "A2", "-h"]) == shown
+        assert command.help in shown
+        assert all(f"\n  {option.flag}" in shown for option in command.options), key
+
+
+def _run_hx(argv, **kwargs) -> subprocess.Popen:
+    """argv in a process whose stdout is buffered, as it is by default: so
+    output is still held when a write fails, for the flush at exit."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("HX_CACHE_DIR", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen(argv, env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_one_error_line(mode):
+    with open("/dev/full", "wb") as full:
+        run = _run_hx([sys.executable, "-m", "hx.cli", "group", "--type", "A2", *mode],
+                      stdout=full)
+        _, err = run.communicate(timeout=60)
+    assert run.returncode == 1
+    assert err.decode() == ("hx: error: cannot write to stdout: "
+                            "[Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
+@pytest.mark.skipif(os.name != "posix", reason="needs a POSIX shell")
+def test_closed_stdout_is_one_error_line(mode):
+    # >&- closes the descriptor, so Python starts with sys.stdout None
+    run = _run_hx(["sh", "-c", 'exec "$0" -m hx.cli "$@" >&-', sys.executable,
+                   "group", "--type", "A2", *mode])
+    _, err = run.communicate(timeout=60)
+    assert run.returncode == 1
+    assert err.decode() == "hx: error: cannot write to stdout: it is closed\n"
+
+
+@pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
+def test_broken_pipe_exits_1_in_silence(mode):
+    # as `| head -c 10`: the D4 report, 2 MB in JSON and 0.3 MB as text,
+    # is far more than a pipe holds, so writing it meets the closed end
+    run = _run_hx([sys.executable, "-m", "hx.cli", "kl", "basis", "--type", "D4", *mode],
+                  stdout=subprocess.PIPE)
+    assert len(run.stdout.read(10)) == 10
+    run.stdout.close()
+    err = run.stderr.read()
+    assert run.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_out_into_missing_directory_is_a_usage_error(tmp_path):
@@ -1059,6 +1109,26 @@ def test_writer_matches_json_dumps(value):
     assert _written(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+# strs on both sides of the writer's quoting: printable ASCII, which it
+# quotes itself, and what only json's encoder escapes: quotes, backslashes,
+# control characters, DEL and non-ASCII; and the empty string
+_QUOTED = st.text(st.sampled_from('a ~"\\\x00\n\x1f\x7f\x80é€\U0001f600'), max_size=5)
+_PLAIN = st.recursive(
+    st.none() | st.booleans() | st.integers() | _QUOTED,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_QUOTED, inner, max_size=4)),
+    max_leaves=20)
+
+
+@seed(20261021)
+@settings(max_examples=300, deadline=None, database=None)
+@example({"": ["", '"', "\\", "\x00", "\x1f", "\x7f", "é", "\U0001f600", "a b"],
+          '"\\\x01\x7fé': ("", None, True, -1), "plain ~": {"": ""}})
+@given(_PLAIN)
+def test_writer_quotes_strings_as_json_does(value):
+    assert _written(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
 def _written(value) -> str:
     """The writer's chunks joined: every one is ASCII bytes."""
     chunks = cli._dumps(value)
@@ -1166,21 +1236,27 @@ def test_import_leaves_pool_cache_and_dataclass_modules_out():
     # -S: no site hooks, so only what hx imports is counted; fractions (and
     # the decimal it imports) is for LaurentPoly.evaluate off int points
     # alone, so a positivity run, which reads N^w at v = 1, loads neither;
-    # klbasis and positivity load in the handlers that use them, and only there
+    # klbasis and positivity load in the handlers that use them, and only
+    # there; hx reads its own argv, and an uncached --json run neither
+    # parses nor hashes JSON, so argparse (with the gettext and locale its
+    # messages import) and json stay out too
     probe = """if True:
         import contextlib, io, sys, hx, hx.cli
-        watched = {'fractions', 'decimal', 'hx.klbasis', 'hx.positivity'}
+        watched = {'fractions', 'decimal', 'hx.klbasis', 'hx.positivity', 'argparse',
+                   'gettext', 'locale', 'json', 'json.decoder'}
         print(sorted(({'multiprocessing', 'hashlib', 'dataclasses', 'inspect'} | watched)
                      & set(sys.modules)))
         with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
             code = hx.cli.main([*sys.argv[1:], '--type', 'A2', '--json'])
         print(code, sorted(watched & set(sys.modules)))
     """
+    env = {name: value for name, value in os.environ.items() if name != "HX_CACHE_DIR"}
     for command, loaded in [(["group"], []), (["positivity"], ["hx.positivity"]),
+                            (["jring", "table"], ["hx.klbasis"]),
                             (["kl", "basis"], ["hx.klbasis"])]:
         done = subprocess.run([sys.executable, "-S", "-c", probe, *command],
                               capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+                              env={**env, "PYTHONPATH": str(ROOT / "src")})
         assert done.returncode == 0, done.stderr
         assert done.stdout == f"[]\n0 {loaded}\n", command
 

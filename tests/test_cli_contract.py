@@ -1,13 +1,17 @@
 """The CLI contract under a seeded fuzz of argvs: every command of
 ``_COMMANDS``, with valid and invalid options, with and without a report
-cache, exits 0-3 with no traceback, and prints nothing on a nonzero exit."""
+cache, exits 0-3 with no traceback, and prints nothing on a nonzero exit.
+The same argvs, and a list of edge forms, parse to what the argparse
+parser of ``cli_oracle`` gave."""
 
 import json
 import os
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, event, given, seed, settings, strategies as st
 
+import cli_oracle
 import hx.cli as cli
 from support import run_cli
 
@@ -94,16 +98,10 @@ FILES = {"--matrix", "--config", "--out"}  # values named under the test's direc
 
 
 def _flags(key) -> tuple[list[str], list[str]]:
-    """(every option the command's parser takes, those it requires)."""
-    import argparse
-
-    parser = cli._build_parser([word for word in key if word])
-    while parser._subparsers is not None:  # down to the command's own parser
-        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        (parser,) = action.choices.values()
-    options = [action for action in parser._actions if action.option_strings[-1:] != ["--help"]]
-    return ([action.option_strings[-1] for action in options],
-            [action.option_strings[-1] for action in options if action.required])
+    """(every option of the command, those it requires), from its option table."""
+    options = cli._COMMANDS[key].options
+    return ([option.flag for option in options],
+            [option.flag for option in options if option.required])
 
 
 def test_every_option_has_values():
@@ -120,14 +118,9 @@ def _write_inputs(root) -> None:
                 path.write_text(value if name == "not_json.json" else json.dumps(value))
 
 
-@seed(20261020)
-@settings(max_examples=300, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.data())
-def test_every_argv_keeps_the_exit_code_contract(tmp_path, data):
-    # one directory for every example: its cache fills up, so later
-    # examples also replay entries, whole or as other code left them
-    _write_inputs(tmp_path)
+def _draw_argv(data, root) -> tuple[list[str], bool]:
+    """(an argv of one command, with valid and invalid options whose files
+    lie under root; whether to run it with HX_CACHE_DIR)."""
     key = data.draw(st.sampled_from(list(cli._COMMANDS)), label="command")
     flags, required = _flags(key)
     sources = ["--type"] * 5 + (["--matrix"] if "--matrix" in flags else []) + [None]
@@ -143,9 +136,20 @@ def test_every_argv_keeps_the_exit_code_contract(tmp_path, data):
             value = data.draw(VALUES[flag], label=flag)
             if flag in FILES:
                 folder = {"--matrix": "m", "--config": "c"}.get(flag, "")
-                value = str(tmp_path / folder / value)
+                value = str(root / folder / value)
             argv.append(value)
-    cached = data.draw(st.booleans(), label="HX_CACHE_DIR")
+    return argv, data.draw(st.booleans(), label="HX_CACHE_DIR")
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_every_argv_keeps_the_exit_code_contract(tmp_path, data):
+    # one directory for every example: its cache fills up, so later
+    # examples also replay entries, whole or as other code left them
+    _write_inputs(tmp_path)
+    argv, cached = _draw_argv(data, tmp_path)
     env = {name: value for name, value in os.environ.items() if name != "HX_CACHE_DIR"}
     if cached:
         env["HX_CACHE_DIR"] = str(tmp_path / "cache")
@@ -155,3 +159,82 @@ def test_every_argv_keeps_the_exit_code_contract(tmp_path, data):
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err, argv
     assert code == 0 or out == "", argv
+
+
+# the seed, settings and draws of the fuzz above, so that every argv it
+# runs is also parsed by argparse, as hx parsed it before
+@seed(20261020)
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_every_argv_parses_as_argparse_parsed_it(tmp_path, data):
+    _write_inputs(tmp_path)
+    argv, _ = _draw_argv(data, tmp_path)
+    assert cli_oracle.parsed(cli._arguments, argv) == cli_oracle.parsed(cli_oracle.arguments, argv), argv
+
+
+# argvs in the forms argparse read in its own way, each with the command
+# words first: --flag=value, unique prefixes of a flag, a repeated flag, a
+# negative number as a value, and what argparse refused. Help, which prints
+# text of its own, and "--" and words such as "-1,0", which Python versions
+# read differently, are not here
+EDGES = [
+    ["group", "--type=A2"], ["group", "--type=A2", "--max-length=2"], ["group", "--type="],
+    ["group", "--type=A=2"], ["kl", "basis", "--type=B2", "--element=0,1"],
+    ["kl", "hconst", "--type", "A2", "--x=0", "--y=1,0"], ["group", "--type=A2", "--json=yes"],
+    ["positivity", "--type", "A2", "--csv="], ["group", "--type", "A2", "--jobs=2"],
+    ["group", "--ty", "A2", "--max-len", "2"], ["group", "--t=A2", "--max", "1"],
+    ["positivity", "--ty", "A2", "--cs", "--max-c", "2"], ["kl", "basis", "--ty", "A2", "--el", "0"],
+    ["group", "--type", "A2", "--js", "--jo", "1"], ["kl", "hconst", "--ty", "A2", "--x", "0",
+                                                     "--y", "0", "--w", "1,1", "--m", "m.json"],
+    ["group", "--type", "A2", "--ma", "2"], ["group", "--type", "A2", "--j"],
+    ["positivity", "--type", "A2", "--c", "c.json"], ["group", "--type", "A2", "--=x"],
+    ["group", "--type", "A2", "--type", "B2"], ["group", "--json", "--type", "A2", "--json"],
+    ["kl", "basis", "--type", "A2", "--element", "0", "--element", "1"],
+    ["group", "--type=B2", "--ty", "A2"], ["group", "--type", "~A1", "--max-length", "-1"],
+    ["hecke", "fprobe", "--type", "A2", "--radius", "-2"],
+    ["kl", "hconst", "--type", "A2", "--x", "-1", "--y", "0"],
+    ["group", "--type", "A2", "--jobs", "-1"], ["positivity", "--type", "A2", "--max-cmin", "-3"],
+    ["hecke", "fprobe", "--type", "A2", "--radius", "-1.5"], ["group", "--max-length", "-.5"],
+    ["kl", "basis", "--type", "A2", "--element=-1,0"], ["group", "--type", "-A2"],
+    ["group", "--type", " A2 "], ["group", "--type", ""], ["group", "--type", "-"],
+    ["group", "--type", "A 2"], ["group", "--type", "--x y"], ["group", "--type", "A2", "-1"],
+    [], ["--type", "A2"], ["--json", "group", "--type", "A2"], ["bogus"], ["kl"], ["kl", "bogus"],
+    ["kl", "--type", "A2", "basis"], ["group", "--bogus"], ["group", "--type"],
+    ["group", "--type", "--json"], ["group", "--type", "A2", "A3"], ["group", "A2"],
+    ["kl", "hconst", "--type", "A2"], ["kl", "hconst", "--type", "A2", "--x", "0"],
+    ["weights", "--type", "~G2", "--matrix", "m.json"], ["group", "--type", "A2", "-x"],
+    ["group", "--type", "A2", "---type"], ["group", "--type", "A2", "-type"],
+    ["group", "--type", "A2", "--jobs", "x"], ["group", "--type", "A2", "--jobs", "0"],
+    ["group", "--type", "A2", "--max-length", "1.0"],
+]
+
+
+@pytest.mark.parametrize("argv", EDGES, ids=lambda argv: " ".join(argv) or "(none)")
+def test_edge_argv_parses_as_argparse_parsed_it(argv):
+    parsed = cli_oracle.parsed(cli._arguments, argv)
+    assert parsed == cli_oracle.parsed(cli_oracle.arguments, argv)
+    if parsed == (1,):  # refused: one error line, and nothing on stdout
+        code, out, err = run_cli(*argv)
+        assert code == 1 and out == "" and err.startswith("hx: error: ")
+        assert err.count("\n") == 1, err
+
+
+def test_option_word_is_no_value():
+    # "-1,0" is no negative number, so it is read as an option, as argparse
+    # 3.11 read it (later versions take more words for negative numbers)
+    code, out, err = run_cli("kl", "basis", "--type", "A2", "--element", "-1,0")
+    assert code == 1 and out == ""
+    assert err == "hx: error: argument --element: expected one argument\n"
+
+
+@pytest.mark.parametrize("argv", [["--"], ["--", "group"], ["kl", "--", "basis"],
+                                  ["group", "--type", "A2", "--"],
+                                  ["group", "--type", "--", "A2"],
+                                  ["group", "--", "--type", "A2"],
+                                  ["group", "--json", "--", "--type", "A2"],
+                                  ["group", "--type", "A2", "--", "--help"]])
+def test_double_dash_is_a_usage_error(argv):
+    # argparse took no word after "--" as an option and "--" as no value
+    code, out, err = run_cli(*argv)
+    assert code == 1 and out == "" and err.startswith("hx: error: ")
