@@ -19,9 +19,11 @@ attribute, converter, on/off or value, required, help), and ``_parse``
 reads argv against that table with no argparse, accepting the forms
 argparse accepted (``_parse`` lists them); ``-h`` or ``--help`` prints help
 made from the same table. The handlers import ``klbasis`` and
-``positivity`` where they use them, and ``json`` is imported only where a
-run parses or hashes JSON (a config or matrix file, text output, a cache
-key): the writer quotes plain strings itself.
+``positivity`` where they use them. ``json`` is imported only where a run
+parses JSON (a config or matrix file, text output): the writer quotes
+plain strings itself, and ``_key_text`` writes a cache key's bytes. ``re``
+is imported only to read a word that names no option as a number, and to
+sweep the cache; ``typing`` never, for the annotations are not evaluated.
 
 Every command takes one report path, ``_report``: its handler gives a
 cache key (None for an uncached command), a function that builds the
@@ -60,22 +62,28 @@ where a key by value is not (``(True,) == (1,) == (1.0,)``, with equal
 hashes), and holds the tuple for the whole write, so that its id cannot
 come back for another object. Every command hands over its words as the
 interned ``Element.word`` tuples, and ``kl basis`` its coefficients as the
-tuples ``KLBasis.coord_pairs`` shares, so each of its thousands of entries
-is a few joins of kept texts.
+tuples ``KLBasis.coord_pairs`` shares. A list of two kept tuples, a ``kl
+basis`` coordinate ``[y.word, pairs]``, is written as their two texts
+joined, with no loop, so each of its thousands of entries is two lookups
+and one join. Its text is not kept: the 9,817 entries of the D4 basis hold
+2,001 distinct ones, and keeping them would raise the peak RSS of the
+process by about 5 %.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import sys
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import __version__
 from .coxeter import (CoxeterSystem, Element, GatingError, InfiniteGroupError,
                       InternalCheckError, build_system)
 from .hecke import HeckeAlgebra, WeightFunction, weight_catalog
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotation names only: importing typing costs every process
+    from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 __all__ = ["main"]
 
@@ -130,7 +138,7 @@ _GROUPS = {"hecke": "T-basis level operations",
            "kl": "Kazhdan-Lusztig basis computations",
            "jring": "the asymptotic ring J"}
 
-_Key = tuple[str, Optional[str]]  # a command's words: (name, subcommand or None)
+_Key = tuple[str, str | None]  # a command's words: (name, subcommand or None)
 
 
 def _arguments(argv: Sequence[str]) -> tuple[_Key, SimpleNamespace]:
@@ -261,7 +269,11 @@ def _classify(word: str, flags: dict[str, _Option]) -> Optional[tuple]:
                          f"{', '.join(name for _, name, _ in matches)}")
     if matches:
         return matches[0]
-    if re.match(r"^-\d+$|^-\d*\.\d+$", word) or " " in word:
+    if " " in word:
+        return None
+    import re  # here: only a word that names no option is read as a number
+
+    if re.match(r"^-\d+$|^-\d*\.\d+$", word):
         return None
     return None, word, None
 
@@ -463,7 +475,8 @@ def _dumps(report: dict, sink: Optional[_Spool] = None) -> Optional[list[bytes]]
     it holds may change meanwhile. A tuple that an iterator inside it cut
     into chunks is not kept. Reports hand their shared immutable leaves
     over as tuples (words, coefficient pairs), so a repeated leaf costs one
-    lookup; entries are lists and dicts, which are walked and never kept."""
+    lookup. Entries are lists and dicts, which are walked and never kept;
+    a list of two kept tuples is their two texts joined."""
     chunks: _Chunks = [] if sink is None else sink
     parts: list[str] = []
     _write(report, "\n", parts, chunks, {})
@@ -502,8 +515,18 @@ def _write(value, newline: str, parts: list[str], chunks: _Chunks,
     elif type(value) is int:
         put(int.__repr__(value))
         return
-    elif not isinstance(value, (list, tuple, Iterator)):
-        put(_scalar(value))
+    elif (type(value) is list and len(value) == 2 and type(value[0]) is tuple
+          and type(value[1]) is tuple):
+        # a kl basis coordinate [y.word, pairs]: once both tuples are kept,
+        # their texts joined, with no loop
+        inner = newline + "  "
+        first = tuples.get((id(value[0]), inner))
+        second = tuples.get((id(value[1]), inner))
+        if first is not None and second is not None:
+            put(f"[{inner}{first[1]},{inner}{second[1]}{newline}]")
+            return
+    elif not isinstance(value, (list, tuple)) and not hasattr(value, "__next__"):
+        put(_scalar(value))  # no list, tuple or iterator
         return
     # a list, tuple or iterator, written as a JSON array
     inner = newline + "  "
@@ -548,7 +571,14 @@ def _triple(elements: Optional[tuple[Element, ...]]) -> Optional[dict]:
 
 
 def _progress(message: str) -> None:
-    print(message, file=sys.stderr, flush=True)
+    """Print a progress line to stderr. Progress is best effort: a line that
+    a closed or failing stderr cannot take is dropped, and the run goes on."""
+    if sys.stderr is None:  # none at start-up: print would write to stdout
+        return
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except OSError:
+        pass
 
 
 # -- report cache -----------------------------------------------------------
@@ -605,10 +635,8 @@ def _cache_lookup(key_obj: dict) -> tuple[Optional[_EntryPayload], Optional[_Ent
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as e:
         raise UsageError(f"cannot use HX_CACHE_DIR {cache_dir}: {e}")
-    import json  # here: only a cached run has a key to write
-
-    key = json.dumps({"hx": __version__, "schema": REPORT_SCHEMA,
-                      "report": key_obj}, sort_keys=True).encode()
+    key = _key_text({"hx": __version__, "schema": REPORT_SCHEMA,
+                     "report": key_obj}).encode()
     name = f"hx-{__version__}-s{REPORT_SCHEMA}-{_digest(key).hexdigest()[:32]}.json"
     entry = (os.path.join(cache_dir, name), key)
     try:
@@ -631,6 +659,20 @@ def _cache_lookup(key_obj: dict) -> tuple[Optional[_EntryPayload], Optional[_Ent
         if hit is None:  # truncated, edited, unreadable or not ours: recompute
             fh.close()
     return hit, entry
+
+
+def _key_text(value) -> str:
+    """``json.dumps(value, sort_keys=True)`` for what a cache key holds:
+    dicts with str keys, lists, tuples, strs, ints, bools and None, in
+    json's default separators ``", "`` and ``": "``."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_quote(key)}: {_key_text(value[key])}"
+                               for key in sorted(value)) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_key_text, value)) + "]"
+    if type(value) is int:
+        return int.__repr__(value)
+    return _scalar(value)
 
 
 def _digest(*parts: bytes | memoryview):
@@ -702,6 +744,8 @@ def _sweep(cache_dir: str) -> None:
     whose first line is a 64-hex digest; and the temp files that this host
     wrote and whose process is gone. Every other file, and a file that
     cannot be read or unlinked, is left as it is."""
+    import re  # here: only a store sweeps
+
     current = (__version__, str(REPORT_SCHEMA))
     host = _host()
     try:
@@ -752,10 +796,11 @@ def _alive(pid: int) -> bool:
         return True
 
 
-# a command's report: (its cache key, or None for an uncached command, a
-# function that builds it, a function that gives its text lines from the
-# report read back from its JSON)
-_Plan = tuple[Optional[dict], Callable[[], dict], Callable[[dict], Iterable[str]]]
+if TYPE_CHECKING:
+    # a command's report: (its cache key, or None for an uncached command, a
+    # function that builds it, a function that gives its text lines from the
+    # report read back from its JSON)
+    _Plan = tuple[Optional[dict], Callable[[], dict], Callable[[dict], Iterable[str]]]
 
 
 def _report(key: Optional[dict], build: Callable[[], dict],

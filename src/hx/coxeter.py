@@ -64,8 +64,9 @@ an ascent.
 
 from __future__ import annotations
 
-import re
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotation names only: importing typing costs every process
+    from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
     "INFINITE",
@@ -147,13 +148,43 @@ class Element:
         return f"Element{list(self.word)}"
 
 
-class ConjugacyClass(NamedTuple):
-    """A conjugacy class of a finite system, with its C_min data."""
+class _Record:
+    """A record whose fields are its ``__slots__``, equal and hashed by
+    value, as a NamedTuple is. A plain class: a NamedTuple's class is made
+    by exec, which every process would pay for at import."""
 
-    representative: Element          # (length, ShortLex)-least member
-    members: tuple[Element, ...]     # sorted by (length, ShortLex)
-    min_length_set: tuple[Element, ...]
-    centralizer_order: int
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class ConjugacyClass(_Record):
+    """A conjugacy class of a finite system, with its C_min data:
+    ``representative``, its (length, ShortLex)-least member; ``members``,
+    sorted by (length, ShortLex); ``min_length_set``; and
+    ``centralizer_order``."""
+
+    __slots__ = ("representative", "members", "min_length_set", "centralizer_order")
+
+    def __init__(self, representative: Element, members: tuple[Element, ...],
+                 min_length_set: tuple[Element, ...], centralizer_order: int):
+        self.representative = representative
+        self.members = members
+        self.min_length_set = min_length_set
+        self.centralizer_order = centralizer_order
 
     @property
     def size(self) -> int:
@@ -168,7 +199,7 @@ class ConjugacyClass(NamedTuple):
                 f"min_length={self.min_length})")
 
 
-class DenseTables(NamedTuple):
+class DenseTables(_Record):
     """A finite group as dense integer ids, for kernels that loop over W.
 
     Ids follow (length, ShortLex) order, so the identity is 0 and each
@@ -179,24 +210,37 @@ class DenseTables(NamedTuple):
     length-BFS tree; both are -1 for the identity. ``inverse[k]`` is the id
     of w_k^{-1}."""
 
-    elements: tuple[Element, ...]
-    index: dict[Element, int]
-    lengths: tuple[int, ...]
-    left: tuple[tuple[int, ...], ...]
-    first: tuple[int, ...]
-    tail: tuple[int, ...]
-    inverse: tuple[int, ...]
+    __slots__ = ("elements", "index", "lengths", "left", "first", "tail", "inverse")
+
+    def __init__(self, elements: tuple[Element, ...], index: dict[Element, int],
+                 lengths: tuple[int, ...], left: tuple[tuple[int, ...], ...],
+                 first: tuple[int, ...], tail: tuple[int, ...], inverse: tuple[int, ...]):
+        self.elements = elements
+        self.index = index
+        self.lengths = lengths
+        self.left = left
+        self.first = first
+        self.tail = tail
+        self.inverse = inverse
 
 
-_LABEL_RE = re.compile(r"^(~?)([A-G])(\d+)$")
+def _parse_label(label: str) -> Optional[tuple[bool, str, int]]:
+    """(affine, family, n) of a type label ``[~]<A-G><n>``, or None; the
+    digits of n may be any Unicode decimal digits, as the regex
+    ``^(~?)([A-G])(\\d+)$`` reads them."""
+    affine = label[:1] == "~"
+    rest = label[1:] if affine else label
+    if rest[:1] and rest[:1] in "ABCDEFG" and rest[1:].isdecimal():
+        return affine, rest[0], int(rest[1:])
+    return None
 
 
 def _label_edges(label: str) -> tuple[int, list[tuple[int, int, Optional[int]]]]:
     """Return (rank, [(i, j, bond), ...]) for a normalized type label."""
-    m = _LABEL_RE.match(label)
-    if not m:
+    parsed = _parse_label(label)
+    if parsed is None:
         raise ValueError(f"unknown type label {label!r}")
-    affine, family, n = bool(m.group(1)), m.group(2), int(m.group(3))
+    affine, family, n = parsed
     path = lambda k: [(i, i + 1, 3) for i in range(k)]
 
     if not affine:

@@ -14,8 +14,9 @@ equal-parameter case is ``WeightFunction.equal_parameters(system)``.
 
 An element is a dict from group elements to coefficients that never holds
 a zero value, so equal elements are equal dicts and ``not terms`` tests
-for zero. Every sum here and in ``klbasis`` goes through ``add_into``,
-which keeps that invariant.
+for zero. Every sum of elements here and in ``klbasis`` goes through
+``add_into``, which keeps that invariant; the packed rows the KL build
+works on are no elements, and may hold zeros.
 
 The bar involution is computed along the canonical word: bar is a ring
 map, so $bar(T_w) = bar(T_{s_1}) \\cdots bar(T_{s_k})$ with
@@ -31,11 +32,14 @@ packed kernels of ``klbasis`` and ``positivity`` run in, and
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterable, NamedTuple, Optional, Union
 
 from .coxeter import (CoxeterSystem, Element, GatingError, InfiniteGroupError,
-                      InternalCheckError)
+                      InternalCheckError, _Record)
 from .laurent import LaurentPoly, ONE, ZERO
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotation names only: importing typing costs every process
+    from typing import Iterable, Optional, Union
 
 __all__ = [
     "WeightFunction",
@@ -245,13 +249,19 @@ class HeckeElement:
         return " + ".join(bits)
 
 
-class FBoundProbe(NamedTuple):
-    """Empirical bound for the degrees of the T-basis structure constants."""
+class FBoundProbe(_Record):
+    """Empirical bound for the degrees of the T-basis structure constants:
+    ``n_emp`` over the ``pairs_scanned`` pairs of length at most ``radius``
+    (None: the whole finite group), with a ``witness`` triple or None."""
 
-    radius: Optional[int]          # None means the whole (finite) group
-    n_emp: int
-    witness: Optional[tuple[Element, Element, Element]]
-    pairs_scanned: int
+    __slots__ = ("radius", "n_emp", "witness", "pairs_scanned")
+
+    def __init__(self, radius: Optional[int], n_emp: int,
+                 witness: Optional[tuple[Element, Element, Element]], pairs_scanned: int):
+        self.radius = radius
+        self.n_emp = n_emp
+        self.witness = witness
+        self.pairs_scanned = pairs_scanned
 
 
 class HeckeAlgebra:

@@ -136,15 +136,17 @@ over the table rows each.
 
 from __future__ import annotations
 
-import random
 from itertools import repeat
-from typing import Callable, Generator, Iterator, NamedTuple, Optional, Sequence
 
 from .coxeter import (CoxeterSystem, Element, InfiniteGroupError,
-                      InternalCheckError)
+                      InternalCheckError, _Record)
 from .hecke import (HeckeAlgebra, HeckeElement, Terms, WeightFunction, add_into,
                     pack, tilde_step, unpack)
 from .laurent import LaurentPoly
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotation names only: importing typing costs every process
+    from typing import Callable, Generator, Iterator, Optional, Sequence
 
 __all__ = [
     "KLBasis",
@@ -168,16 +170,25 @@ class _Overflow(Exception):
     """A build's digit bound outgrew the basis's digit width."""
 
 
-def _masks(width: int, top: int) -> tuple[int, int, int, tuple[int, int]]:
+_Masks = tuple[int, int, int, tuple[int, int]]
+
+# (width, top) -> _masks(width, top), made once per process
+_MASKS: dict[tuple[int, int], _Masks] = {}
+
+
+def _masks(width: int, top: int) -> _Masks:
     """The masks of ``KLBasis._build`` for a w with L(w) = top, at digit
     width B: 2^{B top}; a 1 in each digit below top; the top bit of each
     such digit; and, by the parity of l(z), all bits of the digits at the
     exponents where R[z] must be 0 at equal parameters."""
-    ones = pack([1] * top, width)
-    full = (1 << width) - 1
-    wrong = tuple(pack([full if (k + parity) % 2 else 0 for k in range(top)],
-                       width) for parity in (0, 1))
-    return 1 << width * top, ones, ones << (width - 1), wrong
+    hit = _MASKS.get((width, top))
+    if hit is None:
+        ones = pack([1] * top, width)
+        full = (1 << width) - 1
+        wrong = tuple(pack([full if (k + parity) % 2 else 0 for k in range(top)],
+                           width) for parity in (0, 1))
+        hit = _MASKS[width, top] = (1 << width * top, ones, ones << (width - 1), wrong)
+    return hit
 
 
 class KLBasis:
@@ -262,15 +273,28 @@ class KLBasis:
 
     def _step(self, s: int, row: dict[Element, int]) -> dict[Element, int]:
         """v^{L(s)} c_s times the packed element row, term by term:
-        v^{L(s)} T_{sy} + (v^{2L(s)} if sy < y else 1) T_y."""
+        v^{L(s)} T_{sy} + (v^{2L(s)} if sy < y else 1) T_y.
+
+        One pass, each pair {y, sy} written once, from its descent y where
+        both are in the row. A sum that comes to zero is kept: the split
+        pops each entry it reads, and checks that what it leaves is zero."""
         up = self._width * self.algebra.weight.values[s]
+        down = 2 * up
         out: dict[Element, int] = {}
-        stay: dict[Element, int] = {}
         for (y, p), (sy, sign) in zip(row.items(),
                                       self.system._left_mul_row(s, row)):
-            out[sy] = p << up
-            stay[y] = p << 2 * up if sign < 0 else p
-        return add_into(out, stay)
+            if sign < 0:  # sy < y
+                q = row.get(sy)
+                if q is None:
+                    out[y] = p << down
+                    out[sy] = p << up
+                else:
+                    out[y] = (q << up) + (p << down)
+                    out[sy] = q + (p << up)
+            elif sy not in row:  # else written with its descent sy
+                out[y] = p
+                out[sy] = p << up
+        return out
 
     def _build(self, w: Element) -> Iterator[Element]:
         """Build P_w as the split of c_s c_{w'}, s the first letter of w,
@@ -399,11 +423,16 @@ class KLBasis:
         return self.to_c_basis(self.algebra.mul(self.element(x), self.element(y)))
 
 
-class AFunction(NamedTuple):
-    """a(z) = max degree of h_{x,y,z} over all pairs, plus attaining pairs."""
+class AFunction(_Record):
+    """a(z) = max degree of h_{x,y,z} over all pairs (``values``), plus
+    attaining pairs (``witnesses``)."""
 
-    values: dict[Element, int]
-    witnesses: dict[Element, tuple[Element, Element]]
+    __slots__ = ("values", "witnesses")
+
+    def __init__(self, values: dict[Element, int],
+                 witnesses: dict[Element, tuple[Element, Element]]):
+        self.values = values
+        self.witnesses = witnesses
 
     def __getitem__(self, z: Element) -> int:
         return self.values[z]
@@ -737,6 +766,8 @@ def _scan_once(kl: KLBasis, progress: Optional[Callable[[int, int], None]]
     rows, norms = _packed_action_rows(kl)
     width = kl._width
     offset = kl.algebra.weight(kl.system.longest_element())
+    import random  # here: the cross-check sample is its one use
+
     # pair (x, y) is number x * n + y
     sample: dict[int, list[int]] = {}
     for pair in sorted(random.Random(0).sample(range(n * n),
@@ -787,17 +818,22 @@ def a_function(kl: KLBasis,
     return _h_scan(kl, progress)[0]
 
 
-class JRing(NamedTuple):
+class JRing(_Record):
     """The asymptotic ring J on the basis {t_w} of a finite system.
 
     ``table[(x, y)]`` maps z to the t_z-coefficient of t_x * t_y, which by
     definition is coeff(h_{x,y,z}, a(z)) = gamma_{x,y,z^{-1}}."""
 
-    system: CoxeterSystem
-    weight: WeightFunction
-    elements: tuple[Element, ...]
-    a: AFunction
-    table: dict[tuple[Element, Element], dict[Element, int]]
+    __slots__ = ("system", "weight", "elements", "a", "table")
+
+    def __init__(self, system: CoxeterSystem, weight: WeightFunction,
+                 elements: tuple[Element, ...], a: AFunction,
+                 table: dict[tuple[Element, Element], dict[Element, int]]):
+        self.system = system
+        self.weight = weight
+        self.elements = elements
+        self.a = a
+        self.table = table
 
     def structure_coeff(self, x: Element, y: Element, z: Element) -> int:
         """Coefficient of t_z in t_x * t_y."""
@@ -830,13 +866,17 @@ def j_table(kl: KLBasis, *,
                  elements=tuple(system.enumerate_elements()), a=afn, table=table)
 
 
-class JAssociativityReport(NamedTuple):
+class JAssociativityReport(_Record):
     """Outcome of checking (t_x t_y) t_z = t_x (t_y t_z)."""
 
-    passed: bool
-    triples_checked: int
-    triples_total: int
-    counterexample: Optional[tuple[Element, Element, Element]]
+    __slots__ = ("passed", "triples_checked", "triples_total", "counterexample")
+
+    def __init__(self, passed: bool, triples_checked: int, triples_total: int,
+                 counterexample: Optional[tuple[Element, Element, Element]]):
+        self.passed = passed
+        self.triples_checked = triples_checked
+        self.triples_total = triples_total
+        self.counterexample = counterexample
 
 
 def j_associativity_check(ring: JRing) -> JAssociativityReport:

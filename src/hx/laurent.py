@@ -11,14 +11,14 @@ no floating point anywhere.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotation names only: importing typing costs every process
+    from typing import Iterable
 
 __all__ = ["LaurentPoly", "ZERO", "ONE", "V", "NEG_INF", "in_cone"]
 
 # degree of the zero polynomial
 NEG_INF = float("-inf")
-
-Scalar = Union[int, "LaurentPoly"]
 
 
 class LaurentPoly:
@@ -235,6 +235,9 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_pairs()})"
 
+
+# what LaurentPoly's arithmetic takes as its other operand
+Scalar = int | LaurentPoly
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly(0, (1,))

@@ -71,31 +71,42 @@ T-basis computation this replaced is kept in the tests as the oracle.
 from __future__ import annotations
 
 from bisect import bisect_left
-from contextlib import nullcontext
-from typing import Callable, NamedTuple, Optional, Union
 
 from .coxeter import (ConjugacyClass, CoxeterSystem, Element,
-                      InfiniteGroupError, InternalCheckError)
+                      InfiniteGroupError, InternalCheckError, _Record)
 from .hecke import HeckeAlgebra, UnequalParametersError, tilde_step, unpack
 from .laurent import LaurentPoly, in_cone
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotation names only: importing typing costs every process
+    from typing import Callable, Optional, Union
 
 __all__ = ["TraceReport", "n_trace", "class_report", "classify_positive"]
 
 
-class TraceReport(NamedTuple):
-    """Per-class positivity data."""
+class TraceReport(_Record):
+    """Per-class positivity data: the class, its N^w (``n_poly``), whether
+    N^w lies in N[v^2], and how much of C_min was evaluated."""
 
-    class_id: int
-    representative: Element
-    size: int
-    min_length: int
-    centralizer_order: int
-    n_poly: LaurentPoly
-    positive: bool
-    cmin_size: int
-    cmin_evaluated: int
-    is_identity_class: bool
-    is_coxeter_class: bool
+    __slots__ = ("class_id", "representative", "size", "min_length", "centralizer_order",
+                 "n_poly", "positive", "cmin_size", "cmin_evaluated",
+                 "is_identity_class", "is_coxeter_class")
+
+    def __init__(self, class_id: int, representative: Element, size: int,
+                 min_length: int, centralizer_order: int, n_poly: LaurentPoly,
+                 positive: bool, cmin_size: int, cmin_evaluated: int,
+                 is_identity_class: bool, is_coxeter_class: bool):
+        self.class_id = class_id
+        self.representative = representative
+        self.size = size
+        self.min_length = min_length
+        self.centralizer_order = centralizer_order
+        self.n_poly = n_poly
+        self.positive = positive
+        self.cmin_size = cmin_size
+        self.cmin_evaluated = cmin_evaluated
+        self.is_identity_class = is_identity_class
+        self.is_coxeter_class = is_coxeter_class
 
     def to_jsonable(self) -> dict:
         return {
@@ -287,7 +298,7 @@ def classify_positive(source: Union[CoxeterSystem, HeckeAlgebra], *,
                 min(jobs, total), _pool_init, (algebra, max_cmin))
         except OSError:
             pass  # no pool on this host (no shared semaphores): the serial loop
-    with pool or nullcontext():
+    try:
         # chunksize 1: class costs are very uneven
         traces = (pool.imap(_pool_job, range(total), chunksize=1) if pool else
                   (_traces(algebra, cls, max_cmin) for cls in classes))
@@ -296,4 +307,7 @@ def classify_positive(source: Union[CoxeterSystem, HeckeAlgebra], *,
             reports.append(_certified(system, classes[i], i, found))
             if progress is not None:
                 progress(i + 1, total)
+    finally:
+        if pool is not None:
+            pool.terminate()  # as leaving a with block of the pool does
     return reports

@@ -13,7 +13,8 @@ from pathlib import Path
 import jsonschema
 from referencing import Registry, Resource
 
-from hx import CoxeterSystem, HeckeAlgebra, KLBasis, WeightFunction, build_system
+from hx import (CoxeterSystem, HeckeAlgebra, JRing, KLBasis, WeightFunction,
+                build_system)
 from hx.cli import main as cli_main
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "hx" / "schemas"
@@ -40,8 +41,8 @@ def without_generator_square(ring):
     """``ring`` with the row of t_s t_s dropped, s its first generator: t_s
     then lies in no t_d t_d, so sum n_d t_d over D misses it and is no unit."""
     s = ring.system.generator(0)
-    return ring._replace(table={pair: row for pair, row in ring.table.items()
-                                if pair != (s, s)})
+    return _with_table(ring, {pair: row for pair, row in ring.table.items()
+                              if pair != (s, s)})
 
 
 def tampered_j_table(ring, tamper: str):
@@ -59,7 +60,13 @@ def tampered_j_table(ring, tamper: str):
         table.setdefault((x, ring.elements[-1]), {})[x] = 1
     else:  # a row lost
         del table[pair]
-    return ring._replace(table=table)
+    return _with_table(ring, table)
+
+
+def _with_table(ring, table):
+    """A JRing like ``ring`` but with this table."""
+    return JRing(system=ring.system, weight=ring.weight, elements=ring.elements,
+                 a=ring.a, table=table)
 
 
 def specialize(h, c) -> dict:

@@ -1,6 +1,7 @@
 """The hx command line: reports, formats, exit codes, caching, schemas."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -1224,6 +1225,53 @@ def test_writer_keeps_no_tuple_an_iterator_cut():
     assert len(chunks) == 3
 
 
+def test_writer_joins_pairs_of_kept_tuples_by_their_ids():
+    # a list of two kept tuples, a kl basis coordinate [y.word, pairs], is
+    # their texts joined, looked up by the tuples' ids: (True,) == (1,), with
+    # equal hashes, yet [(True,), (1,)] and [(1,), (1,)] write true and 1
+    # each where it stands
+    yes, one = tuple([True]), tuple([1])
+    value = {"pairs": [[yes, one], [one, one], [yes, one], [one, yes], [one, one]],
+             "deeper": [{"c": [[one, one], [yes, yes]]}, [[yes, one]]]}
+    written = _written(value)
+    assert written == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert written.count("true") == 6
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"b": [1, -2, None, True, False, 2**70], "a": 'x"y\\\u00e9\n',
+                 "c": {"z": [], "y": {}}},
+    {"hx": "0.1.0", "schema": 2, "report": {"matrix": [[1, "inf"], ["inf", 1]],
+                                            "element": None, "weights": (1, 2)}},
+])
+def test_key_text_is_json_dumps_with_sorted_keys(value):
+    assert cli._key_text(value) == json.dumps(value, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv", [
+    *([*_words(key), *TYPICAL[key]] for key in sorted(CACHED)),
+    ["kl", "basis", "--type", "D4"],
+    ["kl", "basis", "--type", "~A2", "--weights", "1,1,1", "--element", ""],
+    ["kl", "afunction", "--type", "G2", "--weights", "2,1"],
+    ["jring", "table", "--type", "B3", "--weights", "1,1,2"],
+], ids=" ".join)
+def test_cache_key_is_what_json_wrote(tmp_path, monkeypatch, argv):
+    # a cached command's key bytes, written with no json, are those of
+    # json.dumps(key, sort_keys=True), so every entry keeps its name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text("[[1, 3], [3, 1]]")
+    monkeypatch.setenv("HX_CACHE_DIR", str(tmp_path / "cache"))
+    key, args = cli._arguments(argv)
+    system = cli._make_system(args)
+    report_key = cli._COMMANDS[key].run(args, system, cli._make_weight(system, args))[0]
+    expected = json.dumps({"hx": cli.__version__, "schema": cli.REPORT_SCHEMA,
+                           "report": report_key}, sort_keys=True).encode()
+    payload, (path, key_bytes) = cli._cache_lookup(report_key)
+    assert payload is None and key_bytes == expected
+    digest = hashlib.blake2b(expected, digest_size=32).hexdigest()[:32]
+    assert Path(path).name == f"hx-{cli.__version__}-s{cli.REPORT_SCHEMA}-{digest}.json"
+
+
 def test_kl_basis_report_is_json_dumps_of_itself():
     # D4 shares its words and coefficient tuples across 9,817 entries
     code, out, _ = run_cli("kl", "basis", "--type", "D4", "--json")
@@ -1239,11 +1287,14 @@ def test_import_leaves_pool_cache_and_dataclass_modules_out():
     # klbasis and positivity load in the handlers that use them, and only
     # there; hx reads its own argv, and an uncached --json run neither
     # parses nor hashes JSON, so argparse (with the gettext and locale its
-    # messages import) and json stay out too
+    # messages import) and json stay out too. Nor do re, typing and enum:
+    # the records are plain classes, no annotation is evaluated, and labels
+    # are read with str methods; random loads for the h-scan's sample alone
     probe = """if True:
         import contextlib, io, sys, hx, hx.cli
         watched = {'fractions', 'decimal', 'hx.klbasis', 'hx.positivity', 'argparse',
-                   'gettext', 'locale', 'json', 'json.decoder'}
+                   'gettext', 'locale', 'json', 'json.decoder', 're', 'typing', 'enum',
+                   'random'}
         print(sorted(({'multiprocessing', 'hashlib', 'dataclasses', 'inspect'} | watched)
                      & set(sys.modules)))
         with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
@@ -1252,7 +1303,7 @@ def test_import_leaves_pool_cache_and_dataclass_modules_out():
     """
     env = {name: value for name, value in os.environ.items() if name != "HX_CACHE_DIR"}
     for command, loaded in [(["group"], []), (["positivity"], ["hx.positivity"]),
-                            (["jring", "table"], ["hx.klbasis"]),
+                            (["jring", "table"], ["hx.klbasis", "random"]),
                             (["kl", "basis"], ["hx.klbasis"])]:
         done = subprocess.run([sys.executable, "-S", "-c", probe, *command],
                               capture_output=True, text=True,
@@ -1264,22 +1315,59 @@ def test_import_leaves_pool_cache_and_dataclass_modules_out():
 def test_cached_runs_load_no_openssl_and_hits_no_kernel(tmp_path):
     # the entry digest is BLAKE2b from CPython's own _blake2, so no cached
     # run imports hashlib, which loads OpenSSL; and a cache hit, in JSON or
-    # in text, replays its report with no hx.klbasis loaded
+    # in text, replays its report with no hx.klbasis loaded. The key is
+    # written with no json, so a --json hit loads no json, typing or re; a
+    # store sweeps the cache with re, and text parses the payload with json
     probe = """if True:
         import contextlib, io, sys, hx.cli
         with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
             code = hx.cli.main([*sys.argv[1:], '--type', 'A2'])
-        print(code, sorted({'hashlib', '_hashlib', 'hx.klbasis'} & set(sys.modules)))
+        print(code, sorted({'hashlib', '_hashlib', 'hx.klbasis', 'json', 'typing', 're'}
+                           & set(sys.modules)))
     """
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
            "HX_CACHE_DIR": str(tmp_path / "cache")}
     for command in (["kl", "basis"], ["kl", "afunction"]):
-        for mode, loaded in [(["--json"], ["hx.klbasis"]), (["--json"], []), ([], [])]:
+        for mode, loaded in [(["--json"], ["hx.klbasis", "re"]), (["--json"], []),
+                             ([], ["json", "re"])]:
             done = subprocess.run([sys.executable, "-S", "-c", probe, *command, *mode],
                                   capture_output=True, text=True, env=env)
             assert done.returncode == 0, done.stderr
             assert done.stdout == f"0 {loaded}\n", (command, mode)
-            assert ("cache hit" in done.stderr) == (not loaded), (command, mode)
+            assert ("cache hit" in done.stderr) == ("hx.klbasis" not in loaded), (command, mode)
+
+
+# a child that closes its stderr once it has started, so that sys.stderr
+# is a stream on a closed file descriptor
+_CLOSE_STDERR_AND_RUN = """if True:
+    import os, runpy, sys
+    os.close(2)
+    sys.argv[0] = "hx"
+    runpy.run_module("hx.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes the child's fd 2")
+@pytest.mark.parametrize("command", [["kl", "afunction", "--type", "B2"],
+                                     ["positivity", "--type", "A2"]], ids=" ".join)
+def test_closed_stderr_drops_progress_and_finishes(command):
+    # progress is best effort: a command that prints it, run with stderr
+    # closed (2>&-), exits 0 and prints what it prints with stderr open.
+    # Closed before the interpreter starts, sys.stderr is None, and print
+    # would write to stdout; closed after, a write to it raises OSError
+    env = {name: value for name, value in os.environ.items() if name != "HX_CACHE_DIR"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    args = [*command, "--json"]
+    shown = subprocess.run([sys.executable, "-m", "hx.cli", *args], capture_output=True,
+                           env=env)
+    assert shown.returncode == 0 and b"/" in shown.stderr and shown.stdout
+    before = subprocess.run([sys.executable, "-m", "hx.cli", *args], stdout=subprocess.PIPE,
+                            env=env, preexec_fn=lambda: os.close(2))
+    after = subprocess.run([sys.executable, "-c", _CLOSE_STDERR_AND_RUN, *args],
+                           stdout=subprocess.PIPE, env=env)
+    for closed in (before, after):
+        assert closed.returncode == 0
+        assert closed.stdout == shown.stdout
 
 
 def test_package_names_resolve_to_their_modules():

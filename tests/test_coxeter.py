@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -14,7 +15,8 @@ from coxeter_oracle import (assert_matches_root_data, assert_matches_word_walk,
                             sorted_levels)
 from hx.coxeter import (Element, INFINITE, InfiniteGroupError,
                         InternalCheckError, _cartan_from_matrix,
-                        _component_is_finite, _diagram_components, build_system)
+                        _component_is_finite, _diagram_components, _parse_label,
+                        build_system)
 from hx.hecke import HeckeAlgebra
 from support import system
 
@@ -76,6 +78,32 @@ def test_unknown_labels_rejected():
     for label in ["H3", "Z2", "E9", "A0", "D2", "~B2", "B1", "F5"]:
         with pytest.raises(ValueError):
             build_system(label)
+
+
+# what type labels are made of, and what lies near it: Unicode decimal
+# digits (Arabic-Indic seven, fullwidth seven), digits that are no decimal
+# digits (superscript two, vulgar one half), and what strip() removes
+LABEL_CHARACTERS = "~ABCDEFGHaz0123456789\u0667\uff17\u00b2\u00bd \t\n-"
+
+
+def test_label_parse_matches_the_regex_it_replaced():
+    # seeded and differential: after strip(), the parser accepts exactly
+    # what the regex matches, and reads the same (affine, family, n)
+    regex = re.compile(r"^(~?)([A-G])(\d+)$")
+    rng = random.Random(28)
+    pick = lambda k: "".join(rng.choice(LABEL_CHARACTERS) for _ in range(k))
+    labels = ["A2", "~F4", "E\u0667", "~~A2", "A", "~", "", "A2\n", "A2\n\n",
+              "\uff21\uff12", "B\u00b2", "C\u0661\u0660"]
+    labels += [pick(rng.randrange(6)) for _ in range(20000)]
+    labels += [rng.choice(["", "~", " ~", "~~"]) + rng.choice("ABGHa~") + pick(rng.randrange(4))
+               for _ in range(20000)]
+    accepted = 0
+    for label in labels:
+        label = label.strip()
+        m = regex.match(label)
+        assert _parse_label(label) == (m and (bool(m[1]), m[2], int(m[3]))), label
+        accepted += m is not None
+    assert accepted > 1000
 
 
 def test_finiteness_against_enumeration_cap():
@@ -378,7 +406,8 @@ def test_enumeration_over_a_prefilled_memo(label, radius):
         assert _memo_words(W) == _memo_words(untouched)
         dense, clean = W.dense_tables(), untouched.dense_tables()
         assert [w.word for w in dense.elements] == [w.word for w in clean.elements]
-        assert dense[2:] == clean[2:]  # lengths, left, first, tail, inverse
+        for field in ("lengths", "left", "first", "tail", "inverse"):
+            assert getattr(dense, field) == getattr(clean, field), field
 
 
 def test_descent_pair_left_unfilled_is_an_internal_error():
