@@ -570,9 +570,9 @@ def _triple(elements: Optional[tuple[Element, ...]]) -> Optional[dict]:
     return None if elements is None else dict(zip("xyz", (el.word for el in elements)))
 
 
-def _progress(message: str) -> None:
-    """Print a progress line to stderr. Progress is best effort: a line that
-    a closed or failing stderr cannot take is dropped, and the run goes on."""
+def _stderr(message: str) -> None:
+    """Print a line to stderr, best effort: a line that a closed or failing
+    stderr cannot take is dropped, and the run goes on to its exit code."""
     if sys.stderr is None:  # none at start-up: print would write to stdout
         return
     try:
@@ -830,7 +830,7 @@ def _report(key: Optional[dict], build: Callable[[], dict],
         except (ValueError, LookupError, TypeError):
             pass  # the digest matches a payload that is not such a report
         else:
-            _progress(f"{key['command']}: cache hit")
+            _stderr(f"{key['command']}: cache hit")
             return hit
     payload = _dumps(build()) if entry is None else _cache_store(entry, build())
     return payload, read(payload)
@@ -978,7 +978,7 @@ def _cmd_kl_afunction(args, system: CoxeterSystem, weight: WeightFunction) -> _P
         from .klbasis import KLBasis, a_function  # as in kl basis
 
         kl = KLBasis(HeckeAlgebra(system, weight))
-        afn = a_function(kl, progress=lambda done, total: _progress(
+        afn = a_function(kl, progress=lambda done, total: _stderr(
             f"a-function: {done}/{total} pairs"))
         order = sorted(afn.values, key=lambda el: el.sort_key)
         report = _header(system, weight)
@@ -998,7 +998,7 @@ def _j_ring(system: CoxeterSystem, weight: WeightFunction):
     from .klbasis import KLBasis, j_table
 
     return j_table(KLBasis(HeckeAlgebra(system, weight)),
-                   progress=lambda done, total: _progress(
+                   progress=lambda done, total: _stderr(
                        f"j-table: {done}/{total} pairs"))
 
 
@@ -1078,7 +1078,7 @@ def _cmd_positivity(args, system: CoxeterSystem, weight: WeightFunction) -> _Pla
 
     reports = classify_positive(
         HeckeAlgebra(system, weight), jobs=args.jobs, max_cmin=args.max_cmin,
-        progress=lambda done, total: _progress(f"positivity: class {done}/{total}"))
+        progress=lambda done, total: _stderr(f"positivity: class {done}/{total}"))
     report = _header(system, weight)
     report["order"] = system.order()
     report["reports"] = [r.to_jsonable() for r in reports]
@@ -1157,7 +1157,7 @@ def _emit(text: Iterable[str], payload: Optional[_Payload] = None) -> int:
     finds nothing left to fail on."""
     out = sys.stdout
     if out is None:  # closed when the process started
-        print("hx: error: cannot write to stdout: it is closed", file=sys.stderr)
+        _stderr("hx: error: cannot write to stdout: it is closed")
         return 1
     try:
         for part in text:
@@ -1174,7 +1174,7 @@ def _emit(text: Iterable[str], payload: Optional[_Payload] = None) -> int:
         except (OSError, ValueError):  # no file descriptor under stdout
             pass
         if not isinstance(e, BrokenPipeError):
-            print(f"hx: error: cannot write to stdout: {e}", file=sys.stderr)
+            _stderr(f"hx: error: cannot write to stdout: {e}")
         return 1
     return 0
 
@@ -1203,16 +1203,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except _Help as shown:
             return _emit(shown.args)
         except UsageError as e:
-            print(f"hx: error: {e}", file=sys.stderr)
+            _stderr(f"hx: error: {e}")
             return 1
         except (ValueError, ZeroDivisionError) as e:
-            print(f"hx: error: {e}", file=sys.stderr)
+            _stderr(f"hx: error: {e}")
             return 1
         except GatingError as e:
-            print(f"hx: gated: {e}", file=sys.stderr)
+            _stderr(f"hx: gated: {e}")
             return 2
         except InternalCheckError as e:
-            print(f"hx: INTERNAL INVARIANT VIOLATION: {e}", file=sys.stderr)
+            _stderr(f"hx: INTERNAL INVARIANT VIOLATION: {e}")
             return 3
 
         if args.json:

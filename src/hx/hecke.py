@@ -23,18 +23,14 @@ map, so $bar(T_w) = bar(T_{s_1}) \\cdots bar(T_{s_k})$ with
 $bar(T_s) = T_s - (v^{L(s)} - v^{-L(s)})$, one pass over the terms per
 letter. It serves ``bar`` only: the KL basis in ``klbasis`` is built
 without it, and ``bar`` is the independent test that each $c_w$ is
-bar-invariant. ``pack`` and ``unpack`` are the Kronecker substitution
-(a polynomial in v evaluated at $v = 2^B$, one Python int) that the
-packed kernels of ``klbasis`` and ``positivity`` run in, and
-``tilde_step`` is their one generator step on dense packed rows.
+bar-invariant.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 
-from .coxeter import (CoxeterSystem, Element, GatingError, InfiniteGroupError,
-                      InternalCheckError, _Record)
+from .coxeter import CoxeterSystem, Element, GatingError, InfiniteGroupError, _Record
 from .laurent import LaurentPoly, ONE, ZERO
 
 TYPE_CHECKING = False
@@ -136,60 +132,6 @@ def add_into(acc: dict, terms: dict, c=None) -> dict:
         else:
             acc.pop(k, None)
     return acc
-
-
-def pack(coeffs, width: int) -> int:
-    """sum_k coeffs[k] v^k at v = 2^width."""
-    out = 0
-    for c in reversed(coeffs):
-        out = (out << width) + c
-    return out
-
-
-def unpack(packed: int, width: int, bound: int) -> list[int]:
-    """The signed base-2^width digits of packed, lowest first (the inverse
-    of ``pack`` up to trailing zeros).
-
-    Every digit must lie within `bound`; a digit outside it means the width
-    was too small for the value, and is raised rather than returned."""
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    digits: list[int] = []
-    while packed:
-        d = packed & mask
-        if d >= half:
-            d -= 1 << width
-        if abs(d) > bound:
-            raise InternalCheckError(
-                f"packed digit {d} exceeds the proven bound {bound}: "
-                f"digit width {width} overflowed")
-        digits.append(d)
-        packed = (packed - d) >> width
-    return digits
-
-
-def tilde_step(col: tuple[int, ...], terms: dict[int, int],
-               shift: int) -> dict[int, int]:
-    """T~_s times a packed element in the basis T~_w = v^{L(w)} T_w
-    (Geck-Pfeiffer 2000, 8.1), on dense ids.
-
-    col is the left action table's row of s: col[u] = su at an ascent and
-    ~su at a descent. T~_s T~_u is T~_{su} at an ascent and
-    q T~_{su} + (q - 1) T~_u at a descent, q = v^{2L(s)}, so every
-    coefficient stays in Z[v]. With coefficients packed at v = 2^B, q is
-    a shift by 2 L(s) B bits; with q itself the packed variable (the N^w
-    trace, L = 1), the shift is its width."""
-    out: dict[int, int] = {}
-    get = out.get
-    for u, p in terms.items():
-        j = col[u]
-        if j >= 0:
-            out[j] = get(j, 0) + p
-        else:
-            j = ~j
-            pq = p << shift
-            out[j] = get(j, 0) + pq
-            out[u] = get(u, 0) + pq - p
-    return out
 
 
 class HeckeElement:

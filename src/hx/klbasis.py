@@ -17,8 +17,8 @@ $c_s c_{w'}$ minus the terms already subtracted is $p_{z,w} + \\mu_z$, and
 $p_{z,w}$ has only negative powers of v, so $\\mu_z$ is the mirror image of
 its part at exponents $\\ge 0$.
 
-The build runs in packed integers: $P_w[y] = v^{L(w)} p_{y,w}$, a
-polynomial in v, is evaluated at $v = 2^B$ (Kronecker substitution), one
+The build runs in the packed format of ``packed``: $P_w[y] = v^{L(w)} p_{y,w}$,
+a polynomial in v, is evaluated at $v = 2^B$ (Kronecker substitution), one
 Python int per y. The generator step
 
     v^{L(s)} (T_s + v^{-L(s)}) T_y = v^{L(s)} T_{sy} + (v^{2L(s)} if sy < y else 1) T_y
@@ -47,8 +47,8 @@ needs is built.
 
 Width guard: with $mass(u) = \\sum_y \\|p_{y,u}\\|_1$, every digit of R lies
 within $2\\,mass(w') + \\sum_z \\|\\mu_z\\|_1 mass(z)$ over the $\\mu_z$
-subtracted so far. When that bound needs more than B - 1 bits, ``KLBasis``
-doubles its B, drops its packed memo and starts the build again. Hard
+subtracted so far. When that bound needs more than B - 1 bits,
+``packed.rerun`` doubles B, drops the packed memo and builds again. Hard
 checks, each an ``InternalCheckError``: a digit outside the bound; a
 $T_w$ coefficient of R other than $v^{L(w)}$; a $\\mu_z \\ne 0$ with z
 outside $[e, w'] \\setminus \\{w'\\}$, with $sz > z$ or of degree $\\ge L(s)$;
@@ -98,16 +98,17 @@ multiplies, and one exact shift back by L(s) B per entry: a set bit below
 it is an ``InternalCheckError``. Width guard: with the l1 norms of the
 entries of the tail and of the z subtracted known exactly, the largest row
 norm times their sum bounds the l1 norm of the new entries; when that
-needs B bits, the scan widens B and starts again, and entries above it
-raise. The entries are checked at C speed: at equal parameters, one mask
-finds a negative digit or a degree above D (positivity of the
-$h_{x,y,z}$, Elias-Williamson 2014), the l1 norm is the digit sum, the
-value mod $2^B - 1$, and bar-invariance is one comparison per x of the
-joined ``int.to_bytes`` digits against their reversal; other weights read
-each entry's digits the same way. On a seeded sample of 8 pairs the entries
-must satisfy $c_x c_y = \\sum_z h_{x,y,z} c_z$, with the left side built in
-packed $\\tilde T$-coordinates, $\\tilde T_w = v^{L(w)} T_w$, by
-``hecke.tilde_step`` along the tail tree of $[e, x]$, independently of the
+needs B bits, ``packed.rerun`` widens B and starts the scan again, and
+entries above it raise. The entries are checked at C speed: at equal
+parameters, one mask finds a negative digit or a degree above D
+(positivity of the $h_{x,y,z}$, Elias-Williamson 2014), the l1 norm is the
+digit sum, the value mod $2^B - 1$, and bar-invariance is one
+``packed.palindrome_test`` per x; other weights, and widths with no
+``array`` typecode, read each entry's digits and compare their reversal.
+On a seeded sample of 8 pairs the entries must satisfy
+$c_x c_y = \\sum_z h_{x,y,z} c_z$, with the left side built in packed
+$\\tilde T$-coordinates, $\\tilde T_w = v^{L(w)} T_w$, by
+``packed.tilde_step`` along the tail tree of $[e, x]$, independently of the
 action rows. ``h_constants``, the Laurent T-basis product, stays behind
 ``hx kl hconst`` and serves infinite W. A failure of any of these checks
 raises ``InternalCheckError``.
@@ -140,13 +141,14 @@ from itertools import repeat
 
 from .coxeter import (CoxeterSystem, Element, InfiniteGroupError,
                       InternalCheckError, _Record)
-from .hecke import (HeckeAlgebra, HeckeElement, Terms, WeightFunction, add_into,
-                    pack, tilde_step, unpack)
+from .hecke import HeckeAlgebra, HeckeElement, Terms, WeightFunction, add_into
 from .laurent import LaurentPoly
+from .packed import (Overflow, decode, exact, masks, pack, palindrome_test, reader,
+                     rerun, tilde_step)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotation names only: importing typing costs every process
-    from typing import Callable, Generator, Iterator, Optional, Sequence
+    from typing import Callable, Generator, Iterator, Optional
 
 __all__ = [
     "KLBasis",
@@ -164,31 +166,6 @@ __all__ = [
 _Split = tuple[dict[Element, int], int, dict[Element, list[int]]]
 # the (exponent, coefficient) pairs of a polynomial, exponents ascending
 _Pairs = tuple[tuple[int, int], ...]
-
-
-class _Overflow(Exception):
-    """A build's digit bound outgrew the basis's digit width."""
-
-
-_Masks = tuple[int, int, int, tuple[int, int]]
-
-# (width, top) -> _masks(width, top), made once per process
-_MASKS: dict[tuple[int, int], _Masks] = {}
-
-
-def _masks(width: int, top: int) -> _Masks:
-    """The masks of ``KLBasis._build`` for a w with L(w) = top, at digit
-    width B: 2^{B top}; a 1 in each digit below top; the top bit of each
-    such digit; and, by the parity of l(z), all bits of the digits at the
-    exponents where R[z] must be 0 at equal parameters."""
-    hit = _MASKS.get((width, top))
-    if hit is None:
-        ones = pack([1] * top, width)
-        full = (1 << width) - 1
-        wrong = tuple(pack([full if (k + parity) % 2 else 0 for k in range(top)],
-                           width) for parity in (0, 1))
-        hit = _MASKS[width, top] = (1 << width * top, ones, ones << (width - 1), wrong)
-    return hit
 
 
 class KLBasis:
@@ -219,9 +196,9 @@ class KLBasis:
         """The map y -> p_{y,w} with c_w = sum_y p_{y,w} T_y."""
         hit = self._coords.get(w)
         if hit is None:
-            row = self._packed_row(w)[0]
+            row = rerun(self._widen, self._packed_row, w)[0]
             top = self.algebra.weight(w)
-            read = _digit_reader(self._width, top + 1)
+            read = reader(self._width, top + 1)
             hit = self._coords[w] = {y: LaurentPoly(-top, read(P))
                                      for y, P in row.items()}
         return hit
@@ -233,9 +210,9 @@ class KLBasis:
         writes it, as tuples, read off the packed row with no Laurent
         polynomial made. Equal pairs share one tuple, which the report
         writer formats once."""
-        row = self._packed_row(w)[0]
+        row = rerun(self._widen, self._packed_row, w)[0]
         top = self.algebra.weight(w)
-        read = _digit_reader(self._width, top + 1)
+        read = reader(self._width, top + 1)
         memo, shared = self._pairs, self._shared
         out = []
         for y, P in reversed(row.items()):  # see _build: w, then z descending
@@ -247,21 +224,19 @@ class KLBasis:
         return out
 
     def _packed_row(self, w: Element) -> tuple[dict[Element, int], int]:
-        """(P_w, mass(w)) at the current digit width, built if missing."""
-        while True:
-            hit = self._packed.get(w)
-            if hit is not None:
-                return hit
+        """(P_w, mass(w)) at the current digit width, built if missing;
+        Overflow when a digit bound outgrows the width."""
+        hit = self._packed.get(w)
+        if hit is None:
             stack = [self._build(w)]
-            try:
-                while stack:
-                    need = next(stack[-1], None)
-                    if need is None:
-                        stack.pop()
-                    else:
-                        stack.append(self._build(need))
-            except _Overflow:
-                self._widen()
+            while stack:
+                need = next(stack[-1], None)
+                if need is None:
+                    stack.pop()
+                else:
+                    stack.append(self._build(need))
+            hit = self._packed[w]
+        return hit
 
     def _widen(self) -> None:
         """Double the digit width and drop what was packed at the old one."""
@@ -327,9 +302,9 @@ class KLBasis:
         limit = 1 << (width - 1)
         bound = 2 * mass  # on every digit of acc, raised by each mu subtracted
         if bound >= limit:
-            raise _Overflow
+            raise Overflow
         equal = weight.is_equal_parameters
-        cap, ones, high, wrong = _masks(width, top)
+        cap, ones, high, wrong = masks(width, top)
         modulus = (1 << width) - 1
         # the masks check digits <= bound; the digit sum is r mod 2^B - 1
         # while it stays below 2^B - 1
@@ -351,7 +326,7 @@ class KLBasis:
             # digits[k] is the coefficient of v^(low + k) in R[z]; the zero
             # digits below the lowest set bit are skipped, not decoded
             low = ((r & -r).bit_length() - 1) // width if r else 0
-            digits = unpack(r >> width * low, width, bound)
+            digits = decode(r >> width * low, width, bound)
             n_mu = low + len(digits) - top
             if n_mu > 0:  # c_s c_u holds mu_z c_z, mu_z of degree n_mu - 1
                 if below_u is None:
@@ -378,7 +353,7 @@ class KLBasis:
                         acc[y] = acc.get(y, 0) - m * q
                 bound += (2 * sum(map(abs, mu)) - abs(mu[0])) * zmass
                 if bound >= limit:
-                    raise _Overflow
+                    raise Overflow
                 fast = equal and top * bound < modulus
                 lift = (limit - 1 - bound) * ones
                 r = pack(digits, width)
@@ -457,12 +432,9 @@ def _packed_action_rows(kl: KLBasis) -> tuple[list[list[dict[int, int]]], list[i
     again, whose P_su must be the one built."""
     dense = kl.system.dense_tables()
     elements, index, first = dense.elements, dense.index, dense.first
-    while True:  # every P_u at one width
-        width = kl._width
-        for u in elements:
-            kl._packed_row(u)
-        if kl._width == width:
-            break
+    for u in elements:  # every P_u at one width, or Overflow to the scan's rerun
+        kl._packed_row(u)
+    width = kl._width
     packed, built = kl._packed, kl._mus
     lmul = kl.system.left_mul_gen
     rows, norms = [], []
@@ -513,66 +485,6 @@ def _packed_action_rows(kl: KLBasis) -> tuple[list[list[dict[int, int]]], list[i
     return rows, norms
 
 
-def _typecode(width: int) -> Optional[str]:
-    """The ``array`` typecode of signed width-bit ints, if there is one."""
-    from array import array  # here: no other command needs it
-
-    return next((c for c in "bhiq" if array(c).itemsize * 8 == width), None)
-
-
-def _digit_reader(width: int, count: int) -> Callable[[int], Sequence[int]]:
-    """A map from an int to its signed base-2^width digits, each in
-    [-2^(width - 1), 2^(width - 1)), at positions 0 to count - 1.
-
-    An int with a digit beyond those positions raises OverflowError. With
-    an array typecode for the width this runs at C speed: adding 2^(width-1)
-    to every digit makes them all >= 0 with no carry, and flipping each
-    digit's top bit then leaves the digit in two's complement, which
-    ``int.to_bytes`` writes; other widths are read digit by digit."""
-    half = 1 << (width - 1)
-    high = pack([half] * count, width)
-    code = _typecode(width)
-    if code is not None:
-        from array import array
-
-        size = width // 8 * count
-
-        def read(h: int) -> Sequence[int]:
-            return array(code, ((h + high) ^ high).to_bytes(size, "little"))
-        return read
-    mask = (1 << width) - 1
-
-    def read_slowly(h: int) -> Sequence[int]:
-        h += high
-        if h < 0 or h >> width * count:
-            raise OverflowError
-        return [(h >> width * k & mask) - half for k in range(count)]
-    return read_slowly
-
-
-def _palindrome_test(width: int) -> Callable[[list[bytes]], bool]:
-    """A test of whether each block, little-endian base-2^width digits,
-    reads the same reversed digit by digit. With an array typecode for the
-    width it runs at C speed over all blocks at once: the digits of the
-    joined blocks, reversed, are the reversed blocks joined, each reversed."""
-    code = _typecode(width)
-    if code is not None:
-        from array import array
-
-        def mirrored(blocks: list[bytes]) -> bool:
-            digits = array(code, b"".join(blocks))
-            digits.reverse()
-            return digits.tobytes() == b"".join(reversed(blocks))
-        return mirrored
-    step = width // 8
-
-    def mirrored_slowly(blocks: list[bytes]) -> bool:
-        return all(d == d[::-1] for d in (
-            [block[k:k + step] for k in range(0, len(block), step)]
-            for block in blocks))
-    return mirrored_slowly
-
-
 def _packed_columns(kl: KLBasis, rows: list[list[dict[int, int]]],
                     norms: list[int]) -> Iterator[tuple[int, list[dict[int, int]]]]:
     """(y, column) for each y of a finite W in dense-id order, where
@@ -583,22 +495,19 @@ def _packed_columns(kl: KLBasis, rows: list[list[dict[int, int]]],
     be bar-invariant, of degree at most D, positive at equal parameters,
     and within the digit bound. The bound on the l1 norm of the entries of
     one x comes from the l1 norms of the entries they are built from; when
-    it stops fitting the width, _Overflow."""
+    it stops fitting the width, Overflow."""
     dense = kl.system.dense_tables()
     elements, first, tail = dense.elements, dense.first, dense.tail
     weight = kl.algebra.weight
     equal = weight.is_equal_parameters
     width = kl._width
-    if width % 8:
-        raise _Overflow  # the checks read whole bytes
     offset = weight(kl.system.longest_element())
     count = 2 * offset + 1
-    size = width // 8 * count
-    read = _digit_reader(width, count)
-    mirrored = _palindrome_test(width)
+    read = reader(width, count)
+    mirrored = palindrome_test(width, count)  # None: each entry is read instead
     half = 1 << (width - 1)
     # set in a nonnegative h iff a digit is >= 2^(B-1) or beyond position 2D
-    outside = pack([half] * count, width) | -1 << width * count
+    outside = masks(width, count)[2] | -1 << width * count
     # at equal parameters the l1 norm is the digit sum, the value mod 2^B - 1
     modulus = (1 << width) - 1
 
@@ -626,7 +535,7 @@ def _packed_columns(kl: KLBasis, rows: list[list[dict[int, int]]],
                         acc[w] = get(w, 0) - a * h
             bound *= norms[s]  # on the l1 norm of the new entries
             if bound >= half:
-                raise _Overflow
+                raise Overflow
             shift = width * weight.values[s]
             low = (1 << shift) - 1
             entry: dict[int, int] = {}
@@ -638,14 +547,14 @@ def _packed_columns(kl: KLBasis, rows: list[list[dict[int, int]]],
                     entry[z] = r >> shift
             mass = 0
             for z, h in entry.items():
-                if equal and not h & outside:
-                    continue
+                if equal and mirrored and not h & outside:
+                    continue  # tested for bar-invariance below, all at once
                 try:
                     digits = read(h)
                 except OverflowError:
                     raise fault(x, y, z, f"has degree above L(w0) = "
                                 f"{offset}") from None
-                if equal:
+                if equal and h & outside:
                     raise fault(x, y, z, "has a negative coefficient: "
                                 "positivity fails")
                 if digits != digits[::-1]:
@@ -658,10 +567,8 @@ def _packed_columns(kl: KLBasis, rows: list[list[dict[int, int]]],
                     f"the l1 norm {mass} of c_x c_y at x={elements[x]!r}, "
                     f"y={elements[y]!r} exceeds its proven bound {bound}: "
                     f"digit width {width} overflowed")
-            if equal and not mirrored([h.to_bytes(size, "little")
-                                       for h in entry.values()]):
-                z = next(z for z, h in entry.items()
-                         if not mirrored([h.to_bytes(size, "little")]))
+            if equal and mirrored and not mirrored(entry.values()):
+                z = next(z for z, h in entry.items() if not mirrored((h,)))
                 raise fault(x, y, z, "is not bar-invariant")
             column.append(entry)
             masses.append(mass)
@@ -694,12 +601,8 @@ def _check_pair(kl: KLBasis, x: int, y: int, hs: dict[int, int]) -> None:
 
     def untilde(p: int, w: Element, name: str, row: Element) -> int:
         """p / v^{L(w)}, with p the entry of P_row at w; it must be exact."""
-        shift = width * weight(w)
-        if p & ((1 << shift) - 1):
-            raise InternalCheckError(
-                f"v^L(w) does not divide P_{name}[w] at {name}={row!r}, w={w!r}: "
-                f"inexact shift")
-        return p >> shift
+        return exact(p, width * weight(w), "v^L(w) does not divide P_{0}[w] at "
+                     "{0}={1!r}, w={2!r}", name, row, w)
 
     px = packed[ex][0]
     lhs: dict[int, int] = {}
@@ -751,16 +654,8 @@ def _h_scan(kl: KLBasis, progress: Optional[Callable[[int, int], None]]
     order. h_{e,z,z} = 1 puts every z in the table with a(z) >= 0. On a
     seeded sample of CROSS_CHECK_PAIRS pairs the column entries must
     satisfy the T-basis identity of ``_check_pair``. When a digit bound
-    outgrows the width, the scan widens it and starts again."""
-    while True:
-        try:
-            return _scan_once(kl, progress)
-        except _Overflow:
-            kl._widen()
-
-
-def _scan_once(kl: KLBasis, progress: Optional[Callable[[int, int], None]]
-               ) -> tuple[AFunction, dict[tuple[Element, Element], dict[Element, int]]]:
+    outgrows the width, Overflow: its callers widen and start it again
+    through ``rerun``."""
     elements = kl.system.dense_tables().elements
     n = len(elements)
     rows, norms = _packed_action_rows(kl)
@@ -815,7 +710,7 @@ def a_function(kl: KLBasis,
     """Full |W|^2 scan of the h-table; only per-z data is kept in memory."""
     if not kl.system.is_finite:
         raise InfiniteGroupError("the a-function scan needs a finite system")
-    return _h_scan(kl, progress)[0]
+    return rerun(kl._widen, _h_scan, kl, progress)[0]
 
 
 class JRing(_Record):
@@ -861,7 +756,7 @@ def j_table(kl: KLBasis, *,
     system = kl.system
     if not system.is_finite:
         raise InfiniteGroupError("the J ring is only built for finite systems")
-    afn, table = _h_scan(kl, progress)
+    afn, table = rerun(kl._widen, _h_scan, kl, progress)
     return JRing(system=system, weight=kl.algebra.weight,
                  elements=tuple(system.enumerate_elements()), a=afn, table=table)
 

@@ -9,7 +9,7 @@ treats any violation as an internal bug (`InternalCheckError`), never as
 data. $C$ is called positive when $N^w \\in N[v^2]$.
 
 The trace is computed in the basis $\\tilde T_w = v^{|w|} T_w$, where a
-generator step (``hecke.tilde_step``) keeps every coefficient in $Z[q]$,
+generator step (``packed.tilde_step``) keeps every coefficient in $Z[q]$,
 $q = v^2$, and
 $N^w = \\sum_x [\\tilde T_x](\\tilde T_w \\tilde T_x \\tilde T_{w^{-1}})$.
 The symmetrizing trace form $\\tau(\\tilde T_a \\tilde T_b) = q^{\\ell(a)}
@@ -50,13 +50,13 @@ and the next one, being built from it, are alive at a time, and no
 
 Elements are the dense ids of `CoxeterSystem.dense_tables`, and each
 coefficient is one Python int, its value at $q = 2^B$ (Kronecker
-substitution). That is a ring map $Z[q] \\to Z$, so a generator step is
-``tilde_step`` with shift B and the product of two packed ints is the
-packed product. Each term is shifted by $q^{top + \\ell(a) - \\ell(x)}$,
-top = $\\ell(w_0)$, to clear negative powers; the packed sum is then
-$q^{top} N^w$ at $q = 2^B$, and its signed base-$2^B$ digits are decoded
-once. The lowest top digits must be zero; a nonzero one raises
-`InternalCheckError`.
+substitution, in the format of ``packed``). That is a ring map
+$Z[q] \\to Z$, so a generator step is ``tilde_step`` with shift B and the
+product of two packed ints is the packed product. Each term is shifted by
+$q^{top + \\ell(a) - \\ell(x)}$, top = $\\ell(w_0)$, to clear negative
+powers; the packed sum is then $q^{top} N^w$ at $q = 2^B$, and its signed
+base-$2^B$ digits are decoded once, by ``packed.decode``. The lowest top
+digits must be zero; a nonzero one raises `InternalCheckError`.
 
 Width. A step at most triples the l1 norm of a family member (a term p
 goes to p, or to $pq$ and $pq - p$), so after the $\\ell(x)$ steps that
@@ -74,8 +74,9 @@ from bisect import bisect_left
 
 from .coxeter import (ConjugacyClass, CoxeterSystem, Element,
                       InfiniteGroupError, InternalCheckError, _Record)
-from .hecke import HeckeAlgebra, UnequalParametersError, tilde_step, unpack
+from .hecke import HeckeAlgebra, UnequalParametersError
 from .laurent import LaurentPoly, in_cone
+from .packed import decode, tilde_step
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotation names only: importing typing costs every process
@@ -142,23 +143,6 @@ def _digit_bound(order: int, steps: int) -> int:
     return order * 3 ** steps
 
 
-def _decode(packed: int, width: int, bound: int, drop: int = 0) -> LaurentPoly:
-    """Z[q] from its packed value at q = 2^width, as a polynomial in v.
-
-    The lowest `drop` digits must be zero and are divided out. Every signed
-    digit must lie within `bound`; a digit outside it means the width was
-    too small for the value, and is raised rather than returned."""
-    low = drop * width
-    if packed & ((1 << low) - 1):
-        raise InternalCheckError(
-            f"trace is not divisible by q^{drop}: inexact shift")
-    packed >>= low
-    coeffs: list[int] = []
-    for d in unpack(packed, width, bound):
-        coeffs += (d, 0)  # q^k = v^{2k}
-    return LaurentPoly(0, coeffs)
-
-
 def n_trace(algebra: HeckeAlgebra, w: Element) -> LaurentPoly:
     """The trace of h -> v^{2|w|} T_w h T_{w^{-1}} over the T-basis.
 
@@ -195,7 +179,10 @@ def n_trace(algebra: HeckeAlgebra, w: Element) -> LaurentPoly:
         total += level << (top - length) * width
         g = {y: tilde_step(left[dense.first[y]], g[dense.tail[y]], width)
              for y in range(starts[length + 1], starts[length + 2])}
-    return _decode(total, width, bound, drop=top)
+    digits = decode(total, width, bound, drop=top)
+    coeffs = [0] * 2 * len(digits)
+    coeffs[::2] = digits  # q^k = v^{2k}
+    return LaurentPoly(0, coeffs)
 
 
 def _traces(algebra: HeckeAlgebra, cls: ConjugacyClass,

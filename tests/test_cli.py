@@ -1284,17 +1284,17 @@ def test_import_leaves_pool_cache_and_dataclass_modules_out():
     # -S: no site hooks, so only what hx imports is counted; fractions (and
     # the decimal it imports) is for LaurentPoly.evaluate off int points
     # alone, so a positivity run, which reads N^w at v = 1, loads neither;
-    # klbasis and positivity load in the handlers that use them, and only
-    # there; hx reads its own argv, and an uncached --json run neither
+    # klbasis and positivity, with the packed format they share, load in
+    # the handlers that use them, and only there; hx reads its own argv, and an uncached --json run neither
     # parses nor hashes JSON, so argparse (with the gettext and locale its
     # messages import) and json stay out too. Nor do re, typing and enum:
     # the records are plain classes, no annotation is evaluated, and labels
     # are read with str methods; random loads for the h-scan's sample alone
     probe = """if True:
         import contextlib, io, sys, hx, hx.cli
-        watched = {'fractions', 'decimal', 'hx.klbasis', 'hx.positivity', 'argparse',
-                   'gettext', 'locale', 'json', 'json.decoder', 're', 'typing', 'enum',
-                   'random'}
+        watched = {'fractions', 'decimal', 'hx.klbasis', 'hx.positivity', 'hx.packed',
+                   'argparse', 'gettext', 'locale', 'json', 'json.decoder', 're',
+                   'typing', 'enum', 'random'}
         print(sorted(({'multiprocessing', 'hashlib', 'dataclasses', 'inspect'} | watched)
                      & set(sys.modules)))
         with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
@@ -1302,9 +1302,10 @@ def test_import_leaves_pool_cache_and_dataclass_modules_out():
         print(code, sorted(watched & set(sys.modules)))
     """
     env = {name: value for name, value in os.environ.items() if name != "HX_CACHE_DIR"}
-    for command, loaded in [(["group"], []), (["positivity"], ["hx.positivity"]),
-                            (["jring", "table"], ["hx.klbasis", "random"]),
-                            (["kl", "basis"], ["hx.klbasis"])]:
+    for command, loaded in [(["group"], []),
+                            (["positivity"], ["hx.packed", "hx.positivity"]),
+                            (["jring", "table"], ["hx.klbasis", "hx.packed", "random"]),
+                            (["kl", "basis"], ["hx.klbasis", "hx.packed"])]:
         done = subprocess.run([sys.executable, "-S", "-c", probe, *command],
                               capture_output=True, text=True,
                               env={**env, "PYTHONPATH": str(ROOT / "src")})
@@ -1315,21 +1316,22 @@ def test_import_leaves_pool_cache_and_dataclass_modules_out():
 def test_cached_runs_load_no_openssl_and_hits_no_kernel(tmp_path):
     # the entry digest is BLAKE2b from CPython's own _blake2, so no cached
     # run imports hashlib, which loads OpenSSL; and a cache hit, in JSON or
-    # in text, replays its report with no hx.klbasis loaded. The key is
-    # written with no json, so a --json hit loads no json, typing or re; a
-    # store sweeps the cache with re, and text parses the payload with json
+    # in text, replays its report with no hx.klbasis or hx.packed loaded.
+    # The key is written with no json, so a --json hit loads no json,
+    # typing or re; a store sweeps the cache with re, and text parses the
+    # payload with json
     probe = """if True:
         import contextlib, io, sys, hx.cli
         with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
             code = hx.cli.main([*sys.argv[1:], '--type', 'A2'])
-        print(code, sorted({'hashlib', '_hashlib', 'hx.klbasis', 'json', 'typing', 're'}
-                           & set(sys.modules)))
+        print(code, sorted({'hashlib', '_hashlib', 'hx.klbasis', 'hx.packed', 'json',
+                            'typing', 're'} & set(sys.modules)))
     """
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
            "HX_CACHE_DIR": str(tmp_path / "cache")}
     for command in (["kl", "basis"], ["kl", "afunction"]):
-        for mode, loaded in [(["--json"], ["hx.klbasis", "re"]), (["--json"], []),
-                             ([], ["json", "re"])]:
+        for mode, loaded in [(["--json"], ["hx.klbasis", "hx.packed", "re"]),
+                             (["--json"], []), ([], ["json", "re"])]:
             done = subprocess.run([sys.executable, "-S", "-c", probe, *command, *mode],
                                   capture_output=True, text=True, env=env)
             assert done.returncode == 0, done.stderr
@@ -1348,25 +1350,31 @@ _CLOSE_STDERR_AND_RUN = """if True:
 
 
 @pytest.mark.skipif(os.name != "posix", reason="closes the child's fd 2")
-@pytest.mark.parametrize("command", [["kl", "afunction", "--type", "B2"],
-                                     ["positivity", "--type", "A2"]], ids=" ".join)
-def test_closed_stderr_drops_progress_and_finishes(command):
-    # progress is best effort: a command that prints it, run with stderr
-    # closed (2>&-), exits 0 and prints what it prints with stderr open.
-    # Closed before the interpreter starts, sys.stderr is None, and print
-    # would write to stdout; closed after, a write to it raises OSError
+@pytest.mark.parametrize("command,code", [
+    pytest.param(command, code, id=" ".join(command)) for command, code in [
+        (["kl", "afunction", "--type", "B2"], 0), (["positivity", "--type", "A2"], 0),
+        (["group", "--type", "Q9"], 1), (["group", "--type", "~A1"], 2)]])
+def test_closed_stderr_drops_progress_and_finishes(command, code):
+    # stderr is best effort: a command run with stderr closed (2>&-) exits
+    # with the code and prints what it prints with stderr open, whether
+    # that stderr took progress (and a report to stdout) or an error line
+    # (and nothing else). Closed before the interpreter starts, sys.stderr
+    # is None, and print would write to stdout; closed after, a write to it
+    # raises OSError
     env = {name: value for name, value in os.environ.items() if name != "HX_CACHE_DIR"}
     env["PYTHONPATH"] = str(ROOT / "src")
     args = [*command, "--json"]
     shown = subprocess.run([sys.executable, "-m", "hx.cli", *args], capture_output=True,
                            env=env)
-    assert shown.returncode == 0 and b"/" in shown.stderr and shown.stdout
+    assert shown.returncode == code
+    assert b"/" in shown.stderr if code == 0 else b"hx: " in shown.stderr
+    assert bool(shown.stdout) == (code == 0)
     before = subprocess.run([sys.executable, "-m", "hx.cli", *args], stdout=subprocess.PIPE,
                             env=env, preexec_fn=lambda: os.close(2))
     after = subprocess.run([sys.executable, "-c", _CLOSE_STDERR_AND_RUN, *args],
                            stdout=subprocess.PIPE, env=env)
     for closed in (before, after):
-        assert closed.returncode == 0
+        assert closed.returncode == code
         assert closed.stdout == shown.stdout
 
 

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from hx.coxeter import InfiniteGroupError
-from hx.hecke import (HeckeAlgebra, WeightFunction, add_into, pack, tilde_step,
-                      unpack, weight_catalog)
+from hx.hecke import HeckeAlgebra, WeightFunction, add_into, weight_catalog
 from hx.laurent import LaurentPoly, ONE, V
+from hx.packed import decode, pack, tilde_step
 from support import algebra, specialize, system
 
 xi = lambda L: LaurentPoly.monomial(L) - LaurentPoly.monomial(-L)
@@ -185,7 +185,7 @@ def test_tilde_step_is_v_to_the_l_times_the_generator_step(label, weights):
     def in_t_basis(packed):
         """Laurent T-coordinates of an element in packed T~-coordinates."""
         return H.element({dense.elements[u]: LaurentPoly(
-            L(dense.elements[u]), unpack(p, width, bound)) for u, p in packed.items()})
+            L(dense.elements[u]), decode(p, width, bound)) for u, p in packed.items()})
 
     for _ in range(20):
         packed = {u: pack([rng.randint(-9, 9) for _ in range(3)], width)

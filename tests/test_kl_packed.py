@@ -2,7 +2,8 @@
 against the Laurent oracle in ``kl_oracle``, the recursion's digit-width
 guard and hard checks, and bar on long affine words; the packed dense-id
 h-scan and its action rows against the Laurent column recursion and rows
-there, and the scan's width guard."""
+there, and the scan's width guard; and the codec of ``hx.packed`` that
+both run in, at widths with an ``array`` typecode and without one."""
 
 import inspect
 import random
@@ -13,10 +14,10 @@ import pytest
 
 import hx.klbasis
 from hx.coxeter import InternalCheckError
-from hx.hecke import HeckeAlgebra, WeightFunction, pack, unpack
-from hx.klbasis import (KLBasis, _check_pair, _digit_reader, _h_scan,
-                        _packed_action_rows, _packed_columns, _palindrome_test)
+from hx.hecke import HeckeAlgebra, WeightFunction
+from hx.klbasis import KLBasis, _check_pair, _h_scan, _packed_action_rows, _packed_columns
 from hx.laurent import LaurentPoly
+from hx.packed import decode, pack, palindrome_test, reader, rerun
 from kl_oracle import LaurentKL, _action_rows, _h_columns
 from support import run_cli, system
 
@@ -63,26 +64,52 @@ def test_packed_solve_matches_oracle_affine(label, weights, radius):
     assert_matches_oracle(H, system(label).enumerate_elements(max_length=radius))
 
 
+# The codec of hx.packed is tested on one table of widths: with an array
+# typecode (8, 16, 32, 64) and without one (24, 128), where one pure-Python
+# loop reads the digits; the round trip and decode also run at 4.
+WIDTHS = [8, 16, 24, 32, 64, 128]
+
+
 def test_pack_unpack_round_trip():
     coeffs = [3, 0, -2, 0, 0, 1]
-    packed = pack(coeffs, 4)
-    assert packed == 3 - 2 * 16 ** 2 + 16 ** 5
-    assert unpack(packed, 4, 3) == coeffs
-    assert unpack(-packed, 4, 3) == [-c for c in coeffs]
-    with pytest.raises(InternalCheckError, match="bound"):
-        unpack(packed, 4, 2)
+    for width in [4, *WIDTHS]:
+        packed = pack(coeffs, width)
+        assert packed == 3 - 2 * (1 << 2 * width) + (1 << 5 * width)
+        assert decode(packed, width, 3) == coeffs
+        assert decode(-packed, width, 3) == [-c for c in coeffs]
+        assert decode(0, width, 0) == []
+        with pytest.raises(InternalCheckError, match="bound"):
+            decode(packed, width, 2)
+
+
+def test_decode_rejects_overflow_and_inexact_shift():
+    for width in [4, *WIDTHS]:
+        # a digit at the bound passes, and one past it, of either sign, is
+        # raised, at the top digit as below it
+        for bound in (1, 3, (1 << (width - 1)) - 1):
+            for digits in ([bound, 0, -bound], [0, -bound, bound]):
+                assert decode(pack(digits, width), width, bound) == digits
+            for digits in ([bound + 1, bound], [-bound, -bound - 1], [0, 0, bound + 1]):
+                with pytest.raises(InternalCheckError, match="overflowed"):
+                    decode(pack(digits, width), width, bound)
+        # the lowest digits are dropped when zero, and raise when not
+        packed = pack([3, 0, -2, 0, 0, 1], width)
+        assert decode(packed << 2 * width, width, 3, drop=2) == [3, 0, -2, 0, 0, 1]
+        assert decode(-packed << 2 * width, width, 3, drop=2) == [-3, 0, 2, 0, 0, -1]
+        with pytest.raises(InternalCheckError, match="shift"):
+            decode(packed << width, width, 3, drop=2)
 
 
 @pytest.mark.parametrize("label,weights", [("A3", None), ("B3", (1, 1, 2))])
 def test_tiny_width_widens_and_matches_oracle(monkeypatch, label, weights):
-    decode = hx.klbasis.unpack
+    genuine = hx.klbasis.decode
 
     def checked(packed, width, bound):
         # the recursion widens before its digit bound stops fitting
         assert bound < 1 << (width - 1)
-        return decode(packed, width, bound)
+        return genuine(packed, width, bound)
 
-    monkeypatch.setattr(hx.klbasis, "unpack", checked)
+    monkeypatch.setattr(hx.klbasis, "decode", checked)
     H = fresh(label, weights)
     k, oracle = KLBasis(H), LaurentKL(fresh(label, weights))
     k._width = 2
@@ -222,14 +249,14 @@ def test_digit_at_the_bound_passes_the_masks(monkeypatch):
     # on the genuine build (once, for the mu at z = s0)
     W = system("A2")
     w = W.normal_form((0, 1, 0))
-    decode = hx.klbasis.unpack
+    real = hx.klbasis.decode
     decoded = []
 
     def counted(packed, width, bound):
         decoded.append(bound)
-        return decode(packed, width, bound)
+        return real(packed, width, bound)
 
-    monkeypatch.setattr(hx.klbasis, "unpack", counted)
+    monkeypatch.setattr(hx.klbasis, "decode", counted)
     assert KLBasis(fresh("A2"))._packed_row(w)[0][W.identity] == 1
     genuine = list(decoded)
     decoded.clear()
@@ -259,7 +286,7 @@ def test_mask_path_mass_is_exact_past_2b_minus_1(monkeypatch):
     k._width = 6
     row, mass = k._packed_row(w)
     assert k._width == 6
-    digits = {y: unpack(P, 6, 31) for y, P in row.items()}
+    digits = {y: decode(P, 6, 31) for y, P in row.items()}
     assert sum(digits[W.identity]) > 63
     assert mass == sum(sum(map(abs, d)) for d in digits.values())
 
@@ -271,22 +298,22 @@ def test_narrow_width_near_its_bound_widens_and_matches_oracle(
     # of the SWAR test is small and the digit sums do not fit 2^B - 1, so
     # the build takes both paths before it must widen
     fills = []
-    masks = hx.klbasis._masks
+    masks = hx.klbasis.masks
 
     def spied(width, top):
         fills.append(width)
         return masks(width, top)
 
-    decode = hx.klbasis.unpack
+    genuine = hx.klbasis.decode
     near = []
 
     def checked(packed, width, bound):
         assert bound < 1 << (width - 1)
         near.append(bound >= 1 << (width - 2))
-        return decode(packed, width, bound)
+        return genuine(packed, width, bound)
 
-    monkeypatch.setattr(hx.klbasis, "_masks", spied)
-    monkeypatch.setattr(hx.klbasis, "unpack", checked)
+    monkeypatch.setattr(hx.klbasis, "masks", spied)
+    monkeypatch.setattr(hx.klbasis, "decode", checked)
     k = KLBasis(fresh(label))
     k._width = width
     oracle = LaurentKL(fresh(label))
@@ -318,7 +345,7 @@ def laurent_columns(kl):
     for y, column in _packed_columns(kl, rows, norms):
         yield elements[y], {
             elements[x]: {elements[z]: LaurentPoly(-offset,
-                                                   unpack(h, width, 1 << width))
+                                                   decode(h, width, 1 << width))
                           for z, h in hs.items()}
             for x, hs in enumerate(column)}
 
@@ -340,7 +367,7 @@ def test_packed_action_rows_match_oracle(label, weights):
     oracle = _action_rows(KLBasis(fresh(label, weights)))
     for s, L in enumerate(kl.algebra.weight.values):
         decoded = {elements[u]: {elements[z]: LaurentPoly(
-            -L, unpack(a, width, 1 << width)) for z, a in row.items()}
+            -L, decode(a, width, 1 << width)) for z, a in row.items()}
             for u, row in enumerate(rows[s])}
         assert decoded == oracle[s], s
         assert norms[s] == max(sum(sum(map(abs, m.coeffs)) for m in row.values())
@@ -366,11 +393,46 @@ def test_tiny_scan_width_widens_and_matches_oracle():
     for w in system("G2").enumerate_elements():
         k._packed_row(w)
     assert k._width == 8
-    scanned = _h_scan(k, None)
+    scanned = rerun(k._widen, _h_scan, k, None)
     assert k._width > 8
     assert scanned == _h_scan(KLBasis(fresh("G2", (2, 1))), None)
     oracle = dict(_h_columns(KLBasis(fresh("G2", (2, 1)))))
     assert dict(laurent_columns(k)) == oracle
+
+
+@pytest.mark.parametrize("width", [24, 128])
+@pytest.mark.parametrize("label,weights", [("A3", None), ("G2", (2, 1))])
+def test_width_without_a_typecode_matches_oracle(label, weights, width):
+    # no array typecode at these widths: the one pure-Python digit loop reads
+    # the KL rows and the scan's entries, and at equal parameters each
+    # entry's read digits are its bar-invariance test
+    k = KLBasis(fresh(label, weights))
+    k._width = width
+    oracle = LaurentKL(fresh(label, weights))
+    for w in system(label).enumerate_elements():
+        assert k.coords(w) == oracle.coords(w), w
+        assert k.coord_pairs(w) == [(y, pairs(p)) for y, p in sorted(
+            oracle.coords(w).items(), key=lambda kv: kv[0].sort_key)], w
+    assert dict(laurent_columns(k)) == dict(_h_columns(KLBasis(fresh(label, weights))))
+    assert _h_scan(k, None) == _h_scan(KLBasis(fresh(label, weights)), None)
+    assert k._width == width
+
+
+def test_entry_not_bar_invariant_at_a_width_without_a_typecode(monkeypatch):
+    # a -> (1 + v) a on every action row: the h_{x,y,z} lose bar-invariance,
+    # which the per-entry read finds at a width with no palindrome test
+    real = hx.klbasis._packed_action_rows
+
+    def skewed(kl):
+        rows, norms = real(kl)
+        return ([[{z: a + (a << kl._width) for z, a in row.items()} for row in by_s]
+                 for by_s in rows], [2 * n for n in norms])
+
+    monkeypatch.setattr(hx.klbasis, "_packed_action_rows", skewed)
+    k = KLBasis(fresh("A2"))
+    k._width = 24
+    with pytest.raises(InternalCheckError, match="bar-invariant"):
+        _h_scan(k, None)
 
 
 def test_cross_check_rejects_a_row_of_y_that_v_to_the_l_does_not_divide():
@@ -385,25 +447,33 @@ def test_cross_check_rejects_a_row_of_y_that_v_to_the_l_does_not_divide():
         _check_pair(k, 0, y, {})
 
 
-@pytest.mark.parametrize("width", [8, 16, 24, 32, 64, 128])
+@pytest.mark.parametrize("width", WIDTHS)
 def test_palindromes_at_every_width(width):
-    rng = random.Random(width)
+    # the test over many ints at once where the width has an array typecode;
+    # elsewhere none, and the scan reads each int and compares its digits
+    rng, half = random.Random(width), 1 << (width - 1)
     for _ in range(50):
-        blocks, expected = [], True
+        count = rng.randrange(1, 8)
+        values, expected = [], True
         for _ in range(rng.randrange(1, 5)):
-            digits = [rng.randrange(1 << width) for _ in range(rng.randrange(1, 8))]
+            digits = [rng.randrange(half) for _ in range(count)]
             if rng.random() < 0.7:
-                digits[len(digits) // 2 + 1:] = digits[:(len(digits) - 1) // 2][::-1]
+                digits[count // 2 + 1:] = digits[:(count - 1) // 2][::-1]
             expected &= digits == digits[::-1]
-            blocks.append(pack(digits, width).to_bytes(width // 8 * len(digits),
-                                                       "little"))
-        assert _palindrome_test(width)(blocks) == expected
+            values.append(pack(digits, width))
+        read = reader(width, count)
+        assert all(list(read(h)) == list(read(h))[::-1] for h in values) == expected
+        mirrored = palindrome_test(width, count)
+        if width in (8, 16, 32, 64):
+            assert mirrored(values) == expected
+        else:
+            assert mirrored is None
 
 
-@pytest.mark.parametrize("width", [8, 16, 24, 32, 64, 128])
+@pytest.mark.parametrize("width", WIDTHS)
 def test_digit_reader_at_every_width(width):
     rng, half = random.Random(width), 1 << (width - 1)
-    read = _digit_reader(width, 5)
+    read = reader(width, 5)
     for _ in range(50):
         digits = [rng.randrange(-half, half) for _ in range(5)]
         assert list(read(pack(digits, width))) == digits

@@ -7,8 +7,7 @@ import hx.positivity
 from hx.coxeter import InfiniteGroupError, InternalCheckError
 from hx.hecke import HeckeAlgebra, UnequalParametersError, WeightFunction
 from hx.laurent import LaurentPoly, ONE, V, in_cone
-from hx.positivity import (_certified, _decode, class_report, classify_positive,
-                           n_trace)
+from hx.positivity import _certified, class_report, classify_positive, n_trace
 from support import algebra, run_cli, system
 from trace_oracle import reference_n_trace
 
@@ -176,19 +175,6 @@ def test_kernel_matches_laurent_oracle(label, route):
         elements = [w for cls in W.conjugacy_classes() for w in cls.min_length_set]
     for w in elements:
         assert n_trace(H, w) == reference_n_trace(H, w, route=route), (label, route, w)
-
-
-def test_decode_rejects_overflow_and_inexact_shift():
-    # 3 - 2q + q^3 at q = 2^4, and the same times q^2
-    packed = 3 - 2 * 16 + 16 ** 3
-    expected = LaurentPoly.from_pairs([(0, 3), (2, -2), (6, 1)])
-    assert _decode(packed, 4, 3) == expected
-    assert _decode(packed << 8, 4, 3, drop=2) == expected
-    assert _decode(-packed, 4, 3) == -expected
-    with pytest.raises(InternalCheckError, match="bound"):
-        _decode(packed, 4, 2)
-    with pytest.raises(InternalCheckError, match="shift"):
-        _decode(packed << 4, 4, 3, drop=2)
 
 
 @pytest.mark.parametrize("route", ["direct", "cyclic"])
